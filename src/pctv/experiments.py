@@ -108,7 +108,11 @@ def worker_count() -> int:
     """Bounded worker pool size; the PCTV_THREADS variable caps it."""
     env = os.environ.get("PCTV_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"PCTV_THREADS: expected an integer, got {env!r}") from None
     return max(1, min(4, os.cpu_count() or 1))
 
 
@@ -647,6 +651,7 @@ def run_experiment(name: str, config: dict, out_dir: str) -> dict:
     Returns the summary payload that was written to ``summary.json``.
     """
     resolved = validate_config(name, config)
+    worker_count()  # a malformed PCTV_THREADS fails here, before any work
     os.makedirs(out_dir, exist_ok=True)
     columns, rows, summary = RUNNERS[name](resolved, out_dir)
     write_records_csv(os.path.join(out_dir, "records.csv"), columns, rows)

@@ -14,19 +14,23 @@ and the graph perimeter of a vertex subset A is
 so GTV of the indicator of A equals GPer(A) / (n^2 * eps) exactly.
 Only the scaled form is exposed; the unscaled sum is n^2 * eps times it.
 
-Graphs are built with cell list spatial hashing: points are binned into
-cubes of side eps times the profile's effective support, and only pairs
-in the same or adjacent bins are examined.  For compactly supported
-profiles this finds exactly the pairs with positive weight.
+Candidate pairs come from a kd-tree range search at eps times the
+profile's effective support.  Each pair's distance is then computed
+from its two points and tested against that radius, so the tree only
+proposes pairs and never decides one.  For compactly supported profiles
+this finds exactly the pairs with positive weight.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from . import kernels
 from .geometry import PointCloud
@@ -57,65 +61,6 @@ class WeightedGraph:
         return deg
 
 
-def _cross_pairs(order, starts_a, counts_a, starts_b, counts_b, same_cell):
-    """Index pairs for matched cell groups, vectorized over all groups.
-
-    For same_cell only position pairs a < b inside the group are kept,
-    so each unordered pair appears exactly once.
-    """
-    sizes = counts_a * counts_b
-    total = int(sizes.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    group = np.repeat(np.arange(sizes.size), sizes)
-    base = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    t = np.arange(total) - base[group]
-    ai = t // counts_b[group]
-    bi = t % counts_b[group]
-    if same_cell:
-        keep = ai < bi
-        group, ai, bi = group[keep], ai[keep], bi[keep]
-    return order[starts_a[group] + ai], order[starts_b[group] + bi]
-
-
-def _candidate_pairs(points: np.ndarray, radius: float):
-    """All index pairs within one cell-list bin of each other.
-
-    Yields (i, j) index array chunks, one chunk per neighbor offset, so
-    memory stays proportional to the largest offset's candidate count.
-    """
-    n, d = points.shape
-    cells = np.floor(points / radius).astype(np.int64)
-    cells -= cells.min(axis=0)
-    spans = cells.max(axis=0) + 3
-    cells += 1
-    strides = np.ones(d, dtype=np.int64)
-    for ax in range(d - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * spans[ax + 1]
-    key = cells @ strides
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    uniq, starts = np.unique(sorted_key, return_index=True)
-    counts = np.diff(np.append(starts, n))
-
-    offsets = np.stack(np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"),
-                       axis=-1).reshape(-1, d)
-    deltas = offsets @ strides
-    for delta in sorted(deltas[deltas > 0]):
-        target = uniq + delta
-        pos = np.searchsorted(uniq, target)
-        pos = np.minimum(pos, uniq.size - 1)
-        valid = uniq[pos] == target
-        if not valid.any():
-            continue
-        ga = np.nonzero(valid)[0]
-        gb = pos[valid]
-        yield _cross_pairs(order, starts[ga], counts[ga],
-                           starts[gb], counts[gb], same_cell=False)
-    yield _cross_pairs(order, starts, counts, starts, counts, same_cell=True)
-
-
 def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
                 eps: float) -> WeightedGraph:
     """Neighborhood graph of the cloud under the rescaled kernel.
@@ -132,37 +77,28 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
         raise ValueError("eps must be positive")
     radius = eps * kernels.effective_support(profile, d)
 
-    chunks_i: List[np.ndarray] = []
-    chunks_j: List[np.ndarray] = []
-    chunks_w: List[np.ndarray] = []
-    for ci, cj in _candidate_pairs(points, radius):
-        if ci.size == 0:
-            continue
-        diff = points[ci] - points[cj]
-        dist = np.sqrt(np.sum(diff * diff, axis=1))
-        near = dist <= radius
-        ci, cj, dist = ci[near], cj[near], dist[near]
-        w = kernels.scaled_from_distance(profile, eps, dist, d)
-        keep = w >= WEIGHT_FLOOR
-        ci, cj, w = ci[keep], cj[keep], w[keep]
-        lo = np.minimum(ci, cj)
-        hi = np.maximum(ci, cj)
-        chunks_i.append(lo.astype(np.int32))
-        chunks_j.append(hi.astype(np.int32))
-        chunks_w.append(w)
+    # The slack only widens the candidate set; the distance test below
+    # decides every pair, including those on the boundary.
+    pairs = cKDTree(points).query_pairs(radius * (1 + 1e-12),
+                                        output_type="ndarray")
+    # Each array is dropped once spent: dense graphs hold millions of pairs.
+    key = pairs[:, 0] * np.int64(n) + pairs[:, 1]
+    del pairs
+    key.sort()
+    row = key // n
+    ii = row.astype(np.int32)
+    jj = (key - row * n).astype(np.int32)
+    del key, row
 
-    if chunks_i:
-        ii = np.concatenate(chunks_i)
-        jj = np.concatenate(chunks_j)
-        ww = np.concatenate(chunks_w)
-        order = np.lexsort((jj, ii))
-        ii, jj, ww = ii[order], jj[order], ww[order]
-    else:
-        ii = np.empty(0, dtype=np.int32)
-        jj = np.empty(0, dtype=np.int32)
-        ww = np.empty(0)
-    return WeightedGraph(n=n, dimension=d, eps=eps, ii=ii, jj=jj, ww=ww,
-                         kernel_name=profile.name)
+    diff = points[ii] - points[jj]
+    dist = np.sqrt(np.sum(diff * diff, axis=1))
+    del diff
+    near = dist <= radius
+    ii, jj, dist = ii[near], jj[near], dist[near]
+    ww = kernels.scaled_from_distance(profile, eps, dist, d)
+    keep = ww >= WEIGHT_FLOOR
+    return WeightedGraph(n=n, dimension=d, eps=eps, ii=ii[keep], jj=jj[keep],
+                         ww=ww[keep], kernel_name=profile.name)
 
 
 def _as_values(graph: WeightedGraph, u) -> np.ndarray:
@@ -200,29 +136,12 @@ def graph_perimeter(graph: WeightedGraph, subset) -> float:
 def component_labels(graph: WeightedGraph) -> np.ndarray:
     """Connected component index per vertex, labeled 0, 1, ... in order.
 
-    Union-find on a parent array: crossing edges hook the larger root
-    onto the smaller one, with pointer jumping for compression, until no
-    edge crosses two trees.
+    Components are numbered by their smallest vertex.
     """
     n = graph.n
-    parent = np.arange(n)
-    if graph.edge_count:
-        while True:
-            while True:
-                hop = parent[parent]
-                if np.array_equal(hop, parent):
-                    break
-                parent = hop
-            ri = parent[graph.ii]
-            rj = parent[graph.jj]
-            cross = ri != rj
-            if not np.any(cross):
-                break
-            lo = np.minimum(ri[cross], rj[cross])
-            hi = np.maximum(ri[cross], rj[cross])
-            np.minimum.at(parent, hi, lo)
-    _, labels = np.unique(parent, return_inverse=True)
-    return labels
+    adjacency = csr_matrix((np.ones(graph.edge_count, dtype=bool),
+                            (graph.ii, graph.jj)), shape=(n, n))
+    return connected_components(adjacency, directed=False)[1]
 
 
 def is_connected(graph: WeightedGraph) -> bool:

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import maximum_flow
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.stats import kendalltau
 
@@ -249,54 +250,14 @@ def tlp_distance(f: LiftedFunction, g: LiftedFunction,
 
 
 def _bipartite_candidates(x: np.ndarray, y: np.ndarray, radius: float):
-    """Cross-set index pairs within the cell list radius."""
-    n, d = x.shape
-    both = np.vstack([x, y])
-    cells = np.floor(both / radius).astype(np.int64)
-    cells -= cells.min(axis=0)
-    spans = cells.max(axis=0) + 3
-    cells += 1
-    strides = np.ones(d, dtype=np.int64)
-    for ax in range(d - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * spans[ax + 1]
-    kx = cells[:n] @ strides
-    ky = cells[n:] @ strides
-    order_x = np.argsort(kx, kind="stable")
-    order_y = np.argsort(ky, kind="stable")
-    ux, sx = np.unique(kx[order_x], return_index=True)
-    cx = np.diff(np.append(sx, n))
-    uy, sy = np.unique(ky[order_y], return_index=True)
-    cy = np.diff(np.append(sy, y.shape[0]))
+    """Cross-set pairs (i, j) with |x_i - y_j| <= radius, and their distances.
 
-    offsets = np.stack(np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"),
-                       axis=-1).reshape(-1, d)
-    pairs_i: List[np.ndarray] = []
-    pairs_j: List[np.ndarray] = []
-    for o in offsets:
-        delta = int(o @ strides)
-        target = ux + delta
-        pos = np.searchsorted(uy, target)
-        pos = np.minimum(pos, uy.size - 1)
-        valid = uy[pos] == target
-        if not valid.any():
-            continue
-        ga = np.nonzero(valid)[0]
-        gb = pos[valid]
-        sizes = cx[ga] * cy[gb]
-        total = int(sizes.sum())
-        if total == 0:
-            continue
-        group = np.repeat(np.arange(sizes.size), sizes)
-        base = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        t = np.arange(total) - base[group]
-        ai = t // cy[gb][group]
-        bi = t % cy[gb][group]
-        pairs_i.append(order_x[sx[ga][group] + ai])
-        pairs_j.append(order_y[sy[gb][group] + bi])
-    if not pairs_i:
-        return (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
-    ci = np.concatenate(pairs_i)
-    cj = np.concatenate(pairs_j)
+    The kd-tree search runs with a little slack and only proposes pairs;
+    each distance is recomputed from its two points and tested here.
+    """
+    pairs = cKDTree(x).sparse_distance_matrix(
+        cKDTree(y), radius * (1 + 1e-12), output_type="ndarray")
+    ci, cj = pairs["i"], pairs["j"]
     dist = np.linalg.norm(x[ci] - y[cj], axis=1)
     near = dist <= radius
     return ci[near], cj[near], dist[near]
@@ -332,8 +293,8 @@ def bottleneck_distance(mu: DiscreteMeasure,
 
     The optimum is the smallest realized pairwise distance t such that
     the bipartite graph of pairs within t has a perfect matching.
-    Candidate pairs come from a cell list whose radius doubles until a
-    perfect matching exists; the threshold is then found by binary
+    Candidate pairs come from a kd-tree range search whose radius
+    doubles until a perfect matching exists; the threshold is then found by binary
     search over the candidate distances, each step checked by a unit
     capacity maximum flow.
     """
@@ -367,7 +328,6 @@ def bottleneck_distance(mu: DiscreteMeasure,
             hi = mid
         else:
             lo = mid + 1
-    # perm_type='column' yields, per row of the biadjacency, its column
     return _clamp(float(levels[lo])), TransportMap(source=mu, target=nu,
                                                    assignment=np.asarray(best))
 

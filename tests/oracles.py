@@ -76,6 +76,42 @@ def pairwise_edges(points: np.ndarray, profile_fn, eps: float, d: int,
     return ii, jj, ww
 
 
+def bfs_component_labels(n: int, ii, jj) -> np.ndarray:
+    """Component labels by breadth-first search from vertices 0, 1, ...
+
+    Components are numbered in the order their smallest vertex is met.
+    """
+    neighbours = [[] for _ in range(n)]
+    for i, j in zip(ii, jj):
+        neighbours[int(i)].append(int(j))
+        neighbours[int(j)].append(int(i))
+    labels = np.full(n, -1, dtype=np.int64)
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        queue = [start]
+        for v in queue:
+            for w in neighbours[v]:
+                if labels[w] < 0:
+                    labels[w] = count
+                    queue.append(w)
+        count += 1
+    return labels
+
+
+def bipartite_pairs(x: np.ndarray, y: np.ndarray, radius: float):
+    """Every cross pair (i, j) with |x_i - y_j| <= radius, by a dense scan.
+
+    Returns (i, j, distance) sorted by (i, j); the distance is the
+    Euclidean norm of x_i - y_j.
+    """
+    dist = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+    ii, jj = np.nonzero(dist <= radius)
+    return ii, jj, dist[ii, jj]
+
+
 def gtv_reference(ii, jj, ww, values, n: int, eps: float) -> float:
     """Graph total variation by direct summation over the ordered pairs."""
     total = 0.0

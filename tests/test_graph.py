@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from pctv import graph as graphmod
 from pctv import kernels
-from pctv.geometry import sample_iid, uniform_density, unit_box
+from pctv.geometry import PointCloud, sample_iid, uniform_density, unit_box
 from pctv.graph import (
     WeightedGraph,
     build_graph,
@@ -20,7 +20,7 @@ from pctv.graph import (
     values_to_csv,
 )
 
-from oracles import gtv_reference, pairwise_edges
+from oracles import bfs_component_labels, gtv_reference, pairwise_edges
 
 
 def _random_cloud(n, d, seed):
@@ -53,6 +53,35 @@ def test_edges_are_ordered_and_simple():
     assert (np.diff(keys) > 0).all()
     assert built.edge_count == built.ii.size
     assert (built.ww > 0).all()
+
+
+def _corners():
+    return PointCloud(points=np.array([[0.0, 0.0], [1.0, 0.0],
+                                       [0.0, 1.0], [1.0, 1.0]]), seed=0)
+
+
+def test_pairs_at_exactly_eps_follow_the_open_profile():
+    # The indicator is 0 at its radius, so sides of length exactly eps go.
+    at_radius = build_graph(_corners(), kernels.indicator(), 1.0)
+    assert at_radius.edge_count == 0
+    assert at_radius.ii.dtype == np.int32 and at_radius.jj.dtype == np.int32
+    # One ulp more keeps all four sides and no diagonal.
+    eps = np.nextafter(1.0, 2.0)
+    above = build_graph(_corners(), kernels.indicator(), eps)
+    assert list(zip(above.ii.tolist(), above.jj.tolist())) == [
+        (0, 1), (0, 2), (1, 3), (2, 3)]
+    assert_allclose(above.ww, eps ** -2, rtol=0)
+    assert above.ii.dtype == np.int32 and above.jj.dtype == np.int32
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_degenerate_clouds_give_empty_graphs(n):
+    built = build_graph(PointCloud(points=np.zeros((n, 2)), seed=0),
+                        kernels.indicator(), 0.5)
+    assert built.n == n and built.edge_count == 0
+    assert built.ii.dtype == np.int32 and built.jj.dtype == np.int32
+    assert built.ww.shape == (0,)
+    assert component_labels(built).shape == (n,)
 
 
 def test_tiny_weights_fall_below_the_floor():
@@ -142,6 +171,26 @@ def test_component_labels_on_two_blocks():
     assert labels[0] != labels[3]
     assert labels[5] not in (labels[0], labels[3])
     assert not is_connected(g)
+
+
+def test_component_labels_match_bfs_oracle():
+    rng = np.random.default_rng(11)
+    cases = [(7, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    for _ in range(30):
+        n = int(rng.integers(2, 60))
+        m = int(rng.integers(0, n + 5))
+        ends = rng.integers(0, n, size=(m, 2))
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        # the tests build graphs with default int64 endpoints
+        cases.append((n, ends.min(axis=1), ends.max(axis=1)))
+    # isolated vertices at both ends and in the middle
+    cases.append((9, np.array([1, 2, 5]), np.array([2, 3, 6])))
+    for n, ii, jj in cases:
+        g = WeightedGraph(n, 1, 1.0, ii, jj, np.ones(ii.size), "t")
+        assert np.array_equal(component_labels(g), bfs_component_labels(n, ii, jj))
+    built = build_graph(_random_cloud(300, 2, seed=12), kernels.indicator(), 0.07)
+    assert np.array_equal(component_labels(built),
+                          bfs_component_labels(built.n, built.ii, built.jj))
 
 
 def test_connectivity_cases():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist
 
 from pctv.errors import MarginalError, UnsupportedConfigurationError
 from pctv.geometry import grid_points, sample_iid, uniform_density, unit_box
@@ -18,9 +19,10 @@ from pctv.transport import (
     push_forward,
     scaling_ratio,
     tlp_distance,
+    _bipartite_candidates,
 )
 
-from oracles import exhaustive_bottleneck, exhaustive_tlp
+from oracles import bipartite_pairs, exhaustive_bottleneck, exhaustive_tlp
 
 
 def _uniform_measure(points):
@@ -189,6 +191,25 @@ def test_bottleneck_matches_exhaustive_oracle():
         assert abs(distance - oracle) < 1e-12
         moved = np.linalg.norm(x - y[match.assignment], axis=1)
         assert_allclose(moved.max(), distance, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shift", [False, True])
+def test_bipartite_candidates_match_dense_scan(shift):
+    k = 8
+    grid = grid_points(k, 2)
+    domain = unit_box(2)
+    cloud = sample_iid(domain, uniform_density(domain), 70, seed=23).points
+    # the grid one row up puts many pairs at the radius itself
+    points = grid + [0.0, 1.0 / k] if shift else cloud
+    for radius in (0.5 / k, 1.0 / k, 0.3):
+        ci, cj, dist = _bipartite_candidates(points, grid, radius)
+        ii, jj, expected = bipartite_pairs(points, grid, radius)
+        assert ii.size > 0
+        order = np.lexsort((cj, ci))
+        assert np.array_equal(ci[order], ii)
+        assert np.array_equal(cj[order], jj)
+        assert np.array_equal(dist[order], expected)
+        assert_allclose(expected, cdist(points, grid)[ii, jj], rtol=1e-15, atol=0)
 
 
 def test_bottleneck_on_identical_grids_is_zero():
