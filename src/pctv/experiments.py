@@ -109,10 +109,13 @@ def worker_count() -> int:
     env = os.environ.get("PCTV_THREADS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
+            workers = 0  # rejected below, with the same message
+        if workers < 1:
             raise ConfigError(
-                f"PCTV_THREADS: expected an integer, got {env!r}") from None
+                f"PCTV_THREADS: expected a positive integer, got {env!r}")
+        return workers
     return max(1, min(4, os.cpu_count() or 1))
 
 

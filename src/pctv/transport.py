@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -29,10 +29,8 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
-from scipy.stats import kendalltau
 
 from .errors import MarginalError, UnsupportedConfigurationError
-from .geometry import Domain, Density, grid_points, sample_iid
 
 MASS_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -263,28 +261,35 @@ def _bipartite_candidates(x: np.ndarray, y: np.ndarray, radius: float):
     return ci[near], cj[near], dist[near]
 
 
-def _perfect_matching(n: int, ci, cj, mask) -> Optional[np.ndarray]:
-    """Row-to-column perfect matching over the masked edges, or None.
+def _augment(n: int, ci, cj, match) -> np.ndarray:
+    """A maximum matching over the edges (ci, cj), grown from match.
 
-    Solved as unit-capacity maximum flow (source, rows, columns, sink);
-    on bipartite unit networks this runs in Hopcroft-Karp time and, in
-    contrast to the dedicated matcher, stays fast on geometric graphs.
+    match maps rows to columns, with -1 on free rows, and uses only
+    edges of the list.  One unit-capacity maximum flow on its residual
+    network (source to free rows, unmatched edges row to column, matched
+    edges column to row, free columns to sink) finds every missing
+    augmenting path at once; on bipartite unit networks this runs in
+    Hopcroft-Karp time.  A row whose flow leaves along an edge takes
+    that column; every other row keeps its own.
     """
-    ci = ci[mask]
-    cj = cj[mask]
+    matched = np.flatnonzero(match >= 0)
+    free_rows = np.flatnonzero(match < 0)
+    taken = np.zeros(n, dtype=bool)
+    taken[match[matched]] = True
+    free_cols = np.flatnonzero(~taken)
+    fwd = match[ci] != cj
     src, sink = 2 * n, 2 * n + 1
-    rows = np.concatenate([np.full(n, src), ci, n + np.arange(n)])
-    cols = np.concatenate([np.arange(n), n + cj, np.full(n, sink)])
-    graph = csr_matrix((np.ones(rows.size, dtype=np.int32), (rows, cols)),
+    tails = np.concatenate([np.full(free_rows.size, src), ci[fwd],
+                            n + match[matched], n + free_cols])
+    heads = np.concatenate([free_rows, n + cj[fwd],
+                            matched, np.full(free_cols.size, sink)])
+    graph = csr_matrix((np.ones(tails.size, dtype=np.int32), (tails, heads)),
                        shape=(2 * n + 2, 2 * n + 2))
-    res = maximum_flow(graph, src, sink)
-    if res.flow_value < n:
-        return None
-    flow = res.flow.tocoo()
+    flow = maximum_flow(graph, src, sink).flow.tocoo()
     used = (flow.data > 0) & (flow.row < n) & (flow.col >= n) & (flow.col < 2 * n)
-    match = np.empty(n, dtype=np.int64)
-    match[flow.row[used]] = flow.col[used] - n
-    return match
+    grown = match.copy()
+    grown[flow.row[used]] = flow.col[used] - n
+    return grown
 
 
 def bottleneck_distance(mu: DiscreteMeasure,
@@ -292,11 +297,19 @@ def bottleneck_distance(mu: DiscreteMeasure,
     """Infinity-cost transport distance for uniform equal-count measures.
 
     The optimum is the smallest realized pairwise distance t such that
-    the bipartite graph of pairs within t has a perfect matching.
-    Candidate pairs come from a kd-tree range search whose radius
-    doubles until a perfect matching exists; the threshold is then found by binary
-    search over the candidate distances, each step checked by a unit
-    capacity maximum flow.
+    the bipartite graph of pairs within t has a perfect matching; the
+    returned map is a bottleneck-optimal one (ties leave several).
+
+    Every atom is matched to some atom on the other side, so the larger
+    of the two nearest-neighbour distances bounds t from below.
+    Candidate pairs come from a kd-tree range search that starts just
+    above this bound (at 4 n^(-1/d) when the bound is 0) and doubles
+    its radius until a perfect matching exists.  The threshold is then
+    found by binary search over the candidate distances from the bound
+    up.  Feasibility only grows with the threshold, so the maximum
+    matching of the last infeasible probe stays valid at every higher
+    one: each maximum-flow solve starts from it and only looks for the
+    augmenting paths still missing.
     """
     if mu.n != nu.n or not (mu.uniform and nu.uniform):
         raise UnsupportedConfigurationError(
@@ -305,31 +318,41 @@ def bottleneck_distance(mu: DiscreteMeasure,
     x, y = mu.support, nu.support
     if n == 0:
         raise ValueError("empty measures")
-    radius = 4.0 * max(n, 2) ** (-1.0 / x.shape[1])
+    lb = max(float(cKDTree(y).query(x)[0].max()),
+             float(cKDTree(x).query(y)[0].max()))
+    radius = lb * (1 + 1e-9) if lb > 0 else 4.0 * max(n, 2) ** (-1.0 / x.shape[1])
     span = float(np.max(np.max(np.vstack([x, y]), axis=0)
                         - np.min(np.min(np.vstack([x, y]), axis=0))))
+    match_lo = np.full(n, -1, dtype=np.int64)
+    below = -math.inf  # largest radius known to be infeasible
     while True:
         ci, cj, dist = _bipartite_candidates(x, y, radius)
-        match = _perfect_matching(n, ci, cj, np.ones(dist.size, dtype=bool))
-        if match is not None:
+        best = _augment(n, ci, cj, match_lo)
+        if best.min() >= 0:
             break
         if radius > 2.0 * max(span, 1.0):
             raise RuntimeError("no perfect matching found at any radius")
+        match_lo, below = best, radius
         radius *= 2.0
 
+    order = np.argsort(dist, kind="stable")
+    ci, cj, dist = ci[order], cj[order], dist[order]
     levels = np.unique(dist)
-    lo, hi = 0, levels.size - 1
-    best = match
+    lo = max(int(np.searchsorted(levels, below, side="right")),
+             int(np.searchsorted(levels, lb * (1 - 1e-9))))
+    hi = levels.size - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        match = _perfect_matching(n, ci, cj, dist <= levels[mid])
-        if match is not None:
+        k = int(np.searchsorted(dist, levels[mid], side="right"))
+        match = _augment(n, ci[:k], cj[:k], match_lo)
+        if match.min() >= 0:
             best = match
             hi = mid
         else:
+            match_lo = match
             lo = mid + 1
     return _clamp(float(levels[lo])), TransportMap(source=mu, target=nu,
-                                                   assignment=np.asarray(best))
+                                                   assignment=best)
 
 
 def plan_inverse(plan: TransportPlan) -> TransportPlan:
@@ -390,42 +413,3 @@ def scaling_ratio(n: int, d: int, distance: float) -> float:
     if d == 2:
         return distance * math.sqrt(n) / math.log(n) ** 0.75
     return distance * n ** (1.0 / d) / math.log(n) ** (1.0 / d)
-
-
-@dataclass(frozen=True)
-class MatchingRecord:
-    n: int
-    d: int
-    seed: int
-    distance: float
-    ratio: float
-
-
-def matching_scaling_experiment(domain: Domain, density: Density,
-                                n_values: Sequence[int], seeds: Sequence[int],
-                                ) -> Tuple[List[MatchingRecord], float, float]:
-    """Bottleneck distance between samples and the matching grid.
-
-    For each n = k^d, matches n density samples to the k^d cell-center
-    grid and records the distance over the expected rate.  Returns the
-    records plus the Kendall tau of ratio against n with its two-sided
-    p-value; a flat trend says the rate is the right normalization.
-    """
-    d = domain.dimension
-    records: List[MatchingRecord] = []
-    for n in n_values:
-        k = round(n ** (1.0 / d))
-        if k ** d != n:
-            raise ValueError(f"n={n} is not a perfect {d}-th power")
-        grid = DiscreteMeasure.uniform_on(grid_points(k, d))
-        for seed in seeds:
-            cloud = sample_iid(domain, density, n, seed=seed)
-            sample = DiscreteMeasure.uniform_on(cloud.points)
-            distance, _ = bottleneck_distance(sample, grid)
-            records.append(MatchingRecord(
-                n=n, d=d, seed=seed, distance=distance,
-                ratio=scaling_ratio(n, d, distance)))
-    ns = [r.n for r in records]
-    ratios = [r.ratio for r in records]
-    tau, pvalue = kendalltau(ns, ratios)
-    return records, float(tau), float(pvalue)

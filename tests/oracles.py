@@ -149,6 +149,39 @@ def exhaustive_bottleneck(x: np.ndarray, y: np.ndarray) -> float:
     return best
 
 
+def threshold_bottleneck(x: np.ndarray, y: np.ndarray) -> float:
+    """Smallest pairwise distance whose threshold graph has a perfect matching.
+
+    Scans the sorted unique entries of the dense distance matrix upward
+    and tests each with a plain augmenting-path matcher started from
+    scratch.  Slow (quadratic memory, one matching per level), so small
+    instances only.
+    """
+    dist = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+    for level in np.unique(dist):
+        if _has_perfect_matching(dist <= level):
+            return float(level)
+    raise AssertionError("the complete bipartite graph has a perfect matching")
+
+
+def _has_perfect_matching(allowed: np.ndarray) -> bool:
+    """Kuhn's augmenting-path test on a boolean row-by-column matrix."""
+    n = allowed.shape[0]
+    adjacency = [np.flatnonzero(row).tolist() for row in allowed]
+    owner = [-1] * n
+
+    def augment(i, seen):
+        for j in adjacency[i]:
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * n) for i in range(n))
+
+
 def exhaustive_bisection_energy(n: int, ii, jj, ww, eps: float) -> float:
     """Minimum balanced cut energy by enumerating all subsets with vertex 0."""
     half = n // 2

@@ -223,14 +223,15 @@ def test_bad_thread_count_is_a_config_error_before_any_work(tmp_path, capsys,
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(GTV_CFG))
     out = tmp_path / "out"
-    monkeypatch.setenv("PCTV_THREADS", "abc")
-    with pytest.raises(ConfigError, match="^PCTV_THREADS: "):
-        worker_count()
-    code = cli.main(["gtv-convergence", "--config", str(cfg_path),
-                     "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("config error: PCTV_THREADS: ")
-    assert not out.exists()
+    for value in ("abc", "0", "-4"):
+        monkeypatch.setenv("PCTV_THREADS", value)
+        with pytest.raises(ConfigError, match=f"^PCTV_THREADS: .*'{value}'"):
+            worker_count()
+        code = cli.main(["gtv-convergence", "--config", str(cfg_path),
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: PCTV_THREADS: ")
+        assert not out.exists()
 
 
 def test_scatter_figures_are_valid_and_deterministic(tmp_path):

@@ -5,14 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
-from pctv.errors import MarginalError, UnsupportedConfigurationError
+from pctv.errors import ConfigError, MarginalError, UnsupportedConfigurationError
+from pctv.experiments import run_experiment
 from pctv.geometry import grid_points, sample_iid, uniform_density, unit_box
 from pctv.transport import (
     DiscreteMeasure,
     LiftedFunction,
     TransportPlan,
     bottleneck_distance,
-    matching_scaling_experiment,
     ot_distance,
     plan_compose,
     plan_inverse,
@@ -22,7 +22,12 @@ from pctv.transport import (
     _bipartite_candidates,
 )
 
-from oracles import bipartite_pairs, exhaustive_bottleneck, exhaustive_tlp
+from oracles import (
+    bipartite_pairs,
+    exhaustive_bottleneck,
+    exhaustive_tlp,
+    threshold_bottleneck,
+)
 
 
 def _uniform_measure(points):
@@ -193,6 +198,45 @@ def test_bottleneck_matches_exhaustive_oracle():
         assert_allclose(moved.max(), distance, rtol=1e-12)
 
 
+def _check_against_threshold_oracle(x, y) -> float:
+    distance, match = bottleneck_distance(_uniform_measure(x), _uniform_measure(y))
+    assert distance == threshold_bottleneck(x, y)
+    assert np.array_equal(np.sort(match.assignment), np.arange(len(x)))
+    assert np.linalg.norm(x - y[match.assignment], axis=1).max() == distance
+    return distance
+
+
+@pytest.mark.parametrize("d,n", [(2, 36), (2, 64), (2, 100), (3, 27), (3, 64)])
+def test_bottleneck_matches_threshold_oracle_against_grids(d, n):
+    domain = unit_box(d)
+    grid = grid_points(round(n ** (1.0 / d)), d)
+    for seed in range(3):
+        cloud = sample_iid(domain, uniform_density(domain), n, seed=seed).points
+        _check_against_threshold_oracle(cloud, grid)
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_bottleneck_matches_threshold_oracle_on_a_shifted_grid(k):
+    # many pairs share each distance, so many levels tie
+    grid = grid_points(k, 2)
+    _check_against_threshold_oracle(grid + [0.0, 1.0 / k], grid)
+
+
+def test_bottleneck_matches_threshold_oracle_on_the_line():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 17, 60):
+        _check_against_threshold_oracle(rng.uniform(size=(n, 1)),
+                                        grid_points(n, 1))
+
+
+def test_bottleneck_with_a_zero_bound_but_no_zero_cost_matching():
+    # every atom sits on an atom of the other side, yet one must move:
+    # the search starts from the fallback radius and has to double it
+    a, b = [0.0, 0.0], [5.0, 0.0]
+    x, y = np.array([a, a, b]), np.array([a, b, b])
+    assert _check_against_threshold_oracle(x, y) == 5.0
+
+
 @pytest.mark.parametrize("shift", [False, True])
 def test_bipartite_candidates_match_dense_scan(shift):
     k = 8
@@ -236,21 +280,20 @@ def test_scaling_ratio_formulas():
                     0.05 * 1000 ** (1 / 3) / np.log(1000) ** (1 / 3))
 
 
-def test_matching_experiment_validates_grid_sizes():
-    domain = unit_box(2)
-    with pytest.raises(ValueError):
-        matching_scaling_experiment(domain, uniform_density(domain), [10], [0])
+def test_matching_experiment_validates_grid_sizes(tmp_path):
+    cfg = {"dimension": 2, "n": [10], "seeds": [0]}
+    with pytest.raises(ConfigError, match="^/n: "):
+        run_experiment("matching-scaling", cfg, str(tmp_path / "out"))
 
 
-def test_matching_experiment_smoke():
-    domain = unit_box(2)
-    records, tau, pvalue = matching_scaling_experiment(
-        domain, uniform_density(domain), [16, 64], [0, 1, 2]
-    )
-    assert len(records) == 6
-    assert all(r.distance > 0 for r in records)
-    assert -1.0 <= tau <= 1.0
-    assert 0.0 <= pvalue <= 1.0
+def test_matching_experiment_smoke(tmp_path):
+    cfg = {"dimension": 2, "n": [16, 64], "seeds": [0, 1, 2]}
+    payload = run_experiment("matching-scaling", cfg, str(tmp_path / "out"))
+    rows = (tmp_path / "out" / "records.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    assert all(float(row.split(",")[3]) > 0 for row in rows)
+    assert -1.0 <= payload["summary"]["kendall_tau"] <= 1.0
+    assert 0.0 <= payload["summary"]["pvalue_two_sided"] <= 1.0
 
 
 def test_plan_csv_export(tmp_path):
