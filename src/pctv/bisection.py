@@ -368,31 +368,3 @@ def sweep_run(
     )
     return SweepRun(record=record, points=cloud.points, labels=result.labels)
 
-
-def consistency_sweep(
-    domain: Domain,
-    density,
-    profile,
-    n_values: list[int],
-    eps_of_n,
-    seeds: list[int],
-    restarts: int = 32,
-    reference_size: int = 2000,
-) -> list[SweepRecord]:
-    """Bisect sampled graphs and compare against the flat interface.
-
-    For each cloud size and seed the sweep samples points, builds the
-    geometric graph at the scale ``eps_of_n(n)``, runs the local search,
-    and records the cut energy, graph connectivity, and the agreement
-    and TL1 scores of ``sweep_run``.
-    """
-    reference = sweep_reference(domain, density, reference_size)
-    records = []
-    for n in n_values:
-        eps = float(eps_of_n(n))
-        for seed in seeds:
-            run = sweep_run(
-                domain, density, profile, n, eps, seed, reference, restarts=restarts
-            )
-            records.append(run.record)
-    return records

@@ -5,7 +5,8 @@ Usage: pctv <experiment> --config <file> --out <dir>
 The experiment name picks the sweep, the config file parametrizes it,
 and the output directory receives records.csv, summary.json, and any
 SVG figures.  Exit status 0 on success, 2 on a config problem, 1 on any
-other failure.
+other failure.  Config problems are found before the output directory
+is created.
 """
 
 from __future__ import annotations

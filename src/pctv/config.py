@@ -2,7 +2,10 @@
 
 Each experiment name owns a schema; validation failures surface as
 ConfigError with a JSON-pointer path to the offending field, so a typo
-in a nested key points at itself rather than at the whole file.
+in a nested key points at itself rather than at the whole file.  After
+the schema, validation builds the domain, density and kernel and runs
+each experiment's own checks, so config errors surface before any work
+starts.
 """
 
 from __future__ import annotations
@@ -11,8 +14,13 @@ import copy
 import json
 
 import jsonschema
+import numpy as np
 
-from .errors import ConfigError
+from .bisection import DENSE_LIMIT, reference_partitions
+from .continuum import halfplane_set
+from .errors import ConfigError, PCTVError
+from .geometry import Box, density_from_config, domain_from_config
+from .kernels import from_config as kernel_from_config
 
 EXPERIMENTS = (
     "gtv-convergence",
@@ -74,7 +82,11 @@ _KERNEL = {
         "radius": {"type": "number", "exclusiveMinimum": 0},
         "width": {"type": "number", "exclusiveMinimum": 0},
         "radii": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "heights": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "heights": {
+            "type": "array",
+            "items": {"type": "number", "minimum": 0},
+            "minItems": 1,
+        },
     },
     "required": ["name"],
     "additionalProperties": False,
@@ -91,6 +103,8 @@ _EPS_RULE = {
     },
     "required": ["kind"],
     "additionalProperties": False,
+    "if": {"properties": {"kind": {"const": "fixed"}}, "required": ["kind"]},
+    "then": {"required": ["value"]},
 }
 
 _FUNCTION = {
@@ -261,7 +275,50 @@ def validate_config(experiment: str, config: dict) -> dict:
     resolved = copy.deepcopy(config)
     for key, value in DEFAULTS[experiment].items():
         resolved.setdefault(key, copy.deepcopy(value))
+    _preflight(experiment, resolved)
     return resolved
+
+
+def _built(pointer: str, build, *args):
+    """Call a builder, reporting its ValueError or PCTVError at pointer."""
+    try:
+        return build(*args)
+    except (ValueError, PCTVError) as exc:
+        raise ConfigError(f"{pointer}: {exc}") from None
+
+
+def _preflight(experiment: str, cfg: dict) -> None:
+    """The checks that need built objects; nothing is sampled or integrated."""
+    d = cfg.get("dimension")
+    if "domain" in cfg:
+        domain = _built("/domain", domain_from_config, cfg["domain"])
+        d = domain.dimension
+        if cfg["density"].get("axis", 0) >= d:
+            raise ConfigError("/density/axis: axis is outside the domain dimension")
+        _built("/density", density_from_config, cfg["density"], domain)
+    if "kernel" in cfg:
+        _built("/kernel", kernel_from_config, cfg["kernel"])
+    if "function" in cfg and len(cfg["function"]["coeffs"]) != d:
+        raise ConfigError("/function/coeffs: length must match the domain dimension")
+    if "set" in cfg:
+        if cfg["set"]["axis"] >= d:
+            raise ConfigError("/set/axis: axis is outside the domain dimension")
+        _built("/set", halfplane_set, domain, cfg["set"]["axis"], cfg["set"]["threshold"])
+    if experiment == "tl-distance":
+        lo, hi = domain.bounding_box()
+        if not (isinstance(domain, Box) and np.allclose(lo, 0.0) and np.allclose(hi, 1.0)):
+            raise ConfigError(
+                "/domain: the tl-distance experiment compares against a unit-box grid")
+    if experiment == "matching-scaling":
+        for i, n in enumerate(cfg["n"]):
+            if round(n ** (1.0 / d)) ** d != n:
+                raise ConfigError(f"/n/{i}: {n} is not a perfect {d}-th power")
+    if experiment == "bisect":
+        for i, n in enumerate(cfg["n"]):
+            if n % 2 or n > DENSE_LIMIT:
+                raise ConfigError(
+                    f"/n/{i}: bisection needs an even n of at most {DENSE_LIMIT}, got {n}")
+        _built("/domain", reference_partitions, domain, np.empty((0, d)))
 
 
 def load_config(path: str) -> dict:

@@ -1,11 +1,12 @@
 """Seeded experiment sweeps and their CSV/JSON/SVG artifacts.
 
-Every experiment takes a validated config, runs a deterministic sweep,
-and writes its output into one directory: ``records.csv`` with one
-self-describing row per run, ``summary.json`` with the resolved config,
-package version, and aggregate statistics, and (where a picture makes
-sense) small SVG figures.  Reruns with the same config produce
-byte-identical CSV.
+Every experiment takes a config that ``validate_config`` has fully
+checked, plans its fixed inputs from it, maps its tasks over a thread
+pool, and reduces the rows to a summary.  The output goes into one
+directory: ``records.csv`` with one self-describing row per run,
+``summary.json`` with the resolved config, package version, and
+aggregate statistics, and (where a picture makes sense) small SVG
+figures.  Reruns with the same config produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 from scipy.stats import kendalltau
 
-from . import svgplot
+from . import __version__, svgplot
 from .bisection import sweep_reference, sweep_run
 from .config import validate_config
 from .continuum import (
@@ -29,15 +31,14 @@ from .continuum import (
     weighted_perimeter,
     weighted_tv_smooth,
 )
-from .errors import ConfigError, UnsupportedConfigurationError
+from .errors import ConfigError
 from .geometry import (
-    Box,
     density_from_config,
     domain_from_config,
     grid_points,
     sample_iid,
-    unit_box,
     uniform_density,
+    unit_box,
 )
 from .graph import build_graph, graph_total_variation, is_connected
 from .kernels import from_config as kernel_from_config
@@ -49,9 +50,6 @@ from .transport import (
     scaling_ratio,
     tlp_distance,
 )
-
-VERSION = "0.1.0"
-
 
 # ---------------------------------------------------------------------------
 # length-scale rules
@@ -170,12 +168,44 @@ def _setup(cfg: dict):
     return domain, density, _domain_label(cfg["domain"])
 
 
-def _median_curve(path: str, ns, medians, title: str, ylabel: str) -> None:
-    if len(ns) < 2 or any(m <= 0 for m in medians):
+def _function(cfg: dict):
+    spec = cfg["function"]
+    return affine_function(spec["coeffs"], spec.get("offset", 0.0))
+
+
+def _sweep(cfg: dict, one):
+    """Run one((n, seed)) over the schedule, n-major, in the worker pool."""
+    return _parallel_map(one, [(n, s) for n in cfg["n"] for s in cfg["seeds"]])
+
+
+def _per_n(rows, *keys, extra=None):
+    """One summary entry per n, in first-seen order.
+
+    An entry holds n, the first eps of its rows when they carry one,
+    ``median_<key>`` for each key, and whatever ``extra(group)`` adds.
+    """
+    groups = {}
+    for row in rows:
+        groups.setdefault(row["n"], []).append(row)
+    per_n = []
+    for n, group in groups.items():
+        entry = {"n": n}
+        if "eps" in group[0]:
+            entry["eps"] = group[0]["eps"]
+        for key in keys:
+            entry[f"median_{key}"] = _median([row[key] for row in group])
+        if extra is not None:
+            entry.update(extra(group))
+        per_n.append(entry)
+    return per_n
+
+
+def _median_curve(path: str, per_n, medians, title: str, ylabel: str) -> None:
+    if len(per_n) < 2 or any(m <= 0 for m in medians):
         return
     svgplot.line_figure(
         path,
-        [(ns, medians, "median")],
+        [([entry["n"] for entry in per_n], medians, "median")],
         title=title,
         xlabel="n",
         ylabel=ylabel,
@@ -185,141 +215,89 @@ def _median_curve(path: str, ns, medians, title: str, ylabel: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each plans from the validated config, maps its
+# tasks over the pool, and turns the rows into (columns, rows, summary)
 
 
-def _per_n_summary(rows, value_key: str):
-    per_n = []
-    seen = []
-    for row in rows:
-        if row["n"] not in seen:
-            seen.append(row["n"])
-    for n in seen:
-        values = [row[value_key] for row in rows if row["n"] == n]
-        per_n.append(
-            {
-                "n": n,
-                "eps": next(row["eps"] for row in rows if row["n"] == n),
-                f"median_{value_key}": _median(values),
-            }
-        )
-    return per_n
+def _graph_tv_sweep(cfg, out_dir, setup, u, limit, *, title, columns, extra):
+    """Graph TV of u on sampled clouds against sigma times a continuum limit.
+
+    ``columns`` are config constants added to every record after the
+    domain column, ``extra`` are more summary keys.
+    """
+    domain, density, domain_label = setup
+    profile = kernel_from_config(cfg["kernel"])
+    sigma = surface_tension(profile, domain.dimension).value
+    reference = sigma * limit
+    denom = abs(reference) if reference else 1.0
+    rule = eps_rule(cfg["eps_rule"], domain.dimension)
+
+    def one(task):
+        n, seed = task
+        eps = float(rule(n))
+        cloud = sample_iid(domain, density, n, seed=seed)
+        graph = build_graph(cloud, profile, eps)
+        value = graph_total_variation(graph, u(cloud.points))
+        return {
+            "n": n,
+            "eps": eps,
+            "seed": seed,
+            "kernel": profile.name,
+            "domain": domain_label,
+            **columns,
+            "gtv": value,
+            "reference": reference,
+            "rel_error": abs(value - reference) / denom,
+        }
+
+    rows = _sweep(cfg, one)
+    per_n = _per_n(rows, "rel_error")
+    medians = [entry["median_rel_error"] for entry in per_n]
+    summary = {
+        "reference": reference,
+        "surface_tension": sigma,
+        "per_n": per_n,
+        "median_rel_error_decreasing": _strictly_decreasing(medians),
+        "final_median_rel_error": medians[-1] if medians else None,
+        **extra,
+    }
+    _median_curve(os.path.join(out_dir, "convergence.svg"), per_n, medians,
+                  title, "median relative error")
+    return (
+        ["n", "eps", "seed", "kernel", "domain", *columns, "gtv", "reference", "rel_error"],
+        rows,
+        summary,
+    )
 
 
 def _run_gtv(cfg: dict, out_dir: str):
-    domain, density, domain_label = _setup(cfg)
-    profile = kernel_from_config(cfg["kernel"])
-    fn = affine_function(cfg["function"]["coeffs"], cfg["function"].get("offset", 0.0))
-    if len(cfg["function"]["coeffs"]) != domain.dimension:
-        raise ConfigError("/function/coeffs: length must match the domain dimension")
-    sigma = surface_tension(profile, domain.dimension).value
+    setup = domain, density, _ = _setup(cfg)
+    fn = _function(cfg)
     tv_value, _ = weighted_tv_smooth(fn, density, domain)
-    reference = sigma * tv_value
-    denom = abs(reference) if reference else 1.0
-    rule = eps_rule(cfg["eps_rule"], domain.dimension)
-
-    def one(task):
-        n, seed = task
-        eps = float(rule(n))
-        cloud = sample_iid(domain, density, n, seed=seed)
-        graph = build_graph(cloud, profile, eps)
-        value = graph_total_variation(graph, fn(cloud.points))
-        return {
-            "n": n,
-            "eps": eps,
-            "seed": seed,
-            "kernel": profile.name,
-            "domain": domain_label,
-            "gtv": value,
-            "reference": reference,
-            "rel_error": abs(value - reference) / denom,
-        }
-
-    rows = _parallel_map(one, [(n, s) for n in cfg["n"] for s in cfg["seeds"]])
-    per_n = _per_n_summary(rows, "rel_error")
-    medians = [entry["median_rel_error"] for entry in per_n]
-    summary = {
-        "reference": reference,
-        "surface_tension": sigma,
-        "weighted_tv": tv_value,
-        "per_n": per_n,
-        "median_rel_error_decreasing": _strictly_decreasing(medians),
-        "final_median_rel_error": medians[-1] if medians else None,
-    }
-    _median_curve(
-        os.path.join(out_dir, "convergence.svg"),
-        [entry["n"] for entry in per_n],
-        medians,
-        "graph TV vs continuum limit",
-        "median relative error",
-    )
-    columns = ["n", "eps", "seed", "kernel", "domain", "gtv", "reference", "rel_error"]
-    return columns, rows, summary
+    return _graph_tv_sweep(cfg, out_dir, setup, fn, tv_value,
+                           title="graph TV vs continuum limit",
+                           columns={}, extra={"weighted_tv": tv_value})
 
 
 def _run_perimeter(cfg: dict, out_dir: str):
-    domain, density, domain_label = _setup(cfg)
-    profile = kernel_from_config(cfg["kernel"])
+    setup = domain, density, _ = _setup(cfg)
     axis = int(cfg["set"]["axis"])
     threshold = float(cfg["set"]["threshold"])
-    if axis >= domain.dimension:
-        raise ConfigError("/set/axis: axis is outside the domain dimension")
-    sigma = surface_tension(profile, domain.dimension).value
     region = halfplane_set(domain, axis, threshold)
-    reference = sigma * weighted_perimeter(region, density, domain)
-    denom = abs(reference) if reference else 1.0
-    rule = eps_rule(cfg["eps_rule"], domain.dimension)
-
-    def one(task):
-        n, seed = task
-        eps = float(rule(n))
-        cloud = sample_iid(domain, density, n, seed=seed)
-        graph = build_graph(cloud, profile, eps)
-        indicator = (cloud.points[:, axis] < threshold).astype(float)
-        value = graph_total_variation(graph, indicator)
-        return {
-            "n": n,
-            "eps": eps,
-            "seed": seed,
-            "kernel": profile.name,
-            "domain": domain_label,
-            "axis": axis,
-            "threshold": threshold,
-            "gtv": value,
-            "reference": reference,
-            "rel_error": abs(value - reference) / denom,
-        }
-
-    rows = _parallel_map(one, [(n, s) for n in cfg["n"] for s in cfg["seeds"]])
-    per_n = _per_n_summary(rows, "rel_error")
-    medians = [entry["median_rel_error"] for entry in per_n]
-    summary = {
-        "reference": reference,
-        "surface_tension": sigma,
-        "per_n": per_n,
-        "median_rel_error_decreasing": _strictly_decreasing(medians),
-        "final_median_rel_error": medians[-1] if medians else None,
-    }
-    _median_curve(
-        os.path.join(out_dir, "convergence.svg"),
-        [entry["n"] for entry in per_n],
-        medians,
-        "graph perimeter vs continuum limit",
-        "median relative error",
+    return _graph_tv_sweep(
+        cfg, out_dir, setup,
+        lambda points: (points[:, axis] < threshold).astype(float),
+        weighted_perimeter(region, density, domain),
+        title="graph perimeter vs continuum limit",
+        columns={"axis": axis, "threshold": threshold},
+        extra={},
     )
-    columns = [
-        "n", "eps", "seed", "kernel", "domain", "axis", "threshold",
-        "gtv", "reference", "rel_error",
-    ]
-    return columns, rows, summary
 
 
 def _run_nonlocal(cfg: dict, out_dir: str):
     domain, density, domain_label = _setup(cfg)
     profile = kernel_from_config(cfg["kernel"])
-    fn = affine_function(cfg["function"]["coeffs"], cfg["function"].get("offset", 0.0))
-    if len(cfg["function"]["coeffs"]) != domain.dimension:
-        raise ConfigError("/function/coeffs: length must match the domain dimension")
+    fn = _function(cfg)
     sigma = surface_tension(profile, domain.dimension).value
     tv_value, _ = weighted_tv_smooth(fn, density, domain)
     reference = sigma * tv_value
@@ -354,12 +332,7 @@ def _run_nonlocal(cfg: dict, out_dir: str):
     records = [
         {
             "functional": "nonlocal-tv",
-            "parameters": {
-                "eps": row["eps"],
-                "method": row["method"],
-                "kernel": row["kernel"],
-                "domain": row["domain"],
-            },
+            "parameters": {key: row[key] for key in ("eps", "method", "kernel", "domain")},
             "value": row["value"],
             "error_estimate": row["error_estimate"],
         }
@@ -392,18 +365,7 @@ def _run_nonlocal(cfg: dict, out_dir: str):
 
 def _run_tl_distance(cfg: dict, out_dir: str):
     domain, density, domain_label = _setup(cfg)
-    lo, hi = domain.bounding_box()
-    if not (
-        isinstance(domain, Box)
-        and np.allclose(lo, 0.0)
-        and np.allclose(hi, 1.0)
-    ):
-        raise UnsupportedConfigurationError(
-            "the tl-distance experiment compares against a unit-box grid"
-        )
-    fn = affine_function(cfg["function"]["coeffs"], cfg["function"].get("offset", 0.0))
-    if len(cfg["function"]["coeffs"]) != domain.dimension:
-        raise ConfigError("/function/coeffs: length must match the domain dimension")
+    fn = _function(cfg)
     p = float(cfg["p"])
     k = int(cfg["grid"])
     ref_points = grid_points(k, domain.dimension)
@@ -423,11 +385,8 @@ def _run_tl_distance(cfg: dict, out_dir: str):
             "distance": distance,
         }
 
-    rows = _parallel_map(one, [(n, s) for n in cfg["n"] for s in cfg["seeds"]])
-    per_n = []
-    for n in dict.fromkeys(row["n"] for row in rows):
-        values = [row["distance"] for row in rows if row["n"] == n]
-        per_n.append({"n": n, "median_distance": _median(values)})
+    rows = _sweep(cfg, one)
+    per_n = _per_n(rows, "distance")
     medians = [entry["median_distance"] for entry in per_n]
     summary = {
         "grid": k,
@@ -435,13 +394,8 @@ def _run_tl_distance(cfg: dict, out_dir: str):
         "per_n": per_n,
         "median_distance_decreasing": _strictly_decreasing(medians),
     }
-    _median_curve(
-        os.path.join(out_dir, "distance.svg"),
-        [entry["n"] for entry in per_n],
-        medians,
-        "TL distance to the grid discretization",
-        "median distance",
-    )
+    _median_curve(os.path.join(out_dir, "distance.svg"), per_n, medians,
+                  "TL distance to the grid discretization", "median distance")
     columns = ["n", "seed", "p", "grid", "domain", "distance"]
     return columns, rows, summary
 
@@ -450,12 +404,10 @@ def _run_matching(cfg: dict, out_dir: str):
     d = int(cfg["dimension"])
     domain = unit_box(d)
     density = uniform_density(domain)
-    grids = {}
-    for n in cfg["n"]:
-        k = round(n ** (1.0 / d))
-        if k ** d != n:
-            raise ConfigError(f"/n: {n} is not a perfect {d}-th power")
-        grids[n] = DiscreteMeasure.uniform_on(grid_points(k, d))
+    grids = {
+        n: DiscreteMeasure.uniform_on(grid_points(round(n ** (1.0 / d)), d))
+        for n in cfg["n"]
+    }
 
     def one(task):
         n, seed = task
@@ -470,7 +422,7 @@ def _run_matching(cfg: dict, out_dir: str):
             "ratio": scaling_ratio(n, d, distance),
         }
 
-    rows = _parallel_map(one, [(n, s) for n in cfg["n"] for s in cfg["seeds"]])
+    rows = _sweep(cfg, one)
     if len({row["n"] for row in rows}) >= 2:
         tau, pvalue = kendalltau([r["n"] for r in rows], [r["ratio"] for r in rows])
         tau = float(tau)
@@ -480,10 +432,7 @@ def _run_matching(cfg: dict, out_dir: str):
     else:
         tau = pvalue = one_sided = None
         increasing = False
-    per_n = []
-    for n in dict.fromkeys(row["n"] for row in rows):
-        values = [row["ratio"] for row in rows if row["n"] == n]
-        per_n.append({"n": n, "median_ratio": _median(values)})
+    per_n = _per_n(rows, "ratio")
     summary = {
         "dimension": d,
         "per_n": per_n,
@@ -492,14 +441,9 @@ def _run_matching(cfg: dict, out_dir: str):
         "pvalue_increasing": one_sided,
         "increasing_trend_significant": increasing,
     }
-    medians = [entry["median_ratio"] for entry in per_n]
-    _median_curve(
-        os.path.join(out_dir, "ratios.svg"),
-        [entry["n"] for entry in per_n],
-        medians,
-        "bottleneck distance over the matching rate",
-        "median ratio",
-    )
+    _median_curve(os.path.join(out_dir, "ratios.svg"), per_n,
+                  [entry["median_ratio"] for entry in per_n],
+                  "bottleneck distance over the matching rate", "median ratio")
     columns = ["n", "d", "seed", "dist", "ratio"]
     return columns, rows, summary
 
@@ -520,24 +464,20 @@ def _run_connectivity(cfg: dict, out_dir: str):
         return flags
 
     per_seed = _parallel_map(one, list(cfg["seeds"]))
-    rows = []
-    for fi, factor in enumerate(factors):
-        for si, seed in enumerate(cfg["seeds"]):
-            rows.append(
-                {
-                    "n": n,
-                    "factor": factor,
-                    "eps": factor * scale,
-                    "seed": seed,
-                    "kernel": profile.name,
-                    "domain": domain_label,
-                    "connected": per_seed[si][fi],
-                }
-            )
-    fractions = [
-        float(np.mean([per_seed[si][fi] for si in range(len(cfg["seeds"]))]))
-        for fi in range(len(factors))
+    rows = [
+        {
+            "n": n,
+            "factor": factor,
+            "eps": factor * scale,
+            "seed": seed,
+            "kernel": profile.name,
+            "domain": domain_label,
+            "connected": flags[fi],
+        }
+        for fi, factor in enumerate(factors)
+        for seed, flags in zip(cfg["seeds"], per_seed)
     ]
+    fractions = [float(np.mean([flags[fi] for flags in per_seed])) for fi in range(len(factors))]
     summary = {
         "n": n,
         "connectivity_scale": scale,
@@ -576,65 +516,33 @@ def _run_bisect(cfg: dict, out_dir: str):
             restarts=cfg["restarts"],
         )
 
-    runs = _parallel_map(one, [(n, s) for n in cfg["n"] for s in cfg["seeds"]])
     rows = []
-    records = []
-    for run in runs:
+    for run in _sweep(cfg, one):
         rec = run.record
-        rows.append(
-            {
-                "n": rec.n,
-                "eps": rec.eps,
-                "seed": rec.seed,
-                "kernel": profile.name,
-                "domain": domain_label,
-                "energy": rec.energy,
-                "connected": rec.connected,
-                "agreement": rec.agreement,
-                "tl1_distance": rec.tl1_distance,
-            }
-        )
-        records.append(
-            {
-                "n": rec.n,
-                "eps": rec.eps,
-                "seed": rec.seed,
-                "energy": rec.energy,
-                "connected": bool(rec.connected),
-                "agreement": rec.agreement,
-                "tl1_distance": rec.tl1_distance,
-            }
-        )
+        rows.append(dict(asdict(rec), kernel=profile.name, domain=domain_label))
         if domain.dimension == 2:
-            name = f"partition-n{rec.n}-seed{rec.seed}.svg"
             svgplot.scatter_figure(
-                os.path.join(out_dir, name),
+                os.path.join(out_dir, f"partition-n{rec.n}-seed{rec.seed}.svg"),
                 run.points,
                 run.labels,
                 title=f"n={rec.n} eps={rec.eps:.4g} seed={rec.seed}",
             )
-    per_n = []
-    for n in dict.fromkeys(row["n"] for row in rows):
-        group = [row for row in rows if row["n"] == n]
-        per_n.append(
-            {
-                "n": n,
-                "eps": group[0]["eps"],
-                "median_energy": _median([r["energy"] for r in group]),
-                "median_agreement": _median([r["agreement"] for r in group]),
-                "median_tl1_distance": _median([r["tl1_distance"] for r in group]),
-                "connected_fraction": float(np.mean([r["connected"] for r in group])),
-                "zero_energy_fraction": float(
-                    np.mean([r["energy"] == 0.0 for r in group])
-                ),
-            }
-        )
-    summary = {"records": records, "per_n": per_n}
     columns = [
         "n", "eps", "seed", "kernel", "domain",
         "energy", "connected", "agreement", "tl1_distance",
     ]
-    return columns, rows, summary
+    records = [
+        {key: row[key] for key in columns if key not in ("kernel", "domain")}
+        for row in rows
+    ]
+    per_n = _per_n(
+        rows, "energy", "agreement", "tl1_distance",
+        extra=lambda group: {
+            "connected_fraction": float(np.mean([r["connected"] for r in group])),
+            "zero_energy_fraction": float(np.mean([r["energy"] == 0.0 for r in group])),
+        },
+    )
+    return columns, rows, {"records": records, "per_n": per_n}
 
 
 RUNNERS = {
@@ -660,7 +568,7 @@ def run_experiment(name: str, config: dict, out_dir: str) -> dict:
     write_records_csv(os.path.join(out_dir, "records.csv"), columns, rows)
     payload = {
         "experiment": name,
-        "version": VERSION,
+        "version": __version__,
         "config": resolved,
         "summary": summary,
     }

@@ -20,9 +20,6 @@ import numpy as np
 
 from .errors import EnvelopeError
 
-GENERATOR_NAME = "numpy.random.PCG64"
-
-
 class Domain:
     """Common interface: dimension, volume, membership, bounding box."""
 
@@ -54,6 +51,8 @@ class Box(Domain):
             raise ValueError("lo and hi must be 1-d arrays of equal length")
         if np.any(hi <= lo):
             raise ValueError("box must have positive extent in every axis")
+        if not np.prod(hi - lo) > 0.0:
+            raise ValueError("box volume underflows to zero")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "dimension", lo.size)

@@ -23,7 +23,6 @@ this finds exactly the pairs with positive weight.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Union
 
@@ -191,19 +190,3 @@ def coarea_decompose(graph: WeightedGraph, u) -> List[CoareaLayer]:
 def coarea_reconstruct(layers: Iterable[CoareaLayer]) -> float:
     return float(sum(layer.gap * layer.gtv for layer in layers))
 
-
-def edges_to_csv(graph: WeightedGraph, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "w"])
-        for i, j, w in zip(graph.ii, graph.jj, graph.ww):
-            writer.writerow([int(i), int(j), repr(float(w))])
-
-
-def values_to_csv(u, path) -> None:
-    u = np.asarray(u, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "value"])
-        for v, val in enumerate(u):
-            writer.writerow([v, repr(float(val))])

@@ -10,13 +10,13 @@ from pctv.bisection import (
     agreement,
     bisection_energy,
     brute_force_bisection,
-    consistency_sweep,
     local_search_bisection,
     reference_partitions,
     sweep_reference,
     sweep_run,
 )
 from pctv.errors import UnsupportedConfigurationError
+from pctv.experiments import run_experiment
 from pctv.geometry import Box, dumbbell, uniform_density, unit_box
 from pctv.graph import WeightedGraph
 from pctv.kernels import indicator
@@ -176,21 +176,25 @@ def test_reference_partitions_by_domain():
                              pts)
 
 
-def test_consistency_sweep_smoke():
-    domain = dumbbell()
-    density = uniform_density(domain)
-    profile = indicator()
-    records = consistency_sweep(domain, density, profile,
-                                n_values=[60], eps_of_n=lambda n: 0.45,
-                                seeds=[0, 1], restarts=4, reference_size=200)
+def test_consistency_sweep_smoke(tmp_path):
+    cfg = {
+        "domain": {"shape": "dumbbell"},
+        "kernel": {"name": "indicator"},
+        "eps_rule": {"kind": "fixed", "value": 0.45},
+        "n": [60],
+        "seeds": [0, 1],
+        "restarts": 4,
+        "reference_size": 200,
+    }
+    records = run_experiment("bisect", cfg, str(tmp_path / "out"))["summary"]["records"]
     assert len(records) == 2
     for rec in records:
-        assert rec.n == 60
-        assert rec.eps == 0.45
-        assert rec.energy >= 0.0
-        assert 0.5 <= rec.agreement <= 1.0
-        assert rec.tl1_distance >= 0.0
-        assert isinstance(rec.connected, bool)
+        assert rec["n"] == 60
+        assert rec["eps"] == 0.45
+        assert rec["energy"] >= 0.0
+        assert 0.5 <= rec["agreement"] <= 1.0
+        assert rec["tl1_distance"] >= 0.0
+        assert isinstance(rec["connected"], bool)
 
 
 def test_sweep_run_returns_points_and_labels():

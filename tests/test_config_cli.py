@@ -3,13 +3,17 @@
 import json
 import math
 import os
+import re
 import xml.etree.ElementTree as ET
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from pctv import cli
-from pctv.config import EXPERIMENTS, load_config, validate_config
+from pctv.config import EXPERIMENTS, SCHEMAS, load_config, validate_config
 from pctv.errors import ConfigError
 from pctv.experiments import (
     connectivity_scale,
@@ -232,6 +236,170 @@ def test_bad_thread_count_is_a_config_error_before_any_work(tmp_path, capsys,
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: PCTV_THREADS: ")
         assert not out.exists()
+
+
+BISECT_CFG = {
+    "domain": {"shape": "dumbbell"},
+    "kernel": {"name": "indicator"},
+    "eps_rule": {"kind": "fixed", "value": 0.45},
+    "n": [60],
+    "seeds": [4],
+    "restarts": 4,
+    "reference_size": 120,
+}
+PERIMETER_CFG = dict(
+    {k: v for k, v in GTV_CFG.items() if k != "function"},
+    set={"axis": 0, "threshold": 0.5},
+)
+TL_CFG = {
+    "domain": {"shape": "unit-box", "dimension": 2},
+    "function": {"coeffs": [1.0, 0.0]},
+    "grid": 4,
+    "n": [16],
+    "seeds": [0],
+}
+BAD_CONFIGS = [
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "box", "lo": [0, 0], "hi": [1, 0]}),
+     "/domain"),
+    ("gtv-convergence", dict(GTV_CFG, density={"name": "affine", "axis": 5}),
+     "/density/axis"),
+    ("bisect", dict(BISECT_CFG, n=[61]), "/n/0"),
+    ("bisect", dict(BISECT_CFG, n=[60, 6002]), "/n/1"),
+    ("tl-distance", dict(TL_CFG, domain={"shape": "dumbbell"}), "/domain"),
+    ("gtv-convergence", dict(GTV_CFG, function={"coeffs": [1.0, 0.0, 0.0]}),
+     "/function/coeffs"),
+    ("perimeter-convergence", dict(PERIMETER_CFG, set={"axis": 2, "threshold": 0.5}),
+     "/set/axis"),
+    ("gtv-convergence", dict(GTV_CFG, eps_rule={"kind": "fixed"}), "/eps_rule"),
+    ("matching-scaling", {"dimension": 2, "n": [16, 10], "seeds": [0]}, "/n/1"),
+    ("gtv-convergence",
+     dict(GTV_CFG, kernel={"name": "step-sum", "radii": [0.5, 1.0], "heights": [1, -2]}),
+     "/kernel/heights/1"),
+    ("gtv-convergence",
+     dict(GTV_CFG, domain={"shape": "polygon", "vertices": [[0, 0], [1, 1], [2, 2]]}),
+     "/domain"),
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "dumbbell", "width": 2}), "/domain"),
+    ("gtv-convergence", dict(GTV_CFG, density={"name": "affine", "slope": -5}), "/density"),
+    ("gtv-convergence",
+     dict(GTV_CFG, kernel={"name": "step-sum", "radii": [0.5, 1.0], "heights": [1]}),
+     "/kernel"),
+    ("bisect", dict(BISECT_CFG, domain={"shape": "box", "lo": [0, 0], "hi": [2, 1]}),
+     "/domain"),
+]
+
+
+@pytest.mark.parametrize("name,cfg,pointer", BAD_CONFIGS,
+                         ids=[f"{i:02d}-{case[2]}" for i, case in enumerate(BAD_CONFIGS)])
+def test_bad_configs_fail_before_any_work(tmp_path, capsys, name, cfg, pointer):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=f"^{re.escape(pointer)}: "):
+        validate_config(name, cfg)
+    with pytest.raises(ConfigError, match=f"^{re.escape(pointer)}: "):
+        run_experiment(name, cfg, str(out))
+    assert not out.exists()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main([name, "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {pointer}: ")
+    assert not out.exists()
+
+
+_NUMBER = st.floats(min_value=-3.0, max_value=3.0)
+_POSITIVE = st.floats(min_value=0.0, max_value=3.0, exclude_min=True)
+_VECTOR = st.lists(_NUMBER, min_size=1, max_size=3)
+_SCHEDULE = st.lists(st.integers(min_value=2, max_value=7000), max_size=3)
+_SEEDS = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=2)
+
+
+def _optional(**fields):
+    """Fixed-key dicts where every key may be left out."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_DOMAINS = st.one_of(
+    st.fixed_dictionaries({"shape": st.just("unit-box")},
+                          optional={"dimension": st.integers(1, 8)}),
+    st.fixed_dictionaries({"shape": st.just("box"), "lo": _VECTOR, "hi": _VECTOR}),
+    st.fixed_dictionaries({"shape": st.just("dumbbell")},
+                          optional={"width": _POSITIVE, "length": _POSITIVE}),
+    st.fixed_dictionaries({
+        "shape": st.just("box-union"),
+        "boxes": st.lists(st.fixed_dictionaries({"lo": _VECTOR, "hi": _VECTOR}),
+                          min_size=1, max_size=3),
+    }),
+    st.fixed_dictionaries({
+        "shape": st.just("polygon"),
+        "vertices": st.lists(st.lists(_NUMBER, min_size=1, max_size=3),
+                             min_size=3, max_size=6),
+    }),
+)
+_DENSITIES = st.one_of(
+    st.fixed_dictionaries({"name": st.just("uniform")}),
+    st.fixed_dictionaries({"name": st.just("affine")},
+                          optional={"axis": st.integers(0, 4), "slope": _NUMBER}),
+)
+_KERNELS = st.one_of(
+    st.fixed_dictionaries({"name": st.just("indicator")}, optional={"radius": _POSITIVE}),
+    st.fixed_dictionaries({"name": st.just("gaussian")}, optional={"width": _POSITIVE}),
+    st.fixed_dictionaries({
+        "name": st.just("step-sum"),
+        "radii": st.lists(_NUMBER, min_size=1, max_size=3),
+        "heights": st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+    }),
+)
+_EPS_RULES = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["admissible", "borderline", "sub-connectivity"])},
+        optional={"c": _POSITIVE, "factor": _POSITIVE,
+                  "gamma": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)}),
+    st.fixed_dictionaries({"kind": st.just("fixed"), "value": _POSITIVE}),
+)
+_FUNCTIONS = st.fixed_dictionaries({"coeffs": _VECTOR}, optional={"offset": _NUMBER})
+_COMMON = {"domain": _DOMAINS, "density": _DENSITIES, "kernel": _KERNELS}
+_CONFIGS = {
+    "gtv-convergence": dict(_COMMON, function=_FUNCTIONS, n=_SCHEDULE,
+                            eps_rule=_EPS_RULES, seeds=_SEEDS),
+    "perimeter-convergence": dict(
+        _COMMON, n=_SCHEDULE, eps_rule=_EPS_RULES, seeds=_SEEDS,
+        set=st.fixed_dictionaries({"axis": st.integers(0, 3), "threshold": _NUMBER})),
+    "nonlocal-convergence": dict(_COMMON, function=_FUNCTIONS,
+                                 eps=st.lists(_POSITIVE, min_size=1, max_size=3)),
+    "tl-distance": dict(domain=_DOMAINS, density=_DENSITIES, function=_FUNCTIONS,
+                        grid=st.integers(2, 6), n=_SCHEDULE, seeds=_SEEDS),
+    "matching-scaling": dict(dimension=st.integers(1, 8), n=_SCHEDULE, seeds=_SEEDS),
+    "connectivity": dict(_COMMON, n=st.integers(2, 7000),
+                         factors=st.lists(_POSITIVE, min_size=1, max_size=3),
+                         seeds=_SEEDS),
+    "bisect": dict(_COMMON, n=_SCHEDULE, eps_rule=_EPS_RULES, seeds=_SEEDS),
+}
+_OPTIONAL_KEYS = {"density", "domain"}
+
+
+@st.composite
+def _schema_valid_configs(draw):
+    name = draw(st.sampled_from(EXPERIMENTS))
+    fields = _CONFIGS[name]
+    required = {k: v for k, v in fields.items() if k not in _OPTIONAL_KEYS
+                or k in SCHEMAS[name]["required"]}
+    optional = {k: v for k, v in fields.items() if k not in required}
+    cfg = draw(st.fixed_dictionaries(required, optional=optional))
+    assume(jsonschema.Draft202012Validator(SCHEMAS[name]).is_valid(cfg))
+    return name, cfg
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_schema_valid_configs())
+@example(("gtv-convergence",  # the box volume underflows to 0.0
+          dict(GTV_CFG, domain={"shape": "box", "lo": [0, 0], "hi": [1e-170, 1e-170]})))
+def test_schema_valid_configs_pass_or_raise_config_errors(case):
+    name, cfg = case
+    try:
+        resolved = validate_config(name, cfg)
+    except ConfigError as exc:
+        assert str(exc).startswith("/")
+    else:
+        assert set(cfg) <= set(resolved)
 
 
 def test_scatter_figures_are_valid_and_deterministic(tmp_path):

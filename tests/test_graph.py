@@ -13,11 +13,9 @@ from pctv.graph import (
     coarea_decompose,
     coarea_reconstruct,
     component_labels,
-    edges_to_csv,
     graph_perimeter,
     graph_total_variation,
     is_connected,
-    values_to_csv,
 )
 
 from oracles import bfs_component_labels, gtv_reference, pairwise_edges
@@ -218,17 +216,3 @@ def test_degrees_count_both_endpoints():
                       np.array([2.0, 3.0]), "t")
     assert_allclose(g.degrees(), [5.0, 2.0, 3.0])
 
-
-def test_csv_exports(tmp_path):
-    g = WeightedGraph(3, 1, 0.5, np.array([0, 1]), np.array([1, 2]),
-                      np.array([0.5, 0.25]), "t")
-    epath = tmp_path / "edges.csv"
-    vpath = tmp_path / "values.csv"
-    edges_to_csv(g, epath)
-    values_to_csv(np.array([1.0, 0.5, 0.0]), vpath)
-    elines = epath.read_text().splitlines()
-    vlines = vpath.read_text().splitlines()
-    assert elines[0] == "i,j,w"
-    assert elines[1].startswith("0,1,")
-    assert vlines[0] == "vertex,value"
-    assert vlines[2] == "1,0.5"

@@ -282,7 +282,7 @@ def test_scaling_ratio_formulas():
 
 def test_matching_experiment_validates_grid_sizes(tmp_path):
     cfg = {"dimension": 2, "n": [10], "seeds": [0]}
-    with pytest.raises(ConfigError, match="^/n: "):
+    with pytest.raises(ConfigError, match="^/n/0: "):
         run_experiment("matching-scaling", cfg, str(tmp_path / "out"))
 
 
