@@ -19,7 +19,6 @@ from .bisection import (
 from .continuum import (
     SmoothFunction,
     affine_function,
-    coordinate_function,
     disk_set,
     halfplane_set,
     nonlocal_tv,
@@ -76,9 +75,6 @@ from .transport import (
     TransportPlan,
     bottleneck_distance,
     ot_distance,
-    plan_compose,
-    plan_inverse,
-    push_forward,
     tlp_distance,
 )
 
@@ -115,7 +111,6 @@ __all__ = [
     "coarea_decompose",
     "coarea_reconstruct",
     "component_labels",
-    "coordinate_function",
     "disk_set",
     "dumbbell",
     "effective_support",
@@ -129,9 +124,6 @@ __all__ = [
     "local_search_bisection",
     "nonlocal_tv",
     "ot_distance",
-    "plan_compose",
-    "plan_inverse",
-    "push_forward",
     "sample_iid",
     "step_sum",
     "surface_tension",

@@ -45,21 +45,6 @@ class SmoothFunction:
         return np.asarray(self.gradient(points), dtype=float)
 
 
-def coordinate_function(axis: int = 0) -> SmoothFunction:
-    """u(x) = x_axis."""
-
-    def value(p):
-        return p[:, axis]
-
-    def gradient(p):
-        g = np.zeros_like(p)
-        g[:, axis] = 1.0
-        return g
-
-    return SmoothFunction(value=value, gradient=gradient,
-                          name=f"coordinate({axis})")
-
-
 def affine_function(coeffs, offset: float = 0.0) -> SmoothFunction:
     coeffs = np.asarray(coeffs, dtype=float)
 
@@ -71,20 +56,6 @@ def affine_function(coeffs, offset: float = 0.0) -> SmoothFunction:
 
     return SmoothFunction(value=value, gradient=gradient,
                           name=f"affine({coeffs.tolist()},{offset:g})")
-
-
-def check_gradient(fn: SmoothFunction, points, h: float = 1e-6) -> float:
-    """Largest relative gap between analytic and central difference gradient."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    grad = fn.grad(points)
-    worst = 0.0
-    for ax in range(points.shape[1]):
-        shift = np.zeros(points.shape[1])
-        shift[ax] = h
-        fd = (fn(points + shift) - fn(points - shift)) / (2.0 * h)
-        scale = np.maximum(np.abs(grad[:, ax]), 1.0)
-        worst = max(worst, float(np.max(np.abs(fd - grad[:, ax]) / scale)))
-    return worst
 
 
 class PolygonalSet:
@@ -267,12 +238,6 @@ class NonlocalEstimate:
     method: str
     error_estimate: float
     samples: int = 0
-
-    @property
-    def stderr(self) -> float:
-        if self.method != "monte-carlo":
-            raise AttributeError("stderr only applies to monte-carlo estimates")
-        return self.error_estimate
 
 
 def _cell_mean_kernel(offsets: np.ndarray, h: np.ndarray,

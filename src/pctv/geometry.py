@@ -11,9 +11,7 @@ declared upper bound as envelope.
 
 from __future__ import annotations
 
-import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -230,9 +228,9 @@ class Density:
     """Bounded density evaluator on a domain.
 
     fn maps an (m, d) array of points to (m,) values.  lower and upper
-    are declared bounds 0 < lower <= rho <= upper that sampling and the
-    Lipschitz sandwich rely on.  normalized marks whether the evaluator
-    is meant to integrate to 1 over its domain.
+    are declared bounds 0 < lower <= rho <= upper that sampling relies
+    on.  normalized marks whether the evaluator is meant to integrate to
+    1 over its domain.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -279,25 +277,6 @@ def affine_density(domain: Domain, axis: int = 0, slope: float = 1.0) -> Density
                    normalized=True, name=f"affine(axis={axis},slope={slope:g})")
 
 
-def integrate_density(density: Density, domain: Domain, resolution: int = 512) -> float:
-    """Midpoint quadrature of the density over the domain."""
-    lo, hi = domain.bounding_box()
-    d = domain.dimension
-    axes = [lo[ax] + (hi[ax] - lo[ax]) * (np.arange(resolution) + 0.5) / resolution
-            for ax in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    cell = float(np.prod((hi - lo) / resolution))
-    inside = domain.contains(pts)
-    total = 0.0
-    chunk = 1 << 18
-    idx = np.nonzero(inside)[0]
-    for start in range(0, idx.size, chunk):
-        sel = pts[idx[start:start + chunk]]
-        total += float(np.sum(density(sel)))
-    return total * cell
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """n sample points in R^d with mass 1/n each."""
@@ -312,24 +291,6 @@ class PointCloud:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
-
-    def to_csv(self, path):
-        d = self.dimension
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{ax}" for ax in range(d)])
-            for row in self.points:
-                writer.writerow([repr(float(v)) for v in row])
-
-    @staticmethod
-    def from_csv(path) -> "PointCloud":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if not all(h == f"x{ax}" for ax, h in enumerate(header)):
-                raise ValueError(f"unexpected point cloud header: {header}")
-            rows = [[float(v) for v in row] for row in reader if row]
-        return PointCloud(points=np.asarray(rows, dtype=float))
 
 
 def sample_iid(domain: Domain, density: Density, n: int,
@@ -379,54 +340,6 @@ def grid_points(k: int, d: int) -> np.ndarray:
     axis = (2.0 * np.arange(k) + 1.0) / (2.0 * k)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _domain_grid(domain: Domain, resolution: int) -> np.ndarray:
-    lo, hi = domain.bounding_box()
-    d = domain.dimension
-    axes = [lo[ax] + (hi[ax] - lo[ax]) * (np.arange(resolution) + 0.5) / resolution
-            for ax in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts[domain.contains(pts)]
-
-
-def lipschitz_approx(density: Density, domain: Domain, k: float,
-                     side: str = "below", resolution: Optional[int] = None) -> Density:
-    """k-Lipschitz approximant of the density from below or above.
-
-    below: rho_k(x) = inf over y of rho(y) + k |x - y|, the largest
-    k-Lipschitz function under rho.  above: sup of rho(y) - k |x - y|,
-    the smallest one over rho.  The inf/sup runs over a fixed evaluation
-    grid on the domain, brute force.  Both approximants share the
-    original bounds.
-    """
-    if side not in ("below", "above"):
-        raise ValueError("side must be 'below' or 'above'")
-    if resolution is None:
-        resolution = 256 if domain.dimension <= 2 else 64
-    anchors = _domain_grid(domain, resolution)
-    anchor_vals = density(anchors)
-    sign = 1.0 if side == "below" else -1.0
-
-    def fn(points):
-        out = np.empty(points.shape[0])
-        chunk = max(1, (1 << 22) // max(1, anchors.shape[0]))
-        for start in range(0, points.shape[0], chunk):
-            block = points[start:start + chunk]
-            dist = np.linalg.norm(block[:, None, :] - anchors[None, :, :], axis=2)
-            vals = sign * anchor_vals[None, :] + k * dist
-            best = np.min(vals, axis=1)
-            # y = x is always admissible in the inf/sup, so the original
-            # value caps the envelope; this keeps below <= rho <= above
-            # exact instead of only up to the anchor spacing
-            np.minimum(best, sign * density(block), out=best)
-            out[start:start + chunk] = sign * best
-        return out
-
-    return Density(fn=fn, lower=density.lower, upper=density.upper,
-                   normalized=False,
-                   name=f"{density.name}|lip(k={k:g},{side})")
 
 
 def domain_from_config(spec: dict) -> Domain:

@@ -53,12 +53,6 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return self.ii.size
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n)
-        np.add.at(deg, self.ii, self.ww)
-        np.add.at(deg, self.jj, self.ww)
-        return deg
-
 
 def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
                 eps: float) -> WeightedGraph:

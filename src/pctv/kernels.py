@@ -18,7 +18,7 @@ The surface tension of an admissible profile in dimension d is
           = c_d * integral of eta(r) * r^d dr,
 
 where c_d is the mean of |omega_1| over the unit sphere S^(d-1) times its
-area.  c_2 = 4 and c_3 = 2*pi exactly.
+area: c_d = 2 pi^((d-1)/2) / Gamma((d+1)/2), so c_2 = 4 and c_3 = 2*pi.
 """
 
 from __future__ import annotations
@@ -114,8 +114,9 @@ def gaussian(width: float = 1.0) -> KernelProfile:
 def step_sum(radii, heights) -> KernelProfile:
     """Piecewise constant profile: value heights[k] on [radii[k-1], radii[k]).
 
-    radii must be strictly increasing and heights non-increasing, so the
-    result is a sum of scaled indicator profiles.
+    radii must be strictly increasing and heights non-increasing with a
+    positive first height (K1 and K2), so the result is a sum of scaled
+    indicator profiles.
     """
     radii = np.asarray(radii, dtype=float)
     heights = np.asarray(heights, dtype=float)
@@ -123,6 +124,8 @@ def step_sum(radii, heights) -> KernelProfile:
         raise ValueError("radii and heights must be 1-d arrays of equal length")
     if np.any(np.diff(radii) <= 0) or radii[0] <= 0:
         raise ValueError("radii must be positive and strictly increasing")
+    if heights[0] <= 0 or np.any(np.diff(heights) > 0):
+        raise ValueError("heights must start positive and never increase")
     levels = np.append(heights, 0.0)
 
     def fn(r):
@@ -328,26 +331,20 @@ def validate_profile(profile: KernelProfile, d: int) -> ProfileReport:
     )
 
 
-def _angular_constant(d: int) -> Tuple[float, float]:
+def _angular_constant(d: int) -> float:
     """c_d = integral of |omega_1| over the unit sphere S^(d-1).
 
-    Exact for d = 2 and d = 3; higher dimensions use Simpson quadrature of
-    the polar angle integral against the closed form sphere area.
-    Returns (value, error_estimate).
+    The closed form is 2 pi^((d-1)/2) / Gamma((d+1)/2).  d = 2 and d = 3
+    return the exact constants 4 and 2 pi; in floating point the closed
+    form gives 3.9999999999999996 at d = 2.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if d == 2:
-        return 4.0, 0.0
+        return 4.0
     if d == 3:
-        return 2.0 * math.pi, 0.0
-    area = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
-
-    def integrand(phi):
-        return abs(math.cos(phi)) * math.sin(phi) ** (d - 2)
-
-    half, err = _adaptive_simpson(integrand, 0.0, 0.5 * math.pi, QUADRATURE_REL_TOL)
-    return area * 2.0 * half, area * 2.0 * err
+        return 2.0 * math.pi
+    return 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
 def surface_tension(profile: KernelProfile, d: int) -> SurfaceTension:
@@ -369,9 +366,8 @@ def surface_tension(profile: KernelProfile, d: int) -> SurfaceTension:
     if not math.isfinite(value):
         raise DivergentKernelError(
             f"moment integral of {profile.name!r} is not finite")
-    c, c_err = _angular_constant(d)
-    err = c * q_err + c_err * value
-    return SurfaceTension(value=c * value, dimension=d, error_estimate=err)
+    c = _angular_constant(d)
+    return SurfaceTension(value=c * value, dimension=d, error_estimate=c * q_err)
 
 
 def eval_scaled(profile: KernelProfile, eps: float, z) -> np.ndarray:

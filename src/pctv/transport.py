@@ -18,7 +18,6 @@ solvers are used anywhere.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -90,10 +89,6 @@ class LiftedFunction:
             raise ValueError("need one value per atom")
         object.__setattr__(self, "values", values)
 
-    def lifted_support(self) -> np.ndarray:
-        """Atoms of the push-forward onto the graph of the function."""
-        return np.hstack([self.measure.support, self.values[:, None]])
-
 
 @dataclass(frozen=True)
 class TransportPlan:
@@ -128,13 +123,6 @@ class TransportPlan:
             self.source.support[self.ii] - self.target.support[self.jj], axis=1)
         return float(np.sum(self.mm * moved ** p))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "mass"])
-            for i, j, m in zip(self.ii, self.jj, self.mm):
-                writer.writerow([int(i), int(j), repr(float(m))])
-
 
 @dataclass(frozen=True)
 class TransportMap:
@@ -149,29 +137,6 @@ class TransportMap:
         if assignment.shape != (self.source.n,):
             raise ValueError("need one target index per source atom")
         object.__setattr__(self, "assignment", assignment)
-
-    def to_plan(self) -> TransportPlan:
-        return TransportPlan(source=self.source, target=self.target,
-                             ii=np.arange(self.source.n), jj=self.assignment,
-                             mm=self.source.masses.copy())
-
-    def displacement(self) -> np.ndarray:
-        return np.linalg.norm(
-            self.source.support - self.target.support[self.assignment], axis=1)
-
-
-def push_forward(measure: DiscreteMeasure, assignment,
-                 target_support) -> DiscreteMeasure:
-    """Image measure under an atom map; masses add up on shared targets."""
-    assignment = np.asarray(assignment, dtype=np.int64)
-    target_support = np.atleast_2d(np.asarray(target_support, dtype=float))
-    masses = np.bincount(assignment, weights=measure.masses,
-                         minlength=target_support.shape[0])
-    keep = masses > 0
-    if not np.all(keep):
-        raise ValueError("every target atom must receive mass; "
-                         "restrict the support first")
-    return DiscreteMeasure(support=target_support, masses=masses)
 
 
 def _cost_matrix(a: np.ndarray, b: np.ndarray, p: float,
@@ -219,15 +184,24 @@ def _solve_lp(mu, nu, cost, p):
     return _clamp(float(res.fun) ** (1.0 / p)), plan
 
 
-def ot_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                p: float = 2.0) -> Tuple[float, TransportPlan]:
-    """Exact p-cost transport distance and an optimal plan."""
+def _solve(mu, nu, p, fa=None, fb=None):
+    """Exact transport under the p-cost, plus the function gap if given.
+
+    Uniform measures with equal atom counts go to the assignment solver,
+    everything else to the transportation LP.
+    """
     if p < 1:
         raise ValueError("p must be at least 1")
-    cost = _cost_matrix(mu.support, nu.support, p)
+    cost = _cost_matrix(mu.support, nu.support, p, fa, fb)
     if mu.n == nu.n and mu.uniform and nu.uniform:
         return _solve_assignment(mu, nu, cost, p)
     return _solve_lp(mu, nu, cost, p)
+
+
+def ot_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                p: float = 2.0) -> Tuple[float, TransportPlan]:
+    """Exact p-cost transport distance and an optimal plan."""
+    return _solve(mu, nu, p)
 
 
 def tlp_distance(f: LiftedFunction, g: LiftedFunction,
@@ -238,13 +212,7 @@ def tlp_distance(f: LiftedFunction, g: LiftedFunction,
     transport distance between the push-forwards of the measures onto
     the function graphs in R^(d+1) under the p-product metric.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    mu, nu = f.measure, g.measure
-    cost = _cost_matrix(mu.support, nu.support, p, f.values, g.values)
-    if mu.n == nu.n and mu.uniform and nu.uniform:
-        return _solve_assignment(mu, nu, cost, p)
-    return _solve_lp(mu, nu, cost, p)
+    return _solve(f.measure, g.measure, p, f.values, g.values)
 
 
 def _bipartite_candidates(x: np.ndarray, y: np.ndarray, radius: float):
@@ -353,55 +321,6 @@ def bottleneck_distance(mu: DiscreteMeasure,
             lo = mid + 1
     return _clamp(float(levels[lo])), TransportMap(source=mu, target=nu,
                                                    assignment=best)
-
-
-def plan_inverse(plan: TransportPlan) -> TransportPlan:
-    """The same coupling read backwards."""
-    return TransportPlan(source=plan.target, target=plan.source,
-                         ii=plan.jj, jj=plan.ii, mm=plan.mm)
-
-
-def plan_compose(p12: TransportPlan, p23: TransportPlan) -> TransportPlan:
-    """Glue two plans along their shared middle measure.
-
-    Mass routed i -> j -> k is m12(i, j) * m23(j, k) / mass(j); summing
-    over j gives the composed coupling.
-    """
-    mid_a, mid_b = p12.target, p23.source
-    if mid_a.n != mid_b.n or not np.array_equal(mid_a.support, mid_b.support) \
-            or not np.array_equal(mid_a.masses, mid_b.masses):
-        raise UnsupportedConfigurationError(
-            "plans do not share their middle measure")
-    order12 = np.argsort(p12.jj, kind="stable")
-    order23 = np.argsort(p23.ii, kind="stable")
-    j12 = p12.jj[order12]
-    j23 = p23.ii[order23]
-    mid_n = mid_a.n
-    start12 = np.searchsorted(j12, np.arange(mid_n))
-    end12 = np.searchsorted(j12, np.arange(mid_n), side="right")
-    start23 = np.searchsorted(j23, np.arange(mid_n))
-    end23 = np.searchsorted(j23, np.arange(mid_n), side="right")
-    c12 = end12 - start12
-    c23 = end23 - start23
-    sizes = c12 * c23
-    total = int(sizes.sum())
-    group = np.repeat(np.arange(mid_n), sizes)
-    base = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    t = np.arange(total) - base[group]
-    a = t // np.maximum(c23[group], 1)
-    b = t % np.maximum(c23[group], 1)
-    e12 = order12[start12[group] + a]
-    e23 = order23[start23[group] + b]
-    ii = p12.ii[e12]
-    kk = p23.jj[e23]
-    mm = p12.mm[e12] * p23.mm[e23] / mid_a.masses[group]
-    key = ii * np.int64(p23.target.n) + kk
-    uniq, inverse = np.unique(key, return_inverse=True)
-    mm_agg = np.bincount(inverse, weights=mm)
-    return TransportPlan(source=p12.source, target=p23.target,
-                         ii=(uniq // p23.target.n).astype(np.int64),
-                         jj=(uniq % p23.target.n).astype(np.int64),
-                         mm=mm_agg)
 
 
 def scaling_ratio(n: int, d: int, distance: float) -> float:

@@ -50,6 +50,27 @@ def surface_tension_mc_3d(profile_fn, support: float, samples: int = 10_000_000,
     return volume * mean, stderr
 
 
+def integrate_density(density, domain, resolution: int = 512) -> float:
+    """Midpoint quadrature of the density over the domain.
+
+    density maps an (m, d) array to (m,) values; domain provides
+    dimension, bounding_box() and contains().
+    """
+    lo, hi = domain.bounding_box()
+    d = domain.dimension
+    axes = [lo[ax] + (hi[ax] - lo[ax]) * (np.arange(resolution) + 0.5) / resolution
+            for ax in range(d)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    cell = float(np.prod((hi - lo) / resolution))
+    idx = np.nonzero(domain.contains(pts))[0]
+    total = 0.0
+    chunk = 1 << 18
+    for start in range(0, idx.size, chunk):
+        total += float(np.sum(density(pts[idx[start:start + chunk]])))
+    return total * cell
+
+
 def pairwise_edges(points: np.ndarray, profile_fn, eps: float, d: int,
                    cutoff: float, floor: float = 1e-15):
     """Every pair within the cutoff radius, by a full O(n^2) loop.

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import pctv
 from pctv import cli
 from pctv.config import EXPERIMENTS, SCHEMAS, load_config, validate_config
 from pctv.errors import ConfigError
@@ -76,6 +77,12 @@ def test_experiment_names_are_stable():
         "connectivity",
         "bisect",
     )
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in pctv.__all__ if not hasattr(pctv, name)]
+    assert missing == []
+    assert len(set(pctv.__all__)) == len(pctv.__all__)
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -285,6 +292,12 @@ BAD_CONFIGS = [
      "/kernel"),
     ("bisect", dict(BISECT_CFG, domain={"shape": "box", "lo": [0, 0], "hi": [2, 1]}),
      "/domain"),
+    ("gtv-convergence",  # an increasing profile breaks K2
+     dict(GTV_CFG, kernel={"name": "step-sum", "radii": [0.5, 1.0], "heights": [1, 2]}),
+     "/kernel"),
+    ("gtv-convergence",  # eta(0) = 0 breaks K1 and builds edgeless graphs
+     dict(GTV_CFG, kernel={"name": "step-sum", "radii": [1.0], "heights": [0]}),
+     "/kernel"),
 ]
 
 

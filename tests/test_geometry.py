@@ -11,16 +11,15 @@ from pctv.geometry import (
     BoxUnion,
     ConvexPolygon,
     Density,
-    PointCloud,
     affine_density,
     dumbbell,
     grid_points,
-    integrate_density,
-    lipschitz_approx,
     sample_iid,
     uniform_density,
     unit_box,
 )
+
+from oracles import integrate_density
 
 
 def test_box_volume_and_moment():
@@ -158,16 +157,6 @@ def test_hopeless_acceptance_rate_is_detected():
         sample_iid(domain, flat, 1000, seed=0)
 
 
-def test_point_cloud_csv_roundtrip(tmp_path):
-    cloud = sample_iid(unit_box(3), uniform_density(unit_box(3)), 64, seed=2)
-    path = tmp_path / "cloud.csv"
-    cloud.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x0,x1,x2"
-    back = PointCloud.from_csv(path)
-    assert_allclose(back.points, cloud.points, rtol=0, atol=0)
-
-
 def test_grid_points_are_cell_centers_in_order():
     pts = grid_points(3, 2)
     assert pts.shape == (9, 2)
@@ -175,45 +164,6 @@ def test_grid_points_are_cell_centers_in_order():
     assert_allclose(pts[1], [1.0 / 6.0, 0.5])
     assert_allclose(pts[3], [0.5, 1.0 / 6.0])
     assert_allclose(pts[-1], [5.0 / 6.0, 5.0 / 6.0])
-
-
-def test_lipschitz_approx_brackets_the_density():
-    domain = unit_box(2)
-    density = affine_density(domain, axis=0, slope=2.0)
-    below = lipschitz_approx(density, domain, k=5.0, side="below")
-    above = lipschitz_approx(density, domain, k=5.0, side="above")
-    probe = sample_iid(domain, uniform_density(domain), 500, seed=9).points
-    rho = density(probe)
-    assert (below(probe) <= rho + 1e-12).all()
-    assert (above(probe) >= rho - 1e-12).all()
-    # the affine density has slope 2/Z < 5, so the 5-Lipschitz envelopes
-    # coincide with the density itself
-    assert np.max(np.abs(below(probe) - rho)) < 1e-12
-    assert np.max(np.abs(above(probe) - rho)) < 1e-12
-
-
-def test_lipschitz_below_with_small_constant():
-    # rho(x) = (1 + x)/1.5 on [0, 1] has slope 2/3; with k = 1/2 < 2/3
-    # the inf of rho(y) + k|x-y| sits at y = 0, giving 2/3 + x/2
-    domain = unit_box(1)
-    density = affine_density(domain, axis=0, slope=1.0)
-    below = lipschitz_approx(density, domain, k=0.5, side="below")
-    xs = np.linspace(0.0, 1.0, 33)[:, None]
-    expected = 2.0 / 3.0 + 0.5 * xs[:, 0]
-    assert_allclose(below(xs), expected, rtol=5e-3)
-
-
-def test_lipschitz_functions_obey_the_constant():
-    domain = unit_box(2)
-    density = affine_density(domain, axis=1, slope=3.0)
-    k = 2.0
-    below = lipschitz_approx(density, domain, k=k, side="below")
-    rng = np.random.default_rng(21)
-    a = rng.uniform(size=(200, 2))
-    b = rng.uniform(size=(200, 2))
-    gap = np.abs(below(a) - below(b))
-    allowed = k * np.linalg.norm(a - b, axis=1) + 1e-9
-    assert (gap <= allowed).all()
 
 
 def test_domain_from_config_shapes():

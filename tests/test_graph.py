@@ -209,10 +209,3 @@ def test_connectivity_tracks_the_scale():
     dense = build_graph(cloud, kernels.indicator(), 0.35)
     assert not is_connected(sparse)
     assert is_connected(dense)
-
-
-def test_degrees_count_both_endpoints():
-    g = WeightedGraph(3, 1, 1.0, np.array([0, 0]), np.array([1, 2]),
-                      np.array([2.0, 3.0]), "t")
-    assert_allclose(g.degrees(), [5.0, 2.0, 3.0])
-

@@ -14,9 +14,6 @@ from pctv.transport import (
     TransportPlan,
     bottleneck_distance,
     ot_distance,
-    plan_compose,
-    plan_inverse,
-    push_forward,
     scaling_ratio,
     tlp_distance,
     _bipartite_candidates,
@@ -131,60 +128,6 @@ def test_plan_marginal_validation():
                       np.array([0.5, 0.5]))
 
 
-def test_plan_inverse_is_an_involution():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(size=(5, 2))
-    y = rng.uniform(size=(5, 2))
-    _, plan = ot_distance(_uniform_measure(x), _uniform_measure(y), p=2)
-    inv = plan_inverse(plan)
-    double = plan_inverse(inv)
-    assert_allclose(inv.cost(2), plan.cost(2), rtol=1e-12)
-    keys = lambda p: set(zip(p.ii.tolist(), p.jj.tolist(), p.mm.tolist()))
-    assert keys(double) == keys(plan)
-
-
-def test_plan_compose_with_identity():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mu = _uniform_measure(pts)
-    eye = TransportPlan(mu, mu, np.arange(3), np.arange(3), np.full(3, 1.0 / 3.0))
-    _, plan = ot_distance(mu, _uniform_measure(pts + 0.25), p=2)
-    composed = plan_compose(eye, plan)
-    assert_allclose(composed.cost(2), plan.cost(2), rtol=1e-12)
-
-
-def test_plan_compose_permutations():
-    pts = np.array([[0.0], [1.0]])
-    mu = _uniform_measure(pts)
-    swap = TransportPlan(mu, mu, np.array([0, 1]), np.array([1, 0]),
-                         np.array([0.5, 0.5]))
-    composed = plan_compose(swap, swap)
-    pairs = set(zip(composed.ii.tolist(), composed.jj.tolist()))
-    assert pairs == {(0, 0), (1, 1)}
-
-
-def test_plan_compose_needs_a_shared_middle():
-    mu = _uniform_measure(np.array([[0.0], [1.0]]))
-    nu = _uniform_measure(np.array([[0.5], [1.5]]))
-    xi = _uniform_measure(np.array([[0.25], [0.75]]))
-    _, p12 = ot_distance(mu, nu, p=1)
-    _, p23 = ot_distance(xi, mu, p=1)
-    with pytest.raises(UnsupportedConfigurationError):
-        plan_compose(p12, p23)
-
-
-def test_push_forward_change_of_variables():
-    rng = np.random.default_rng(9)
-    pts = rng.uniform(size=(6, 2))
-    target = rng.uniform(size=(4, 2))
-    assignment = np.array([0, 1, 2, 3, 0, 1])
-    mu = _uniform_measure(pts)
-    pushed = push_forward(mu, assignment, target)
-    phi = rng.normal(size=4)
-    lhs = float(np.dot(pushed.masses, phi))
-    rhs = float(np.mean(phi[assignment]))
-    assert_allclose(lhs, rhs, rtol=1e-14)
-
-
 def test_bottleneck_matches_exhaustive_oracle():
     rng = np.random.default_rng(44)
     for _ in range(25):
@@ -294,13 +237,3 @@ def test_matching_experiment_smoke(tmp_path):
     assert all(float(row.split(",")[3]) > 0 for row in rows)
     assert -1.0 <= payload["summary"]["kendall_tau"] <= 1.0
     assert 0.0 <= payload["summary"]["pvalue_two_sided"] <= 1.0
-
-
-def test_plan_csv_export(tmp_path):
-    mu = _uniform_measure(np.array([[0.0], [1.0]]))
-    _, plan = ot_distance(mu, mu, p=2)
-    path = tmp_path / "plan.csv"
-    plan.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,j,mass"
-    assert len(lines) == 3
