@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import UnsupportedConfigurationError
 from .geometry import Box, BoxUnion, Domain, sample_iid
@@ -22,7 +23,6 @@ from .graph import WeightedGraph, component_labels, graph_total_variation, is_co
 from .transport import DiscreteMeasure, LiftedFunction, tlp_distance
 
 BRUTE_FORCE_LIMIT = 24
-DENSE_LIMIT = 6000
 GAIN_TOL = 1e-12
 
 
@@ -117,19 +117,6 @@ def brute_force_bisection(graph: WeightedGraph) -> Bisection:
     return Bisection(np.array(best_labels, dtype=bool), best_energy, method="brute-force")
 
 
-def _dense_weights(graph: WeightedGraph) -> np.ndarray:
-    n = graph.n
-    if n > DENSE_LIMIT:
-        raise UnsupportedConfigurationError(
-            f"local search stores a dense weight matrix; {n} vertices exceed the"
-            f" supported {DENSE_LIMIT}"
-        )
-    weights = np.zeros((n, n))
-    weights[graph.ii, graph.jj] = graph.ww
-    weights[graph.jj, graph.ii] = graph.ww
-    return weights
-
-
 def _zero_energy_start(graph: WeightedGraph) -> np.ndarray | None:
     """Balanced union of whole components, when one exists.
 
@@ -160,25 +147,51 @@ def _zero_energy_start(graph: WeightedGraph) -> np.ndarray | None:
 
 
 def _swap_descent(
-    weights: np.ndarray, labels: np.ndarray, cut: float, max_iters: int
+    weights: csr_matrix, labels: np.ndarray, cut: float
 ) -> tuple[np.ndarray, float]:
     """Best-improvement swap descent from one balanced labeling.
 
     Each step exchanges the pair whose swap lowers the cut weight the
     most; the gain of swapping a in A with b in B is
     D[a] + D[b] - 2 W[a, b], where D is external minus internal degree.
+    Ties go to the first maximal pair with a, then b, ascending.  The
+    weights stay sparse, so there is no size cap: the pair of largest D
+    on each side bounds the best gain from below, and only vertices
+    whose D can reach that bound enter the gain block.  Weights are
+    non-negative, so no other vertex can be part of a best pair.
     """
     labels = labels.copy()
-    degrees = weights.sum(axis=1)
-    for _ in range(max_iters):
-        to_a = weights @ labels
+    indptr, indices, data = weights.indptr, weights.indices, weights.data
+    degrees = np.asarray(weights.sum(axis=1)).ravel()
+    for _ in range(10 * labels.size):
+        to_a = weights @ labels.astype(float)
         diff = np.where(labels, degrees - 2.0 * to_a, 2.0 * to_a - degrees)
-        idx_a = np.flatnonzero(labels)
-        idx_b = np.flatnonzero(~labels)
-        gains = diff[idx_a][:, None] + diff[idx_b][None, :] - 2.0 * weights[np.ix_(idx_a, idx_b)]
+        diff_a = np.where(labels, diff, -np.inf)
+        diff_b = np.where(labels, -np.inf, diff)
+        a0 = int(np.argmax(diff_a))
+        top_a, top_b = diff_a[a0], diff_b.max()
+        tol = GAIN_TOL * max(cut, 1.0)
+        if top_a + top_b <= tol:
+            break  # no pair can gain more than its two D values
+        heaviest = data[indptr[a0]:indptr[a0 + 1]].max(initial=0.0)
+        # The slack covers rounding only; the gain block decides every pair.
+        slack = 1e-9 * (abs(top_a) + abs(top_b) + 2.0 * heaviest)
+        idx_a = np.flatnonzero(diff_a >= top_a - 2.0 * heaviest - slack)
+        idx_b = np.flatnonzero(diff_b >= top_b - 2.0 * heaviest - slack)
+        gains = diff[idx_a][:, None] + diff[idx_b][None, :]
+        # W[a, b] comes from the raw CSR arrays: scipy indexing per step costs more than the step.
+        starts = indptr[idx_a]
+        counts = indptr[idx_a + 1] - starts
+        rows = np.repeat(np.arange(idx_a.size), counts)
+        entries = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(rows.size)
+        column = np.full(labels.size, -1)
+        column[idx_b] = np.arange(idx_b.size)
+        cols = column[indices[entries]]
+        inside = cols >= 0
+        gains[rows[inside], cols[inside]] -= 2.0 * data[entries[inside]]
         flat = int(np.argmax(gains))
         best = gains.flat[flat]
-        if best <= GAIN_TOL * max(cut, 1.0):
+        if best <= tol:
             break
         a = idx_a[flat // idx_b.size]
         b = idx_b[flat % idx_b.size]
@@ -188,57 +201,43 @@ def _swap_descent(
     return labels, cut
 
 
-def local_search_bisection(
-    graph: WeightedGraph,
-    seed: int,
-    restarts: int = 32,
-    max_iters: int | None = None,
-    initial: np.ndarray | None = None,
-) -> Bisection:
+def local_search_bisection(graph: WeightedGraph, seed: int, restarts: int = 32) -> Bisection:
     """Swap-based local search over balanced partitions.
 
-    Runs a best-improvement descent from several starting partitions and
-    keeps the lowest-energy result.  Starts are: the warm start when
-    given, a cut-free union of whole components when the graph is
-    disconnected in a balanced way, and ``restarts`` random balanced
-    splits drawn from independent streams spawned off ``seed``.  Ties
-    resolve to the lexicographically smallest canonical label vector.
+    Runs a best-improvement descent on the sparse weights from several
+    starting partitions and keeps the lowest-energy result.  Starts are:
+    a cut-free union of whole components when the graph is disconnected
+    in a balanced way, and ``restarts`` random balanced splits drawn from
+    independent streams spawned off ``seed``.  Ties resolve to the
+    lexicographically smallest canonical label vector.  Memory grows
+    with the edge count, so any even n is accepted.
     """
     n = graph.n
     if n % 2 or n == 0:
         raise UnsupportedConfigurationError("bisection needs an even, positive vertex count")
-    if restarts < 0:
-        raise UnsupportedConfigurationError("restarts must be non-negative")
+    if restarts < 1:
+        raise UnsupportedConfigurationError("need at least one restart")
     half = n // 2
-    if max_iters is None:
-        max_iters = 10 * n
-    weights = _dense_weights(graph)
+    upper = csr_matrix((graph.ww, (graph.ii, graph.jj)), shape=(n, n))
+    weights = (upper + upper.T).tocsr()
     scale = 2.0 / (n * n * graph.eps)
 
     starts: list[np.ndarray] = []
-    if initial is not None:
-        warm = np.asarray(initial, dtype=bool)
-        if warm.size != n or int(warm.sum()) != half:
-            raise UnsupportedConfigurationError("warm start must be a balanced label vector")
-        starts.append(warm)
     packed = _zero_energy_start(graph)
     if packed is not None:
         starts.append(packed)
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    for child in children:
+    for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         labels = np.zeros(n, dtype=bool)
         labels[rng.permutation(n)[:half]] = True
         starts.append(labels)
-    if not starts:
-        raise UnsupportedConfigurationError("need a warm start or at least one restart")
 
     best_labels: tuple[bool, ...] | None = None
     best_cut = np.inf
     for start in starts:
         crossing = start[graph.ii] != start[graph.jj]
         cut = float(graph.ww[crossing].sum())
-        labels, cut = _swap_descent(weights, start, cut, max_iters)
+        labels, cut = _swap_descent(weights, start, cut)
         key = tuple(_canonical(labels))
         if cut < best_cut - GAIN_TOL * max(best_cut, 1.0) or (
             cut <= best_cut + GAIN_TOL * max(best_cut, 1.0)

@@ -7,7 +7,6 @@ sweeps, matching scaling, connectivity transition) run multi-minute
 workloads; the whole module stays within its stated runtime budgets.
 """
 
-import json
 import math
 import os
 import time

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse import csr_matrix
 
 from pctv.bisection import (
     BRUTE_FORCE_LIMIT,
     Bisection,
+    _swap_descent,
     agreement,
     bisection_energy,
     brute_force_bisection,
@@ -17,11 +19,11 @@ from pctv.bisection import (
 )
 from pctv.errors import UnsupportedConfigurationError
 from pctv.experiments import run_experiment
-from pctv.geometry import Box, dumbbell, uniform_density, unit_box
-from pctv.graph import WeightedGraph
+from pctv.geometry import Box, dumbbell, sample_iid, uniform_density, unit_box
+from pctv.graph import WeightedGraph, build_graph
 from pctv.kernels import indicator
 
-from oracles import exhaustive_bisection_energy
+from oracles import dense_swap_descent, exhaustive_bisection_energy
 
 
 def _graph(n, edges, eps=1.0, d=2):
@@ -123,16 +125,40 @@ def test_same_seed_gives_identical_labels():
     assert a.energy == b.energy
 
 
-def test_warm_start_at_the_optimum_is_kept():
+@pytest.mark.parametrize("seed", [3, 11, 29, 54])
+@pytest.mark.parametrize("weights", ["distinct", "unit"])
+def test_sparse_descent_matches_the_dense_oracle(seed, weights):
+    # Unit weights make every sum exact, so tied gains stay tied and the
+    # tie rule picks the pair; distinct weights leave no ties at all.
+    rng = np.random.default_rng(seed)
+    for n in range(6, 42, 2):
+        graph = _random_graph(rng, n, density=float(rng.uniform(0.2, 0.8)))
+        dense = np.zeros((n, n))
+        dense[graph.ii, graph.jj] = graph.ww if weights == "distinct" else 1.0
+        dense[graph.jj, graph.ii] = dense[graph.ii, graph.jj]
+        sparse = csr_matrix(dense)
+        start = np.zeros(n, dtype=bool)
+        start[rng.permutation(n)[:n // 2]] = True
+        cut = float(dense[graph.ii, graph.jj][start[graph.ii] != start[graph.jj]].sum())
+        expected, expected_cut = dense_swap_descent(dense, start, cut, 10 * n)
+        labels, found_cut = _swap_descent(sparse, start, cut)
+        assert labels.tolist() == expected.tolist()
+        assert_allclose(found_cut, expected_cut, rtol=1e-12)
+
+
+def test_large_dumbbell_is_bisected_without_a_size_cap():
+    domain = dumbbell()
+    cloud = sample_iid(domain, uniform_density(domain), 8000, seed=0)
+    result = local_search_bisection(build_graph(cloud, indicator(), 0.045), seed=0, restarts=1)
+    assert result.n == 8000
+    assert int(result.labels.sum()) == 4000
+    assert result.labels[0]
+
+
+def test_zero_restarts_are_rejected():
     graph = _graph(4, [(0, 1, 10.0), (2, 3, 10.0), (1, 2, 1.0)])
-    warm = np.array([True, True, False, False])
-    result = local_search_bisection(graph, seed=0, restarts=0, initial=warm)
-    assert result.labels.tolist() == warm.tolist()
-    with pytest.raises(UnsupportedConfigurationError):
+    with pytest.raises(UnsupportedConfigurationError, match="need at least one restart"):
         local_search_bisection(graph, seed=0, restarts=0)
-    with pytest.raises(UnsupportedConfigurationError):
-        local_search_bisection(graph, seed=0, restarts=0,
-                               initial=np.array([True, True, True, False]))
 
 
 def test_balanced_disconnection_reaches_zero_energy():

@@ -271,7 +271,7 @@ BAD_CONFIGS = [
     ("gtv-convergence", dict(GTV_CFG, density={"name": "affine", "axis": 5}),
      "/density/axis"),
     ("bisect", dict(BISECT_CFG, n=[61]), "/n/0"),
-    ("bisect", dict(BISECT_CFG, n=[60, 6002]), "/n/1"),
+    ("bisect", dict(BISECT_CFG, n=[60, 61]), "/n/1"),
     ("tl-distance", dict(TL_CFG, domain={"shape": "dumbbell"}), "/domain"),
     ("gtv-convergence", dict(GTV_CFG, function={"coeffs": [1.0, 0.0, 0.0]}),
      "/function/coeffs"),
@@ -298,6 +298,7 @@ BAD_CONFIGS = [
     ("gtv-convergence",  # eta(0) = 0 breaks K1 and builds edgeless graphs
      dict(GTV_CFG, kernel={"name": "step-sum", "radii": [1.0], "heights": [0]}),
      "/kernel"),
+    ("bisect", dict(BISECT_CFG, restarts=0), "/restarts"),
 ]
 
 
@@ -316,6 +317,10 @@ def test_bad_configs_fail_before_any_work(tmp_path, capsys, name, cfg, pointer):
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {pointer}: ")
     assert not out.exists()
+
+
+def test_bisect_accepts_any_even_n():
+    assert validate_config("bisect", dict(BISECT_CFG, n=[6002]))["n"] == [6002]
 
 
 _NUMBER = st.floats(min_value=-3.0, max_value=3.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pctv import graph as graphmod
 from pctv import kernels
 from pctv.geometry import PointCloud, sample_iid, uniform_density, unit_box
 from pctv.graph import (
