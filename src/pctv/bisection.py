@@ -19,7 +19,13 @@ from scipy.sparse import csr_matrix
 
 from .errors import UnsupportedConfigurationError
 from .geometry import Box, BoxUnion, Domain, sample_iid
-from .graph import WeightedGraph, component_labels, graph_total_variation, is_connected
+from .graph import (
+    WeightedGraph,
+    build_graph,
+    component_labels,
+    graph_total_variation,
+    is_connected,
+)
 from .transport import DiscreteMeasure, LiftedFunction, tlp_distance
 
 BRUTE_FORCE_LIMIT = 24
@@ -147,70 +153,100 @@ def _zero_energy_start(graph: WeightedGraph) -> np.ndarray | None:
 
 
 def _swap_descent(
-    weights: csr_matrix, labels: np.ndarray, cut: float
-) -> tuple[np.ndarray, float]:
-    """Best-improvement swap descent from one balanced labeling.
+    weights: csr_matrix, labels: np.ndarray, cuts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-improvement swap descent from several balanced labelings at once.
 
-    Each step exchanges the pair whose swap lowers the cut weight the
-    most; the gain of swapping a in A with b in B is
-    D[a] + D[b] - 2 W[a, b], where D is external minus internal degree.
-    Ties go to the first maximal pair with a, then b, ascending.  The
-    weights stay sparse, so there is no size cap: the pair of largest D
-    on each side bounds the best gain from below, and only vertices
-    whose D can reach that bound enter the gain block.  Weights are
-    non-negative, so no other vertex can be part of a best pair.
+    Row s of ``labels`` is one start and ``cuts[s]`` its cut weight.  All
+    starts descend together, one swap each per step, and a start leaves
+    the batch when no swap improves it.  Each step exchanges the pair
+    whose swap lowers that start's cut weight the most; the gain of
+    swapping a in A with b in B is D[a] + D[b] - 2 W[a, b], where D is
+    external minus internal degree.  Ties go to the first maximal pair
+    with a, then b, ascending.  The weights stay sparse, so there is no
+    size cap: the pair of largest D on each side bounds the best gain
+    from below, and only vertices whose D can reach that bound enter the
+    gain block.  Weights are non-negative, so no other vertex can be part
+    of a best pair.  The candidate sets are ragged: each start forms
+    gains over its own candidate pairs only.
     """
     labels = labels.copy()
+    cuts = np.array(cuts, dtype=float)
+    n = labels.shape[1]
     indptr, indices, data = weights.indptr, weights.indices, weights.data
     degrees = np.asarray(weights.sum(axis=1)).ravel()
-    for _ in range(10 * labels.size):
-        to_a = weights @ labels.astype(float)
-        diff = np.where(labels, degrees - 2.0 * to_a, 2.0 * to_a - degrees)
-        diff_a = np.where(labels, diff, -np.inf)
-        diff_b = np.where(labels, -np.inf, diff)
-        a0 = int(np.argmax(diff_a))
-        top_a, top_b = diff_a[a0], diff_b.max()
-        tol = GAIN_TOL * max(cut, 1.0)
-        if top_a + top_b <= tol:
-            break  # no pair can gain more than its two D values
-        heaviest = data[indptr[a0]:indptr[a0 + 1]].max(initial=0.0)
+    # Implicit zeros count, so this is each row's largest weight or 0.
+    heaviest = weights.max(axis=1).toarray().ravel()
+    # Candidate b -> its position among its start's candidates, flat over (start, vertex).
+    column = np.full(labels.size, -1)
+    active = np.arange(labels.shape[0])
+    for _ in range(10 * n):
+        if active.size == 0:
+            break
+        side = labels[active]
+        twice = 2.0 * (weights @ side.T.astype(float)).T
+        diff_a = np.where(side, degrees - twice, -np.inf)
+        diff_b = np.where(side, -np.inf, twice - degrees)
+        a0 = diff_a.argmax(axis=1)
+        top_a = diff_a[np.arange(active.size), a0]
+        top_b = diff_b.max(axis=1)
+        tol = GAIN_TOL * np.maximum(cuts[active], 1.0)
+        reach = 2.0 * heaviest[a0]
         # The slack covers rounding only; the gain block decides every pair.
-        slack = 1e-9 * (abs(top_a) + abs(top_b) + 2.0 * heaviest)
-        idx_a = np.flatnonzero(diff_a >= top_a - 2.0 * heaviest - slack)
-        idx_b = np.flatnonzero(diff_b >= top_b - 2.0 * heaviest - slack)
-        gains = diff[idx_a][:, None] + diff[idx_b][None, :]
+        slack = 1e-9 * (np.abs(top_a) + np.abs(top_b) + reach)
+        # No pair can gain more than its two D values: such a start gets no candidates.
+        live = top_a + top_b > tol
+        floor_a = np.where(live, top_a - reach - slack, np.inf)
+        floor_b = np.where(live, top_b - reach - slack, np.inf)
+        # Flat indices are row-major, so each start's candidates come out ascending.
+        near_a = (diff_a >= floor_a[:, None]).ravel().nonzero()[0]
+        near_b = (diff_b >= floor_b[:, None]).ravel().nonzero()[0]
+        row_a, idx_a = np.divmod(near_a, n)
+        row_b, idx_b = np.divmod(near_b, n)
+        count_b = np.bincount(row_b, minlength=active.size)
+        first_b = count_b.cumsum() - count_b
+        width = count_b[row_a]
+        first_pair = width.cumsum() - width
+        # Gain p pairs an a candidate with B candidate pair_b[p] of the same start.
+        pair_b = (first_b[row_a] - first_pair).repeat(width)
+        pair_b += np.arange(pair_b.size)
+        gains = diff_a.take(near_a).repeat(width) + diff_b.take(near_b)[pair_b]
         # W[a, b] comes from the raw CSR arrays: scipy indexing per step costs more than the step.
         starts = indptr[idx_a]
         counts = indptr[idx_a + 1] - starts
-        rows = np.repeat(np.arange(idx_a.size), counts)
-        entries = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(rows.size)
-        column = np.full(labels.size, -1)
-        column[idx_b] = np.arange(idx_b.size)
-        cols = column[indices[entries]]
+        rows = np.arange(near_a.size).repeat(counts)
+        entries = (starts - counts.cumsum() + counts).repeat(counts) + np.arange(rows.size)
+        column[near_b] = np.arange(near_b.size) - first_b[row_b]
+        cols = column[row_a[rows] * n + indices[entries]]
+        column[near_b] = -1
         inside = cols >= 0
-        gains[rows[inside], cols[inside]] -= 2.0 * data[entries[inside]]
-        flat = int(np.argmax(gains))
-        best = gains.flat[flat]
-        if best <= tol:
-            break
-        a = idx_a[flat // idx_b.size]
-        b = idx_b[flat % idx_b.size]
-        labels[a] = False
-        labels[b] = True
-        cut -= float(best)
-    return labels, cut
+        gains[first_pair[rows[inside]] + cols[inside]] -= 2.0 * data[entries[inside]]
+        # Each live start owns one contiguous run of gains; take its first maximum.
+        sizes = (np.bincount(row_a, minlength=active.size) * count_b)[live]
+        offsets = sizes.cumsum() - sizes
+        best = np.maximum.reduceat(gains, offsets)
+        hits = (gains == best.repeat(sizes)).nonzero()[0]
+        pick = hits[hits.searchsorted(offsets)]
+        better = best > tol[live]
+        pick = pick[better]
+        active = active[live][better]
+        labels[active, idx_a[first_pair.searchsorted(pick, "right") - 1]] = False
+        labels[active, idx_b[pair_b[pick]]] = True
+        cuts[active] -= best[better]
+    return labels, cuts
 
 
 def local_search_bisection(graph: WeightedGraph, seed: int, restarts: int = 32) -> Bisection:
     """Swap-based local search over balanced partitions.
 
     Runs a best-improvement descent on the sparse weights from several
-    starting partitions and keeps the lowest-energy result.  Starts are:
-    a cut-free union of whole components when the graph is disconnected
-    in a balanced way, and ``restarts`` random balanced splits drawn from
-    independent streams spawned off ``seed``.  Ties resolve to the
-    lexicographically smallest canonical label vector.  Memory grows
-    with the edge count, so any even n is accepted.
+    starting partitions, all descending together, and keeps the
+    lowest-energy result.  Starts are: a cut-free union of whole
+    components when the graph is disconnected in a balanced way, and
+    ``restarts`` random balanced splits drawn from independent streams
+    spawned off ``seed``.  Ties resolve to the lexicographically smallest
+    canonical label vector.  Memory grows with the edge count plus n
+    times the number of starts, so any even n is accepted.
     """
     n = graph.n
     if n % 2 or n == 0:
@@ -231,13 +267,12 @@ def local_search_bisection(graph: WeightedGraph, seed: int, restarts: int = 32) 
         labels = np.zeros(n, dtype=bool)
         labels[rng.permutation(n)[:half]] = True
         starts.append(labels)
+    cuts = [float(graph.ww[start[graph.ii] != start[graph.jj]].sum()) for start in starts]
+    found, found_cuts = _swap_descent(weights, np.array(starts), np.array(cuts))
 
     best_labels: tuple[bool, ...] | None = None
     best_cut = np.inf
-    for start in starts:
-        crossing = start[graph.ii] != start[graph.jj]
-        cut = float(graph.ww[crossing].sum())
-        labels, cut = _swap_descent(weights, start, cut)
+    for labels, cut in zip(found, found_cuts.tolist()):
         key = tuple(_canonical(labels))
         if cut < best_cut - GAIN_TOL * max(best_cut, 1.0) or (
             cut <= best_cut + GAIN_TOL * max(best_cut, 1.0)
@@ -337,8 +372,6 @@ def sweep_run(
     computed indicator and a reference interface indicator over all
     interface choices and label identifications.
     """
-    from .graph import build_graph
-
     ref_measure, ref_partitions = reference
     cloud = sample_iid(domain, density, n, seed=seed)
     graph = build_graph(cloud, profile, eps)

@@ -565,14 +565,27 @@ def run_experiment(name: str, config: dict, out_dir: str) -> dict:
     worker_count()  # a malformed PCTV_THREADS fails here, before any work
     os.makedirs(out_dir, exist_ok=True)
     columns, rows, summary = RUNNERS[name](resolved, out_dir)
-    write_records_csv(os.path.join(out_dir, "records.csv"), columns, rows)
     payload = {
         "experiment": name,
         "version": __version__,
         "config": resolved,
         "summary": summary,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    # Both artifacts are written under temporary names and moved into place
+    # only once both are complete, summary.json last, so a run that fails
+    # or is killed while writing leaves no partial artifact.
+    records = os.path.join(out_dir, "records.csv")
+    summary_path = os.path.join(out_dir, "summary.json")
+    pending = {path: f"{path}.{os.getpid()}.tmp" for path in (records, summary_path)}
+    try:
+        write_records_csv(pending[records], columns, rows)
+        with open(pending[summary_path], "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        for final, temporary in pending.items():
+            os.replace(temporary, final)
+    finally:
+        for temporary in pending.values():
+            if os.path.exists(temporary):
+                os.remove(temporary)
     return payload

@@ -9,6 +9,7 @@ from pctv.bisection import (
     BRUTE_FORCE_LIMIT,
     Bisection,
     _swap_descent,
+    _zero_energy_start,
     agreement,
     bisection_energy,
     brute_force_bisection,
@@ -125,25 +126,74 @@ def test_same_seed_gives_identical_labels():
     assert a.energy == b.energy
 
 
+def _random_start(rng, n):
+    start = np.zeros(n, dtype=bool)
+    start[rng.permutation(n)[:n // 2]] = True
+    return start
+
+
+def _cut(dense, labels):
+    ii, jj = np.nonzero(np.triu(dense))
+    return float(dense[ii, jj][labels[ii] != labels[jj]].sum())
+
+
+def _oracle_steps(dense, start, cut, final):
+    # The cut falls on every swap, so no labeling repeats: the first step
+    # count that reproduces the end point is the step the oracle stopped at.
+    steps = 0
+    while not np.array_equal(dense_swap_descent(dense, start, cut, steps)[0], final):
+        steps += 1
+    return steps
+
+
+def _check_lockstep(dense, starts):
+    """Descend all starts in one call; each must match the dense oracle alone."""
+    cuts = np.array([_cut(dense, start) for start in starts])
+    found, found_cuts = _swap_descent(csr_matrix(dense), np.array(starts), cuts)
+    steps = []
+    for start, cut, labels, found_cut in zip(starts, cuts, found, found_cuts):
+        expected, expected_cut = dense_swap_descent(dense, start, cut, 10 * start.size)
+        assert labels.tolist() == expected.tolist()
+        assert_allclose(found_cut, expected_cut, rtol=1e-12)
+        steps.append(_oracle_steps(dense, start, cut, expected))
+    return steps
+
+
 @pytest.mark.parametrize("seed", [3, 11, 29, 54])
 @pytest.mark.parametrize("weights", ["distinct", "unit"])
 def test_sparse_descent_matches_the_dense_oracle(seed, weights):
     # Unit weights make every sum exact, so tied gains stay tied and the
     # tie rule picks the pair; distinct weights leave no ties at all.
     rng = np.random.default_rng(seed)
+    staggered = 0
     for n in range(6, 42, 2):
         graph = _random_graph(rng, n, density=float(rng.uniform(0.2, 0.8)))
         dense = np.zeros((n, n))
         dense[graph.ii, graph.jj] = graph.ww if weights == "distinct" else 1.0
         dense[graph.jj, graph.ii] = dense[graph.ii, graph.jj]
-        sparse = csr_matrix(dense)
-        start = np.zeros(n, dtype=bool)
-        start[rng.permutation(n)[:n // 2]] = True
-        cut = float(dense[graph.ii, graph.jj][start[graph.ii] != start[graph.jj]].sum())
-        expected, expected_cut = dense_swap_descent(dense, start, cut, 10 * n)
-        labels, found_cut = _swap_descent(sparse, start, cut)
-        assert labels.tolist() == expected.tolist()
-        assert_allclose(found_cut, expected_cut, rtol=1e-12)
+        starts = [_random_start(rng, n) for _ in range(5)]
+        # The oracle's end point is a local optimum, so that start stops at step 0.
+        starts[-1] = dense_swap_descent(dense, starts[-1], _cut(dense, starts[-1]), 10 * n)[0]
+        steps = _check_lockstep(dense, starts)
+        assert steps[-1] == 0
+        staggered += len(set(steps[:-1])) > 1
+    assert staggered >= 10  # most batches lose their starts at different steps
+
+
+def test_lockstep_descent_keeps_the_zero_energy_packing():
+    # At eps 1/8 every indicator weight is 64, so all sums are exact.
+    domain = dumbbell()
+    cloud = sample_iid(domain, uniform_density(domain), 100, seed=0)
+    graph = build_graph(cloud, indicator(), 0.125)
+    packed = _zero_energy_start(graph)
+    assert packed is not None
+    dense = np.zeros((graph.n, graph.n))
+    dense[graph.ii, graph.jj] = graph.ww
+    dense[graph.jj, graph.ii] = graph.ww
+    rng = np.random.default_rng(1)
+    steps = _check_lockstep(dense, [packed] + [_random_start(rng, graph.n) for _ in range(4)])
+    assert steps[0] == 0
+    assert min(steps[1:]) > 0
 
 
 def test_large_dumbbell_is_bisected_without_a_size_cap():

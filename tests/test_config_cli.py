@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import pctv
-from pctv import cli
+from pctv import cli, experiments
 from pctv.config import EXPERIMENTS, SCHEMAS, load_config, validate_config
 from pctv.errors import ConfigError
 from pctv.experiments import (
@@ -158,16 +158,29 @@ def test_run_experiment_writes_the_standard_artifacts(tmp_path):
     assert header == "n,eps,seed,kernel,domain,gtv,reference,rel_error"
 
 
-def test_reruns_are_byte_identical(tmp_path):
+def test_reruns_are_byte_identical(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a", tmp_path / "b"
+    monkeypatch.setenv("PCTV_THREADS", "1")
     run_experiment("gtv-convergence", GTV_CFG, str(out1))
-    os.environ["PCTV_THREADS"] = "1"
-    try:
-        run_experiment("gtv-convergence", GTV_CFG, str(out2))
-    finally:
-        del os.environ["PCTV_THREADS"]
+    monkeypatch.setenv("PCTV_THREADS", "2")
+    run_experiment("gtv-convergence", GTV_CFG, str(out2))
     assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+def test_a_failed_write_leaves_no_artifact(tmp_path, monkeypatch):
+    def broken_writer(path, columns, rows):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(columns))  # half a file, then the disk fills up
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(experiments, "write_records_csv", broken_writer)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="no space left"):
+        run_experiment("gtv-convergence", GTV_CFG, str(out))
+    # The runner finished and drew its figure; no records.csv, summary.json
+    # or temporary file is left beside it.
+    assert sorted(os.listdir(out)) == ["convergence.svg"]
 
 
 def test_empty_schedule_is_a_noop_success(tmp_path):
