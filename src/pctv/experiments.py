@@ -6,7 +6,8 @@ pool, and reduces the rows to a summary.  The output goes into one
 directory: ``records.csv`` with one self-describing row per run,
 ``summary.json`` with the resolved config, package version, and
 aggregate statistics, and (where a picture makes sense) small SVG
-figures.  Reruns with the same config produce byte-identical CSV.
+figures.  Reruns with the same config produce byte-identical CSV, and a
+run that fails leaves none of these files.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import csv
 import json
 import math
 import os
+import shutil
+import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from . import __version__, svgplot
 from .bisection import sweep_reference, sweep_run
@@ -219,7 +222,7 @@ def _median_curve(path: str, per_n, medians, title: str, ylabel: str) -> None:
 # tasks over the pool, and turns the rows into (columns, rows, summary)
 
 
-def _graph_tv_sweep(cfg, out_dir, setup, u, limit, *, title, columns, extra):
+def _graph_tv_sweep(cfg, fig_dir, setup, u, limit, *, title, columns, extra):
     """Graph TV of u on sampled clouds against sigma times a continuum limit.
 
     ``columns`` are config constants added to every record after the
@@ -238,7 +241,7 @@ def _graph_tv_sweep(cfg, out_dir, setup, u, limit, *, title, columns, extra):
         cloud = sample_iid(domain, density, n, seed=seed)
         graph = build_graph(cloud, profile, eps)
         value = graph_total_variation(graph, u(cloud.points))
-        return {
+        row = {
             "n": n,
             "eps": eps,
             "seed": seed,
@@ -249,8 +252,17 @@ def _graph_tv_sweep(cfg, out_dir, setup, u, limit, *, title, columns, extra):
             "reference": reference,
             "rel_error": abs(value - reference) / denom,
         }
+        return row, graph.edge_count == 0
 
-    rows = _sweep(cfg, one)
+    results = _sweep(cfg, one)
+    rows = [row for row, _ in results]
+    edgeless = {}
+    for row, empty in results:
+        edgeless.setdefault((row["n"], row["eps"]), []).append(empty)
+    for (n, eps), flags in edgeless.items():
+        if any(flags):
+            print(f"warning: n={n}: {sum(flags)} of {len(flags)} graphs "
+                  f"have no edges at eps={eps:.6g}", file=sys.stderr)
     per_n = _per_n(rows, "rel_error")
     medians = [entry["median_rel_error"] for entry in per_n]
     summary = {
@@ -261,7 +273,7 @@ def _graph_tv_sweep(cfg, out_dir, setup, u, limit, *, title, columns, extra):
         "final_median_rel_error": medians[-1] if medians else None,
         **extra,
     }
-    _median_curve(os.path.join(out_dir, "convergence.svg"), per_n, medians,
+    _median_curve(os.path.join(fig_dir, "convergence.svg"), per_n, medians,
                   title, "median relative error")
     return (
         ["n", "eps", "seed", "kernel", "domain", *columns, "gtv", "reference", "rel_error"],
@@ -270,22 +282,22 @@ def _graph_tv_sweep(cfg, out_dir, setup, u, limit, *, title, columns, extra):
     )
 
 
-def _run_gtv(cfg: dict, out_dir: str):
+def _run_gtv(cfg: dict, fig_dir: str):
     setup = domain, density, _ = _setup(cfg)
     fn = _function(cfg)
     tv_value, _ = weighted_tv_smooth(fn, density, domain)
-    return _graph_tv_sweep(cfg, out_dir, setup, fn, tv_value,
+    return _graph_tv_sweep(cfg, fig_dir, setup, fn, tv_value,
                            title="graph TV vs continuum limit",
                            columns={}, extra={"weighted_tv": tv_value})
 
 
-def _run_perimeter(cfg: dict, out_dir: str):
+def _run_perimeter(cfg: dict, fig_dir: str):
     setup = domain, density, _ = _setup(cfg)
     axis = int(cfg["set"]["axis"])
     threshold = float(cfg["set"]["threshold"])
     region = halfplane_set(domain, axis, threshold)
     return _graph_tv_sweep(
-        cfg, out_dir, setup,
+        cfg, fig_dir, setup,
         lambda points: (points[:, axis] < threshold).astype(float),
         weighted_perimeter(region, density, domain),
         title="graph perimeter vs continuum limit",
@@ -294,7 +306,7 @@ def _run_perimeter(cfg: dict, out_dir: str):
     )
 
 
-def _run_nonlocal(cfg: dict, out_dir: str):
+def _run_nonlocal(cfg: dict, fig_dir: str):
     domain, density, domain_label = _setup(cfg)
     profile = kernel_from_config(cfg["kernel"])
     fn = _function(cfg)
@@ -348,7 +360,7 @@ def _run_nonlocal(cfg: dict, out_dir: str):
     }
     if len(rows) >= 2 and all(e > 0 for e in errors):
         svgplot.line_figure(
-            os.path.join(out_dir, "convergence.svg"),
+            os.path.join(fig_dir, "convergence.svg"),
             [([row["eps"] for row in rows], errors, "relative error")],
             title="nonlocal TV vs weighted TV limit",
             xlabel="eps",
@@ -363,7 +375,7 @@ def _run_nonlocal(cfg: dict, out_dir: str):
     return columns, rows, summary
 
 
-def _run_tl_distance(cfg: dict, out_dir: str):
+def _run_tl_distance(cfg: dict, fig_dir: str):
     domain, density, domain_label = _setup(cfg)
     fn = _function(cfg)
     p = float(cfg["p"])
@@ -394,13 +406,13 @@ def _run_tl_distance(cfg: dict, out_dir: str):
         "per_n": per_n,
         "median_distance_decreasing": _strictly_decreasing(medians),
     }
-    _median_curve(os.path.join(out_dir, "distance.svg"), per_n, medians,
+    _median_curve(os.path.join(fig_dir, "distance.svg"), per_n, medians,
                   "TL distance to the grid discretization", "median distance")
     columns = ["n", "seed", "p", "grid", "domain", "distance"]
     return columns, rows, summary
 
 
-def _run_matching(cfg: dict, out_dir: str):
+def _run_matching(cfg: dict, fig_dir: str):
     d = int(cfg["dimension"])
     domain = unit_box(d)
     density = uniform_density(domain)
@@ -424,6 +436,8 @@ def _run_matching(cfg: dict, out_dir: str):
 
     rows = _sweep(cfg, one)
     if len({row["n"] for row in rows}) >= 2:
+        from scipy.stats import kendalltau  # a slow import, needed only here
+
         tau, pvalue = kendalltau([r["n"] for r in rows], [r["ratio"] for r in rows])
         tau = float(tau)
         pvalue = float(pvalue)
@@ -441,14 +455,14 @@ def _run_matching(cfg: dict, out_dir: str):
         "pvalue_increasing": one_sided,
         "increasing_trend_significant": increasing,
     }
-    _median_curve(os.path.join(out_dir, "ratios.svg"), per_n,
+    _median_curve(os.path.join(fig_dir, "ratios.svg"), per_n,
                   [entry["median_ratio"] for entry in per_n],
                   "bottleneck distance over the matching rate", "median ratio")
     columns = ["n", "d", "seed", "dist", "ratio"]
     return columns, rows, summary
 
 
-def _run_connectivity(cfg: dict, out_dir: str):
+def _run_connectivity(cfg: dict, fig_dir: str):
     domain, density, domain_label = _setup(cfg)
     profile = kernel_from_config(cfg["kernel"])
     n = int(cfg["n"])
@@ -487,7 +501,7 @@ def _run_connectivity(cfg: dict, out_dir: str):
     }
     if len(factors) >= 2:
         svgplot.line_figure(
-            os.path.join(out_dir, "transition.svg"),
+            os.path.join(fig_dir, "transition.svg"),
             [(factors, fractions, "connected fraction")],
             title="connectivity transition",
             xlabel="eps over (log n / n)^(1/d)",
@@ -497,7 +511,7 @@ def _run_connectivity(cfg: dict, out_dir: str):
     return columns, rows, summary
 
 
-def _run_bisect(cfg: dict, out_dir: str):
+def _run_bisect(cfg: dict, fig_dir: str):
     domain, density, domain_label = _setup(cfg)
     profile = kernel_from_config(cfg["kernel"])
     rule = eps_rule(cfg["eps_rule"], domain.dimension)
@@ -522,7 +536,7 @@ def _run_bisect(cfg: dict, out_dir: str):
         rows.append(dict(asdict(rec), kernel=profile.name, domain=domain_label))
         if domain.dimension == 2:
             svgplot.scatter_figure(
-                os.path.join(out_dir, f"partition-n{rec.n}-seed{rec.seed}.svg"),
+                os.path.join(fig_dir, f"partition-n{rec.n}-seed{rec.seed}.svg"),
                 run.points,
                 run.labels,
                 title=f"n={rec.n} eps={rec.eps:.4g} seed={rec.seed}",
@@ -564,28 +578,26 @@ def run_experiment(name: str, config: dict, out_dir: str) -> dict:
     resolved = validate_config(name, config)
     worker_count()  # a malformed PCTV_THREADS fails here, before any work
     os.makedirs(out_dir, exist_ok=True)
-    columns, rows, summary = RUNNERS[name](resolved, out_dir)
-    payload = {
-        "experiment": name,
-        "version": __version__,
-        "config": resolved,
-        "summary": summary,
-    }
-    # Both artifacts are written under temporary names and moved into place
-    # only once both are complete, summary.json last, so a run that fails
-    # or is killed while writing leaves no partial artifact.
-    records = os.path.join(out_dir, "records.csv")
-    summary_path = os.path.join(out_dir, "summary.json")
-    pending = {path: f"{path}.{os.getpid()}.tmp" for path in (records, summary_path)}
+    # Figures and tables are written into a hidden staging directory and
+    # moved into out_dir only once all are complete, summary.json last, so
+    # a run that fails leaves nothing and one killed midway no summary.json.
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
     try:
-        write_records_csv(pending[records], columns, rows)
-        with open(pending[summary_path], "w", encoding="utf-8") as handle:
+        columns, rows, summary = RUNNERS[name](resolved, staging)
+        payload = {
+            "experiment": name,
+            "version": __version__,
+            "config": resolved,
+            "summary": summary,
+        }
+        write_records_csv(os.path.join(staging, "records.csv"), columns, rows)
+        with open(os.path.join(staging, "summary.json"), "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        for final, temporary in pending.items():
-            os.replace(temporary, final)
+        tables = ["records.csv", "summary.json"]
+        figures = sorted(set(os.listdir(staging)) - set(tables))
+        for artifact in figures + tables:
+            os.replace(os.path.join(staging, artifact), os.path.join(out_dir, artifact))
     finally:
-        for temporary in pending.values():
-            if os.path.exists(temporary):
-                os.remove(temporary)
+        shutil.rmtree(staging, ignore_errors=True)
     return payload

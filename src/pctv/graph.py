@@ -18,7 +18,10 @@ Candidate pairs come from a kd-tree range search at eps times the
 profile's effective support.  Each pair's distance is then computed
 from its two points and tested against that radius, so the tree only
 proposes pairs and never decides one.  For compactly supported profiles
-this finds exactly the pairs with positive weight.
+this finds exactly the pairs with positive weight.  A distance is summed
+one coordinate at a time in axis order, ((0 + dx^2) + dy^2) + dz^2, and
+that order fixes its bits, so the pairs kept at the radius and every
+weight are reproducible to the last bit.
 """
 
 from __future__ import annotations
@@ -80,16 +83,26 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
     key.sort()
     row = key // n
     ii = row.astype(np.int32)
-    jj = (key - row * n).astype(np.int32)
-    del key, row
+    row *= n
+    key -= row
+    del row
+    jj = key.astype(np.int32)
+    del key
 
-    diff = points[ii] - points[jj]
-    dist = np.sqrt(np.sum(diff * diff, axis=1))
-    del diff
-    near = dist <= radius
-    ii, jj, dist = ii[near], jj[near], dist[near]
+    # One coordinate column at a time, so every temporary is one (m,)
+    # array; the axis order fixes the bits of each distance.
+    dist = np.zeros(ii.size)
+    for axis in range(d):
+        column = np.ascontiguousarray(points[:, axis])
+        delta = column.take(ii)
+        delta -= column.take(jj)
+        delta *= delta
+        dist += delta
+        del delta
+    np.sqrt(dist, out=dist)
     ww = kernels.scaled_from_distance(profile, eps, dist, d)
-    keep = ww >= WEIGHT_FLOOR
+    keep = (dist <= radius) & (ww >= WEIGHT_FLOOR)
+    del dist
     return WeightedGraph(n=n, dimension=d, eps=eps, ii=ii[keep], jj=jj[keep],
                          ww=ww[keep], kernel_name=profile.name)
 

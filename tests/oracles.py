@@ -97,6 +97,29 @@ def pairwise_edges(points: np.ndarray, profile_fn, eps: float, d: int,
     return ii, jj, ww
 
 
+def exact_edges(points: np.ndarray, profile_fn, eps: float, d: int,
+                radius: float, floor: float = 1e-15):
+    """Every pair within the radius, with distances bit for bit fixed.
+
+    Loops over i and takes the distances to all later points as the row
+    sums np.sqrt(np.sum(diff * diff, axis=1)) of diff = X_i - X_j.  A
+    pair is kept when its distance is at most the radius and its weight
+    eps^(-d) * eta(r / eps) is at least the floor.  Returns (i, j, w)
+    sorted by (i, j) with i < j, for comparison with array_equal.
+    """
+    n = len(points)
+    ii, jj, ww = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for i in range(n):
+        diff = points[i] - points[i + 1:]
+        dist = np.sqrt(np.sum(diff * diff, axis=1))
+        w = eps ** (-d) * np.asarray(profile_fn(dist / eps), dtype=float)
+        keep = (dist <= radius) & (w >= floor)
+        ii.append(np.full(int(keep.sum()), i))
+        jj.append(i + 1 + np.flatnonzero(keep))
+        ww.append(w[keep])
+    return np.concatenate(ii), np.concatenate(jj), np.concatenate(ww)
+
+
 def bfs_component_labels(n: int, ii, jj) -> np.ndarray:
     """Component labels by breadth-first search from vertices 0, 1, ...
 

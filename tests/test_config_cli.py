@@ -178,9 +178,20 @@ def test_a_failed_write_leaves_no_artifact(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with pytest.raises(OSError, match="no space left"):
         run_experiment("gtv-convergence", GTV_CFG, str(out))
-    # The runner finished and drew its figure; no records.csv, summary.json
-    # or temporary file is left beside it.
-    assert sorted(os.listdir(out)) == ["convergence.svg"]
+    # The runner finished and drew its figure into the staging directory;
+    # neither it nor any table nor the staging directory is left behind.
+    assert os.listdir(out) == []
+
+
+def test_edgeless_graphs_are_reported_on_stderr(tmp_path, capsys):
+    cfg = dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e-3})
+    run_experiment("gtv-convergence", cfg, str(tmp_path / "out"))
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: n=60: 2 of 2 graphs have no edges at eps=0.3",
+        "warning: n=120: 2 of 2 graphs have no edges at eps=0.3",
+    ]
+    run_experiment("gtv-convergence", GTV_CFG, str(tmp_path / "edges"))
+    assert capsys.readouterr().err == ""
 
 
 def test_empty_schedule_is_a_noop_success(tmp_path):

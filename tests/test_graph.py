@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pctv import kernels
-from pctv.geometry import PointCloud, sample_iid, uniform_density, unit_box
+from pctv.geometry import PointCloud, grid_points, sample_iid, uniform_density, unit_box
 from pctv.graph import (
     WeightedGraph,
     build_graph,
@@ -17,7 +17,7 @@ from pctv.graph import (
     is_connected,
 )
 
-from oracles import bfs_component_labels, gtv_reference, pairwise_edges
+from oracles import bfs_component_labels, exact_edges, gtv_reference, pairwise_edges
 
 
 def _random_cloud(n, d, seed):
@@ -40,6 +40,45 @@ def test_build_graph_matches_pairwise_oracle(d, profile, eps):
     assert np.array_equal(built.ii, ii)
     assert np.array_equal(built.jj, jj)
     assert_allclose(built.ww, ww, rtol=1e-12)
+
+
+PROFILES = {
+    "indicator": kernels.indicator(),
+    "gaussian": kernels.gaussian(),
+    "step-sum": kernels.step_sum([0.5, 1.0], [2.0, 0.5]),
+}
+GRID_SIDES = {1: 40, 2: 9, 3: 5}
+
+
+def _exact_cases():
+    """(name, points, eps) cases; on the grids the last bit of a distance decides edges."""
+    for d in (1, 2, 3):
+        yield f"random-{d}d", _random_cloud(90, d, seed=d + 40).points, 0.5 / d
+        k = GRID_SIDES[d]
+        for side, eps in (("below", np.nextafter(1.0 / k, 0.0)), ("at", 1.0 / k),
+                          ("above", np.nextafter(1.0 / k, 1.0))):
+            # Grid neighbours sit at distance 1/k up to rounding, so many
+            # pairs fall within an ulp of the radius.
+            yield f"grid-{d}d-{side}", grid_points(k, d), eps
+        yield f"duplicates-{d}d", np.repeat(_random_cloud(20, d, seed=d).points, 3, axis=0), 0.4
+    for n in (0, 1):
+        yield f"n{n}", np.full((n, 2), 0.5), 0.3
+
+
+EXACT_CASES = list(_exact_cases())
+
+
+@pytest.mark.parametrize("kernel", list(PROFILES))
+@pytest.mark.parametrize("case,points,eps", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+def test_build_graph_matches_the_exact_edge_oracle(case, points, eps, kernel):
+    profile = PROFILES[kernel]
+    d = points.shape[1]
+    built = build_graph(PointCloud(points=points, seed=0), profile, eps)
+    radius = eps * kernels.effective_support(profile, d)
+    ii, jj, ww = exact_edges(points, profile.fn, eps, d, radius)
+    assert np.array_equal(built.ii, ii)
+    assert np.array_equal(built.jj, jj)
+    assert np.array_equal(built.ww, ww)
 
 
 def test_edges_are_ordered_and_simple():

@@ -1,6 +1,9 @@
-"""No module of the package or the tests imports a name it never uses."""
+"""No module imports a name it never uses, and the CLI skips slow imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,13 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_cli_does_not_import_scipy_stats():
+    # scipy.stats takes about half a second to import; only a
+    # matching-scaling run over several n needs it.
+    probe = "import sys, pctv.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
