@@ -22,16 +22,6 @@ from .errors import ConfigError, PCTVError
 from .geometry import Box, density_from_config, domain_from_config
 from .kernels import from_config as kernel_from_config
 
-EXPERIMENTS = (
-    "gtv-convergence",
-    "perimeter-convergence",
-    "nonlocal-convergence",
-    "tl-distance",
-    "matching-scaling",
-    "connectivity",
-    "bisect",
-)
-
 _DOMAIN = {
     "type": "object",
     "properties": {
@@ -118,7 +108,7 @@ _FUNCTION = {
 }
 
 _SEEDS = {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1}
-_N_SCHEDULE = {"type": "array", "items": {"type": "integer", "minimum": 2}}
+_N_SCHEDULE = {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1}
 
 
 def _schema(properties: dict, required: list) -> dict:
@@ -228,6 +218,7 @@ SCHEMAS = {
         ["domain", "kernel", "n", "eps_rule", "seeds"],
     ),
 }
+EXPERIMENTS = tuple(SCHEMAS)
 
 DEFAULTS = {
     "gtv-convergence": {"density": {"name": "uniform"}},

@@ -3,11 +3,12 @@
 Every experiment takes a config that ``validate_config`` has fully
 checked, plans its fixed inputs from it, maps its tasks over a thread
 pool, and reduces the rows to a summary.  The output goes into one
-directory: ``records.csv`` with one self-describing row per run,
-``summary.json`` with the resolved config, package version, and
-aggregate statistics, and (where a picture makes sense) small SVG
-figures.  Reruns with the same config produce byte-identical CSV, and a
-run that fails leaves none of these files.
+directory: ``records.csv`` with one self-describing row per run (a
+row's keys, in order, are its CSV columns), ``summary.json`` with the
+resolved config, package version, and aggregate statistics, and (where
+a picture makes sense) small SVG figures.  Reruns with the same config
+produce byte-identical CSV, and a run that fails leaves none of these
+files.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ def critical_rate(n: int, d: int) -> float:
     """Largest graph scale rate with a consistency guarantee.
 
     In the plane the rate is (log n)^(3/4)/sqrt(n); in dimension three
-    and up it matches the connectivity rate (log n/n)^(1/d).
+    and up it is the connectivity scale.
     """
     if d == 2:
         return math.log(n) ** 0.75 / math.sqrt(n)
-    return (math.log(n) / n) ** (1.0 / d)
+    return connectivity_scale(n, d)
 
 
 def connectivity_scale(n: int, d: int) -> float:
@@ -137,13 +138,17 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_records_csv(path: str, columns, rows) -> None:
-    """One header row plus one row per record, RFC-4180 line endings."""
+def write_records_csv(path: str, rows) -> None:
+    """The first row's keys as the header, then one line per row.
+
+    Every row must carry the header's keys; lines end in CRLF (RFC 4180).
+    """
+    header = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(columns)
+        writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell(row[col]) for col in columns])
+            writer.writerow([_cell(row[key]) for key in header])
 
 
 def _median(values) -> float:
@@ -203,30 +208,29 @@ def _per_n(rows, *keys, extra=None):
     return per_n
 
 
-def _median_curve(path: str, per_n, medians, title: str, ylabel: str) -> None:
-    if len(per_n) < 2 or any(m <= 0 for m in medians):
+def _curve(path, xs, ys, label, title, xlabel, ylabel, log=True) -> None:
+    """One labelled line figure.
+
+    None is drawn below two points, nor on log axes at a non-positive value.
+    """
+    if len(xs) < 2 or (log and any(y <= 0 for y in ys)):
         return
-    svgplot.line_figure(
-        path,
-        [([entry["n"] for entry in per_n], medians, "median")],
-        title=title,
-        xlabel="n",
-        ylabel=ylabel,
-        xscale="log",
-        yscale="log",
-    )
+    scale = "log" if log else "linear"
+    svgplot.line_figure(path, [(xs, ys, label)], title=title, xlabel=xlabel,
+                        ylabel=ylabel, xscale=scale, yscale=scale)
 
 
 # ---------------------------------------------------------------------------
 # experiment runners: each plans from the validated config, maps its
-# tasks over the pool, and turns the rows into (columns, rows, summary)
+# tasks over the pool, and returns (rows, summary); a row's keys, in
+# order, are its CSV columns
 
 
-def _graph_tv_sweep(cfg, fig_dir, setup, u, limit, *, title, columns, extra):
+def _graph_tv_sweep(cfg, fig_dir, setup, u, limit, *, title, constants, extra):
     """Graph TV of u on sampled clouds against sigma times a continuum limit.
 
-    ``columns`` are config constants added to every record after the
-    domain column, ``extra`` are more summary keys.
+    ``constants`` are config values added to every row after the domain
+    column, ``extra`` are more summary keys.
     """
     domain, density, domain_label = setup
     profile = kernel_from_config(cfg["kernel"])
@@ -247,7 +251,7 @@ def _graph_tv_sweep(cfg, fig_dir, setup, u, limit, *, title, columns, extra):
             "seed": seed,
             "kernel": profile.name,
             "domain": domain_label,
-            **columns,
+            **constants,
             "gtv": value,
             "reference": reference,
             "rel_error": abs(value - reference) / denom,
@@ -270,16 +274,12 @@ def _graph_tv_sweep(cfg, fig_dir, setup, u, limit, *, title, columns, extra):
         "surface_tension": sigma,
         "per_n": per_n,
         "median_rel_error_decreasing": _strictly_decreasing(medians),
-        "final_median_rel_error": medians[-1] if medians else None,
+        "final_median_rel_error": medians[-1],
         **extra,
     }
-    _median_curve(os.path.join(fig_dir, "convergence.svg"), per_n, medians,
-                  title, "median relative error")
-    return (
-        ["n", "eps", "seed", "kernel", "domain", *columns, "gtv", "reference", "rel_error"],
-        rows,
-        summary,
-    )
+    _curve(os.path.join(fig_dir, "convergence.svg"), [entry["n"] for entry in per_n],
+           medians, "median", title, "n", "median relative error")
+    return rows, summary
 
 
 def _run_gtv(cfg: dict, fig_dir: str):
@@ -288,7 +288,7 @@ def _run_gtv(cfg: dict, fig_dir: str):
     tv_value, _ = weighted_tv_smooth(fn, density, domain)
     return _graph_tv_sweep(cfg, fig_dir, setup, fn, tv_value,
                            title="graph TV vs continuum limit",
-                           columns={}, extra={"weighted_tv": tv_value})
+                           constants={}, extra={"weighted_tv": tv_value})
 
 
 def _run_perimeter(cfg: dict, fig_dir: str):
@@ -301,7 +301,7 @@ def _run_perimeter(cfg: dict, fig_dir: str):
         lambda points: (points[:, axis] < threshold).astype(float),
         weighted_perimeter(region, density, domain),
         title="graph perimeter vs continuum limit",
-        columns={"axis": axis, "threshold": threshold},
+        constants={"axis": axis, "threshold": threshold},
         extra={},
     )
 
@@ -356,23 +356,12 @@ def _run_nonlocal(cfg: dict, fig_dir: str):
         "records": records,
         "rel_errors": errors,
         "monotone_approach": _strictly_decreasing(errors),
-        "final_rel_error": errors[-1] if errors else None,
+        "final_rel_error": errors[-1],
     }
-    if len(rows) >= 2 and all(e > 0 for e in errors):
-        svgplot.line_figure(
-            os.path.join(fig_dir, "convergence.svg"),
-            [([row["eps"] for row in rows], errors, "relative error")],
-            title="nonlocal TV vs weighted TV limit",
-            xlabel="eps",
-            ylabel="relative error",
-            xscale="log",
-            yscale="log",
-        )
-    columns = [
-        "eps", "method", "kernel", "domain", "value",
-        "error_estimate", "reference", "rel_error",
-    ]
-    return columns, rows, summary
+    _curve(os.path.join(fig_dir, "convergence.svg"), [row["eps"] for row in rows],
+           errors, "relative error", "nonlocal TV vs weighted TV limit",
+           "eps", "relative error")
+    return rows, summary
 
 
 def _run_tl_distance(cfg: dict, fig_dir: str):
@@ -406,10 +395,10 @@ def _run_tl_distance(cfg: dict, fig_dir: str):
         "per_n": per_n,
         "median_distance_decreasing": _strictly_decreasing(medians),
     }
-    _median_curve(os.path.join(fig_dir, "distance.svg"), per_n, medians,
-                  "TL distance to the grid discretization", "median distance")
-    columns = ["n", "seed", "p", "grid", "domain", "distance"]
-    return columns, rows, summary
+    _curve(os.path.join(fig_dir, "distance.svg"), [entry["n"] for entry in per_n],
+           medians, "median", "TL distance to the grid discretization",
+           "n", "median distance")
+    return rows, summary
 
 
 def _run_matching(cfg: dict, fig_dir: str):
@@ -455,11 +444,10 @@ def _run_matching(cfg: dict, fig_dir: str):
         "pvalue_increasing": one_sided,
         "increasing_trend_significant": increasing,
     }
-    _median_curve(os.path.join(fig_dir, "ratios.svg"), per_n,
-                  [entry["median_ratio"] for entry in per_n],
-                  "bottleneck distance over the matching rate", "median ratio")
-    columns = ["n", "d", "seed", "dist", "ratio"]
-    return columns, rows, summary
+    _curve(os.path.join(fig_dir, "ratios.svg"), [entry["n"] for entry in per_n],
+           [entry["median_ratio"] for entry in per_n], "median",
+           "bottleneck distance over the matching rate", "n", "median ratio")
+    return rows, summary
 
 
 def _run_connectivity(cfg: dict, fig_dir: str):
@@ -499,16 +487,10 @@ def _run_connectivity(cfg: dict, fig_dir: str):
         "connected_fraction": fractions,
         "fraction_non_decreasing": _non_decreasing(fractions),
     }
-    if len(factors) >= 2:
-        svgplot.line_figure(
-            os.path.join(fig_dir, "transition.svg"),
-            [(factors, fractions, "connected fraction")],
-            title="connectivity transition",
-            xlabel="eps over (log n / n)^(1/d)",
-            ylabel="connected fraction",
-        )
-    columns = ["n", "factor", "eps", "seed", "kernel", "domain", "connected"]
-    return columns, rows, summary
+    _curve(os.path.join(fig_dir, "transition.svg"), factors, fractions,
+           "connected fraction", "connectivity transition",
+           "eps over (log n / n)^(1/d)", "connected fraction", log=False)
+    return rows, summary
 
 
 def _run_bisect(cfg: dict, fig_dir: str):
@@ -530,10 +512,12 @@ def _run_bisect(cfg: dict, fig_dir: str):
             restarts=cfg["restarts"],
         )
 
-    rows = []
+    rows, records = [], []
     for run in _sweep(cfg, one):
         rec = run.record
-        rows.append(dict(asdict(rec), kernel=profile.name, domain=domain_label))
+        records.append(asdict(rec))
+        rows.append({"n": rec.n, "eps": rec.eps, "seed": rec.seed,
+                     "kernel": profile.name, "domain": domain_label, **records[-1]})
         if domain.dimension == 2:
             svgplot.scatter_figure(
                 os.path.join(fig_dir, f"partition-n{rec.n}-seed{rec.seed}.svg"),
@@ -541,14 +525,6 @@ def _run_bisect(cfg: dict, fig_dir: str):
                 run.labels,
                 title=f"n={rec.n} eps={rec.eps:.4g} seed={rec.seed}",
             )
-    columns = [
-        "n", "eps", "seed", "kernel", "domain",
-        "energy", "connected", "agreement", "tl1_distance",
-    ]
-    records = [
-        {key: row[key] for key in columns if key not in ("kernel", "domain")}
-        for row in rows
-    ]
     per_n = _per_n(
         rows, "energy", "agreement", "tl1_distance",
         extra=lambda group: {
@@ -556,7 +532,7 @@ def _run_bisect(cfg: dict, fig_dir: str):
             "zero_energy_fraction": float(np.mean([r["energy"] == 0.0 for r in group])),
         },
     )
-    return columns, rows, {"records": records, "per_n": per_n}
+    return rows, {"records": records, "per_n": per_n}
 
 
 RUNNERS = {
@@ -583,14 +559,14 @@ def run_experiment(name: str, config: dict, out_dir: str) -> dict:
     # a run that fails leaves nothing and one killed midway no summary.json.
     staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
     try:
-        columns, rows, summary = RUNNERS[name](resolved, staging)
+        rows, summary = RUNNERS[name](resolved, staging)
         payload = {
             "experiment": name,
             "version": __version__,
             "config": resolved,
             "summary": summary,
         }
-        write_records_csv(os.path.join(staging, "records.csv"), columns, rows)
+        write_records_csv(os.path.join(staging, "records.csv"), rows)
         with open(os.path.join(staging, "summary.json"), "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import EnvelopeError
 
@@ -95,25 +96,12 @@ class BoxUnion(Domain):
         self._cells = self._covered_cells()
 
     def _check_connected(self):
-        m = len(self.boxes)
-        parent = list(range(m))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(m):
-            for j in range(i + 1, m):
-                lo = np.maximum(self.boxes[i].lo, self.boxes[j].lo)
-                hi = np.minimum(self.boxes[i].hi, self.boxes[j].hi)
-                gap = hi - lo
-                if np.any(gap < 0):
-                    continue
-                if np.sum(gap == 0) <= 1:
-                    parent[find(i)] = find(j)
-        if len({find(i) for i in range(m)}) > 1:
+        lo = np.array([b.lo for b in self.boxes])
+        hi = np.array([b.hi for b in self.boxes])
+        # gap[i, j, axis]: extent of the closures' intersection per axis
+        gap = np.minimum(hi[:, None], hi[None]) - np.maximum(lo[:, None], lo[None])
+        contact = np.all(gap >= 0, axis=2) & (np.sum(gap == 0, axis=2) <= 1)
+        if connected_components(contact, directed=False)[0] > 1:
             raise ValueError("box union is not connected through shared faces")
 
     def _covered_cells(self) -> List[Tuple[np.ndarray, np.ndarray]]:

@@ -50,7 +50,6 @@ class WeightedGraph:
     ii: np.ndarray
     jj: np.ndarray
     ww: np.ndarray
-    kernel_name: str = ""
 
     @property
     def edge_count(self) -> int:
@@ -104,7 +103,7 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
     keep = (dist <= radius) & (ww >= WEIGHT_FLOOR)
     del dist
     return WeightedGraph(n=n, dimension=d, eps=eps, ii=ii[keep], jj=jj[keep],
-                         ww=ww[keep], kernel_name=profile.name)
+                         ww=ww[keep])
 
 
 def _as_values(graph: WeightedGraph, u) -> np.ndarray:

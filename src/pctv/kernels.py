@@ -237,6 +237,17 @@ def _moment_integral(profile: KernelProfile, d: int, upper: float) -> Tuple[floa
     return value, err
 
 
+def _settled_moment(profile: KernelProfile, d: int, support: float) -> Tuple[bool, float]:
+    """The doubling test of the moment integral, and its value I4.
+
+    Settled means I4, the integral up to 4 * support, is finite and within
+    max(1e-10, 1e-8 * |I4|) of the integral up to 2 * support.
+    """
+    i2, _ = _moment_integral(profile, d, 2.0 * support)
+    i4, _ = _moment_integral(profile, d, 4.0 * support)
+    return math.isfinite(i4) and abs(i4 - i2) <= max(1e-10, 1e-8 * abs(i4)), i4
+
+
 def effective_support(profile: KernelProfile, d: int) -> float:
     """Radius beyond which eta(r) * r^d stays below the truncation threshold.
 
@@ -309,12 +320,7 @@ def validate_profile(profile: KernelProfile, d: int) -> ProfileReport:
         finite = False
         moment = math.inf
     else:
-        i1, _ = _moment_integral(profile, d, support)
-        i2, _ = _moment_integral(profile, d, 2.0 * support)
-        i4, _ = _moment_integral(profile, d, 4.0 * support)
-        tail = abs(i4 - i2)
-        finite = math.isfinite(i4) and tail <= max(1e-10, 1e-8 * abs(i4))
-        moment = i4
+        finite, moment = _settled_moment(profile, d, support)
 
     return ProfileReport(
         positive_at_zero=positive,
@@ -358,9 +364,7 @@ def surface_tension(profile: KernelProfile, d: int) -> SurfaceTension:
     support = effective_support(profile, d)
     value, q_err = _moment_integral(profile, d, support)
     if not math.isfinite(profile.support_radius):
-        i2, _ = _moment_integral(profile, d, 2.0 * support)
-        i4, _ = _moment_integral(profile, d, 4.0 * support)
-        if not math.isfinite(i4) or abs(i4 - i2) > max(1e-10, 1e-8 * abs(i4)):
+        if not _settled_moment(profile, d, support)[0]:
             raise DivergentKernelError(
                 f"moment integral of {profile.name!r} does not stabilize")
     if not math.isfinite(value):

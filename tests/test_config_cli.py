@@ -124,9 +124,8 @@ def test_worker_count_respects_environment(monkeypatch):
 
 def test_records_csv_formats_cells(tmp_path):
     path = tmp_path / "records.csv"
-    write_records_csv(path, ["n", "flag", "value"],
-                      [{"n": 10, "flag": True, "value": 0.1},
-                       {"n": 20, "flag": False, "value": 1.0 / 3.0}])
+    write_records_csv(path, [{"n": 10, "flag": True, "value": 0.1},
+                             {"n": 20, "flag": False, "value": 1.0 / 3.0}])
     text = path.read_bytes().decode()
     lines = text.split("\r\n")
     assert lines[0] == "n,flag,value"
@@ -154,8 +153,6 @@ def test_run_experiment_writes_the_standard_artifacts(tmp_path):
     assert stored["experiment"] == "gtv-convergence"
     assert stored["version"] == summary["version"]
     assert stored["config"]["density"] == {"name": "uniform"}
-    header = (out / "records.csv").read_text().splitlines()[0]
-    assert header == "n,eps,seed,kernel,domain,gtv,reference,rel_error"
 
 
 def test_reruns_are_byte_identical(tmp_path, monkeypatch):
@@ -169,9 +166,9 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
 
 
 def test_a_failed_write_leaves_no_artifact(tmp_path, monkeypatch):
-    def broken_writer(path, columns, rows):
+    def broken_writer(path, rows):
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(",".join(columns))  # half a file, then the disk fills up
+            handle.write(",".join(rows[0]))  # half a file, then the disk fills up
         raise OSError("no space left on device")
 
     monkeypatch.setattr(experiments, "write_records_csv", broken_writer)
@@ -192,22 +189,6 @@ def test_edgeless_graphs_are_reported_on_stderr(tmp_path, capsys):
     ]
     run_experiment("gtv-convergence", GTV_CFG, str(tmp_path / "edges"))
     assert capsys.readouterr().err == ""
-
-
-def test_empty_schedule_is_a_noop_success(tmp_path):
-    cfg = dict(GTV_CFG, n=[])
-    out = tmp_path / "empty"
-    run_experiment("gtv-convergence", cfg, str(out))
-    lines = (out / "records.csv").read_text().splitlines()
-    assert lines == ["n,eps,seed,kernel,domain,gtv,reference,rel_error"]
-
-
-def test_matching_records_have_the_exact_header(tmp_path):
-    cfg = {"dimension": 2, "n": [16], "seeds": [0]}
-    out = tmp_path / "match"
-    run_experiment("matching-scaling", cfg, str(out))
-    header = (out / "records.csv").read_text().splitlines()[0]
-    assert header == "n,d,seed,dist,ratio"
 
 
 def test_bisect_run_emits_partition_figures(tmp_path):
@@ -323,6 +304,11 @@ BAD_CONFIGS = [
      dict(GTV_CFG, kernel={"name": "step-sum", "radii": [1.0], "heights": [0]}),
      "/kernel"),
     ("bisect", dict(BISECT_CFG, restarts=0), "/restarts"),
+    ("gtv-convergence", dict(GTV_CFG, n=[]), "/n"),
+    ("perimeter-convergence", dict(PERIMETER_CFG, n=[]), "/n"),
+    ("tl-distance", dict(TL_CFG, n=[]), "/n"),
+    ("matching-scaling", {"dimension": 2, "n": [], "seeds": [0]}, "/n"),
+    ("bisect", dict(BISECT_CFG, n=[]), "/n"),
 ]
 
 
@@ -341,6 +327,55 @@ def test_bad_configs_fail_before_any_work(tmp_path, capsys, name, cfg, pointer):
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {pointer}: ")
     assert not out.exists()
+
+
+# Per experiment: a tiny config, its records.csv header, row count and figures.
+RUNS = {
+    "gtv-convergence": (GTV_CFG, "n,eps,seed,kernel,domain,gtv,reference,rel_error",
+                        4, ["convergence.svg"]),
+    "perimeter-convergence": (
+        PERIMETER_CFG, "n,eps,seed,kernel,domain,axis,threshold,gtv,reference,rel_error",
+        4, ["convergence.svg"]),
+    "nonlocal-convergence": (
+        dict({k: GTV_CFG[k] for k in ("domain", "kernel", "function")}, eps=[0.2, 0.1]),
+        "eps,method,kernel,domain,value,error_estimate,reference,rel_error",
+        2, ["convergence.svg"]),
+    # n = 16 matches the 16-point grid (assignment), n = 36 does not (LP)
+    "tl-distance": (dict(TL_CFG, n=[16, 36]), "n,seed,p,grid,domain,distance",
+                    2, ["distance.svg"]),
+    "matching-scaling": ({"dimension": 2, "n": [16, 64], "seeds": [0, 1]},
+                         "n,d,seed,dist,ratio", 4, ["ratios.svg"]),
+    "connectivity": ({"kernel": {"name": "indicator"}, "n": 200,
+                      "factors": [0.5, 2.0], "seeds": [0, 1]},
+                     "n,factor,eps,seed,kernel,domain,connected", 4, ["transition.svg"]),
+    "bisect": (dict(BISECT_CFG, seeds=[4, 5]),
+               "n,eps,seed,kernel,domain,energy,connected,agreement,tl1_distance",
+               2, ["partition-n60-seed4.svg", "partition-n60-seed5.svg"]),
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_experiment_artifacts(tmp_path, monkeypatch, name):
+    cfg, header, rows, figures = RUNS[name]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    monkeypatch.setenv("PCTV_THREADS", "1")
+    run_experiment(name, cfg, str(out1))
+    monkeypatch.setenv("PCTV_THREADS", "2")
+    run_experiment(name, cfg, str(out2))
+    lines = (out1 / "records.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + rows
+    assert sorted(os.listdir(out1)) == sorted(["records.csv", "summary.json", *figures])
+    for artifact in ("records.csv", "summary.json"):
+        assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
+
+
+def test_shipped_configs_name_and_pass_every_experiment():
+    config_dir = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    names = sorted(f[:-len(".json")] for f in os.listdir(config_dir) if f.endswith(".json"))
+    assert names == sorted(EXPERIMENTS)
+    for name in names:
+        validate_config(name, load_config(os.path.join(config_dir, f"{name}.json")))
 
 
 def test_bisect_accepts_any_even_n():

@@ -132,7 +132,7 @@ def test_tiny_weights_fall_below_the_floor():
 
 
 def test_gtv_two_point_value():
-    g = WeightedGraph(2, 1, 0.5, np.array([0]), np.array([1]), np.array([0.25]), "t")
+    g = WeightedGraph(2, 1, 0.5, np.array([0]), np.array([1]), np.array([0.25]))
     # 2 * 0.25 * |1 - 0| / (0.5 * 4) = 0.25
     assert_allclose(graph_total_variation(g, np.array([1.0, 0.0])), 0.25)
 
@@ -200,7 +200,7 @@ def test_coarea_edge_cases():
 def test_component_labels_on_two_blocks():
     ii = np.array([0, 1, 3])
     jj = np.array([1, 2, 4])
-    g = WeightedGraph(6, 1, 1.0, ii, jj, np.ones(3), "t")
+    g = WeightedGraph(6, 1, 1.0, ii, jj, np.ones(3))
     labels = component_labels(g)
     assert labels[0] == labels[1] == labels[2]
     assert labels[3] == labels[4]
@@ -222,7 +222,7 @@ def test_component_labels_match_bfs_oracle():
     # isolated vertices at both ends and in the middle
     cases.append((9, np.array([1, 2, 5]), np.array([2, 3, 6])))
     for n, ii, jj in cases:
-        g = WeightedGraph(n, 1, 1.0, ii, jj, np.ones(ii.size), "t")
+        g = WeightedGraph(n, 1, 1.0, ii, jj, np.ones(ii.size))
         assert np.array_equal(component_labels(g), bfs_component_labels(n, ii, jj))
     built = build_graph(_random_cloud(300, 2, seed=12), kernels.indicator(), 0.07)
     assert np.array_equal(component_labels(built),
@@ -231,13 +231,13 @@ def test_component_labels_match_bfs_oracle():
 
 def test_connectivity_cases():
     path = WeightedGraph(4, 1, 1.0, np.array([0, 1, 2]), np.array([1, 2, 3]),
-                         np.ones(3), "t")
+                         np.ones(3))
     assert is_connected(path)
     empty = WeightedGraph(3, 1, 1.0, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
-                          np.zeros(0), "t")
+                          np.zeros(0))
     assert not is_connected(empty)
     single = WeightedGraph(1, 1, 1.0, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
-                           np.zeros(0), "t")
+                           np.zeros(0))
     assert is_connected(single)
 
 
