@@ -71,7 +71,6 @@ from .kernels import (
 from .transport import (
     DiscreteMeasure,
     LiftedFunction,
-    TransportMap,
     TransportPlan,
     bottleneck_distance,
     ot_distance,
@@ -97,7 +96,6 @@ __all__ = [
     "PointCloud",
     "SmoothFunction",
     "SurfaceTension",
-    "TransportMap",
     "TransportPlan",
     "UnsupportedConfigurationError",
     "WeightedGraph",

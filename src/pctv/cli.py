@@ -40,12 +40,11 @@ def main(argv=None) -> int:
     except (PCTVError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rows = payload["summary"]
+    summary = payload["summary"]
     print(f"{args.experiment}: wrote records.csv and summary.json to {args.out}")
-    if isinstance(rows, dict):
-        for key in ("final_median_rel_error", "final_rel_error", "kendall_tau"):
-            if rows.get(key) is not None:
-                print(f"  {key} = {rows[key]:.6g}")
+    for key in ("final_median_rel_error", "final_rel_error", "kendall_tau"):
+        if summary.get(key) is not None:
+            print(f"  {key} = {summary[key]:.6g}")
     return 0
 
 

@@ -18,9 +18,11 @@ import numpy as np
 
 from .bisection import reference_partitions
 from .continuum import halfplane_set
-from .errors import ConfigError, PCTVError
+from .errors import ConfigError, DivergentKernelError, PCTVError
 from .geometry import Box, density_from_config, domain_from_config
+from .kernels import effective_support, surface_tension
 from .kernels import from_config as kernel_from_config
+from .transport import check_dense_costs
 
 _DOMAIN = {
     "type": "object",
@@ -271,15 +273,24 @@ def validate_config(experiment: str, config: dict) -> dict:
 
 
 def _built(pointer: str, build, *args):
-    """Call a builder, reporting its ValueError or PCTVError at pointer."""
+    """Call a builder, reporting its ValueError or PCTVError at pointer.
+
+    A divergent kernel is reported at /kernel whichever check finds it.
+    """
     try:
         return build(*args)
+    except DivergentKernelError as exc:
+        raise ConfigError(f"/kernel: {exc}") from None
     except (ValueError, PCTVError) as exc:
         raise ConfigError(f"{pointer}: {exc}") from None
 
 
 def _preflight(experiment: str, cfg: dict) -> None:
-    """The checks that need built objects; nothing is sampled or integrated."""
+    """The checks that need built objects.
+
+    Nothing is sampled; the one integral is the kernel's surface tension,
+    a few milliseconds, for the runs that compare against it.
+    """
     d = cfg.get("dimension")
     if "domain" in cfg:
         domain = _built("/domain", domain_from_config, cfg["domain"])
@@ -288,7 +299,11 @@ def _preflight(experiment: str, cfg: dict) -> None:
             raise ConfigError("/density/axis: axis is outside the domain dimension")
         _built("/density", density_from_config, cfg["density"], domain)
     if "kernel" in cfg:
-        _built("/kernel", kernel_from_config, cfg["kernel"])
+        profile = _built("/kernel", kernel_from_config, cfg["kernel"])
+        _built("/kernel", effective_support, profile, d)
+        if experiment in ("gtv-convergence", "perimeter-convergence",
+                          "nonlocal-convergence"):  # the runs that compare with sigma
+            _built("/domain", surface_tension, profile, d)
     if "function" in cfg and len(cfg["function"]["coeffs"]) != d:
         raise ConfigError("/function/coeffs: length must match the domain dimension")
     if "set" in cfg:
@@ -300,6 +315,8 @@ def _preflight(experiment: str, cfg: dict) -> None:
         if not (isinstance(domain, Box) and np.allclose(lo, 0.0) and np.allclose(hi, 1.0)):
             raise ConfigError(
                 "/domain: the tl-distance experiment compares against a unit-box grid")
+        for i, n in enumerate(cfg["n"]):
+            _built(f"/n/{i}", check_dense_costs, n, cfg["grid"] ** d)
     if experiment == "matching-scaling":
         for i, n in enumerate(cfg["n"]):
             if round(n ** (1.0 / d)) ** d != n:

@@ -58,32 +58,8 @@ def affine_function(coeffs, offset: float = 0.0) -> SmoothFunction:
                           name=f"affine({coeffs.tolist()},{offset:g})")
 
 
-class PolygonalSet:
-    """Convex polygonal subset used as a continuum partition candidate.
-
-    Carries membership and the boundary as a list of segments; the
-    perimeter inside an open domain only counts boundary parts strictly
-    interior to the domain.
-    """
-
-    def __init__(self, vertices):
-        self._polygon = ConvexPolygon(vertices)
-        self.vertices = self._polygon.vertices
-
-    def contains(self, points) -> np.ndarray:
-        return self._polygon.contains(points)
-
-    def indicator(self, points) -> np.ndarray:
-        return self.contains(points).astype(float)
-
-    def boundary_segments(self) -> np.ndarray:
-        a = self.vertices
-        b = np.roll(a, -1, axis=0)
-        return np.stack([a, b], axis=1)
-
-
-def halfplane_set(domain: Domain, axis: int = 0, threshold: float = 0.5) -> PolygonalSet:
-    """The part of the plane with x_axis below the threshold, as a polygon.
+def halfplane_set(domain: Domain, axis: int = 0, threshold: float = 0.5) -> ConvexPolygon:
+    """The part of the plane with x_axis below the threshold, as a ConvexPolygon.
 
     The polygon extends one unit past the domain's bounding box on the
     other sides, so only the threshold line meets the domain interior.
@@ -99,15 +75,15 @@ def halfplane_set(domain: Domain, axis: int = 0, threshold: float = 0.5) -> Poly
         verts = [[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], threshold], [lo[0], threshold]]
     else:
         raise ValueError("axis must be 0 or 1")
-    return PolygonalSet(verts)
+    return ConvexPolygon(verts)
 
 
-def disk_set(center, radius: float, segments: int = 720) -> PolygonalSet:
-    """Inscribed regular polygon approximation of a disk."""
+def disk_set(center, radius: float, segments: int = 720) -> ConvexPolygon:
+    """Inscribed regular polygon approximation of a disk, as a ConvexPolygon."""
     center = np.asarray(center, dtype=float)
     theta = 2.0 * math.pi * np.arange(segments) / segments
     verts = center + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return PolygonalSet(verts)
+    return ConvexPolygon(verts)
 
 
 def _quadrature_grid(domain: Domain, resolution: int):
@@ -206,17 +182,18 @@ def _clip_params(domain: Domain, a: np.ndarray, b: np.ndarray):
     return sorted(cuts)
 
 
-def weighted_perimeter(set_e: PolygonalSet, density: Density, domain: Domain,
+def weighted_perimeter(set_e: ConvexPolygon, density: Density, domain: Domain,
                        order: int = 16) -> float:
     """Per(E; rho^2): the density squared integrated over bd(E) inside D.
 
-    Each boundary segment is split at every domain face crossing; atomic
-    pieces whose midpoint is strictly interior are integrated with
+    The boundary of E is walked edge by edge, vertex k to vertex k + 1;
+    each edge is split at every domain face crossing, and atomic pieces
+    whose midpoint is strictly interior are integrated with
     Gauss-Legendre quadrature of the given order.
     """
     nodes, weights = np.polynomial.legendre.leggauss(order)
     total = 0.0
-    for a, b in set_e.boundary_segments():
+    for a, b in zip(set_e.vertices, np.roll(set_e.vertices, -1, axis=0)):
         cuts = _clip_params(domain, a, b)
         for t0, t1 in zip(cuts[:-1], cuts[1:]):
             mid = a + 0.5 * (t0 + t1) * (b - a)
@@ -227,17 +204,6 @@ def weighted_perimeter(set_e: PolygonalSet, density: Density, domain: Domain,
             pts = a[None, :] + ts[:, None] * (b - a)[None, :]
             total += 0.5 * length * float(np.sum(weights * density(pts) ** 2))
     return total
-
-
-@dataclass(frozen=True)
-class NonlocalEstimate:
-    """Value of TV_eps with either a quadrature or a sampling error bar."""
-
-    value: float
-    eps: float
-    method: str
-    error_estimate: float
-    samples: int = 0
 
 
 def _cell_mean_kernel(offsets: np.ndarray, h: np.ndarray,
@@ -320,21 +286,21 @@ def _nonlocal_quadrature(u: SmoothFunction, density: Density, domain: Domain,
 def nonlocal_tv(u: SmoothFunction, density: Density, domain: Domain,
                 profile: kernels.KernelProfile, eps: float,
                 method: str = "quadrature", cells_per_eps: int = 8,
-                samples: int = 200000, seed: Optional[int] = None) -> NonlocalEstimate:
+                samples: int = 200000, seed: Optional[int] = None) -> Tuple[float, float]:
     """TV_eps(u; rho) by tensor quadrature or Monte Carlo sampling.
 
-    quadrature: midpoint rule on a grid with cells_per_eps cells across
-    the kernel radius; the error estimate is a Richardson comparison
-    against half the resolution.  monte-carlo: mean over sample pairs
-    drawn i.i.d. from the density (which must be normalized), reported
-    with the standard error of the mean.
+    Returns (value, error_estimate).  quadrature: midpoint rule on a
+    grid with cells_per_eps cells across the kernel radius; the error
+    estimate is a Richardson comparison against half the resolution.
+    monte-carlo: mean over `samples` pairs drawn i.i.d. from the density
+    (which must be normalized); the error estimate is the standard error
+    of that mean.
     """
     if method == "quadrature":
         fine = _nonlocal_quadrature(u, density, domain, profile, eps, cells_per_eps)
         coarse = _nonlocal_quadrature(u, density, domain, profile, eps,
                                       max(2, cells_per_eps // 2))
-        return NonlocalEstimate(value=fine, eps=eps, method="quadrature",
-                                error_estimate=abs(fine - coarse) / 3.0)
+        return fine, abs(fine - coarse) / 3.0
     if method == "monte-carlo":
         if not density.normalized:
             raise UnsupportedConfigurationError(
@@ -342,10 +308,8 @@ def nonlocal_tv(u: SmoothFunction, density: Density, domain: Domain,
         seeds = np.random.SeedSequence(seed).spawn(2)
         x = sample_iid(domain, density, samples, seed=seeds[0]).points
         y = sample_iid(domain, density, samples, seed=seeds[1]).points
-        kv = kernels.eval_scaled(profile, eps, x - y)
+        kv = kernels.scaled_from_distance(profile, eps, np.linalg.norm(x - y, axis=1),
+                                          domain.dimension)
         terms = kv * np.abs(u(x) - u(y)) / eps
-        mean = float(np.mean(terms))
-        stderr = float(np.std(terms, ddof=1) / math.sqrt(samples))
-        return NonlocalEstimate(value=mean, eps=eps, method="monte-carlo",
-                                error_estimate=stderr, samples=samples)
+        return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(samples))
     raise ValueError("method must be 'quadrature' or 'monte-carlo'")

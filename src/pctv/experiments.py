@@ -216,7 +216,7 @@ def _curve(path, xs, ys, label, title, xlabel, ylabel, log=True) -> None:
     if len(xs) < 2 or (log and any(y <= 0 for y in ys)):
         return
     scale = "log" if log else "linear"
-    svgplot.line_figure(path, [(xs, ys, label)], title=title, xlabel=xlabel,
+    svgplot.line_figure(path, xs, ys, label, title=title, xlabel=xlabel,
                         ylabel=ylabel, xscale=scale, yscale=scale)
 
 
@@ -318,7 +318,7 @@ def _run_nonlocal(cfg: dict, fig_dir: str):
 
     def one(task):
         index, eps = task
-        estimate = nonlocal_tv(
+        value, error_estimate = nonlocal_tv(
             fn,
             density,
             domain,
@@ -334,27 +334,16 @@ def _run_nonlocal(cfg: dict, fig_dir: str):
             "method": method,
             "kernel": profile.name,
             "domain": domain_label,
-            "value": estimate.value,
-            "error_estimate": estimate.error_estimate,
+            "value": value,
+            "error_estimate": error_estimate,
             "reference": reference,
-            "rel_error": abs(estimate.value - reference) / denom,
+            "rel_error": abs(value - reference) / denom,
         }
 
     rows = _parallel_map(one, list(enumerate(float(e) for e in cfg["eps"])))
-    records = [
-        {
-            "functional": "nonlocal-tv",
-            "parameters": {key: row[key] for key in ("eps", "method", "kernel", "domain")},
-            "value": row["value"],
-            "error_estimate": row["error_estimate"],
-        }
-        for row in rows
-    ]
     errors = [row["rel_error"] for row in rows]
     summary = {
         "reference": reference,
-        "records": records,
-        "rel_errors": errors,
         "monotone_approach": _strictly_decreasing(errors),
         "final_rel_error": errors[-1],
     }
@@ -512,12 +501,11 @@ def _run_bisect(cfg: dict, fig_dir: str):
             restarts=cfg["restarts"],
         )
 
-    rows, records = [], []
+    rows = []
     for run in _sweep(cfg, one):
         rec = run.record
-        records.append(asdict(rec))
         rows.append({"n": rec.n, "eps": rec.eps, "seed": rec.seed,
-                     "kernel": profile.name, "domain": domain_label, **records[-1]})
+                     "kernel": profile.name, "domain": domain_label, **asdict(rec)})
         if domain.dimension == 2:
             svgplot.scatter_figure(
                 os.path.join(fig_dir, f"partition-n{rec.n}-seed{rec.seed}.svg"),
@@ -532,7 +520,7 @@ def _run_bisect(cfg: dict, fig_dir: str):
             "zero_energy_fraction": float(np.mean([r["energy"] == 0.0 for r in group])),
         },
     )
-    return rows, {"records": records, "per_n": per_n}
+    return rows, {"per_n": per_n}
 
 
 RUNNERS = {

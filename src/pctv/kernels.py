@@ -374,19 +374,6 @@ def surface_tension(profile: KernelProfile, d: int) -> SurfaceTension:
     return SurfaceTension(value=c * value, dimension=d, error_estimate=c * q_err)
 
 
-def eval_scaled(profile: KernelProfile, eps: float, z) -> np.ndarray:
-    """eta_eps(z) = eps^(-d) * eta(|z| / eps) for displacement vectors z.
-
-    z has shape (..., d); the result drops the last axis.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 0:
-        raise ValueError("z must have a final axis of length d")
-    d = z.shape[-1]
-    r = np.linalg.norm(z, axis=-1)
-    return scaled_from_distance(profile, eps, r, d)
-
-
 def scaled_from_distance(profile: KernelProfile, eps: float, r, d: int):
     """eta_eps as a function of the distance |z| alone."""
     eps = float(eps)

@@ -1,8 +1,8 @@
 """Small self-contained SVG writers for experiment output.
 
 Two figure kinds cover everything the experiment driver emits: a
-scatter of (optionally two-class labeled) points, and line charts of
-one or more curves with linear or logarithmic axes.  Output is plain
+scatter of (optionally two-class labeled) points, and a line chart of
+one curve with linear or logarithmic axes.  Output is plain
 SVG text with no external dependencies and no volatile content, so a
 rerun produces identical bytes.
 """
@@ -124,48 +124,41 @@ def scatter_figure(path, points, labels=None, title: str = "") -> None:
         handle.write("\n".join(parts) + "\n")
 
 
-def line_figure(path, curves, title: str = "", xlabel: str = "", ylabel: str = "",
-                xscale: str = "linear", yscale: str = "linear") -> None:
-    """Write a line chart.
+def line_figure(path, xs, ys, label: str = "", title: str = "", xlabel: str = "",
+                ylabel: str = "", xscale: str = "linear", yscale: str = "linear") -> None:
+    """Write a line chart of one curve.
 
-    curves is a sequence of (xs, ys, label) triples; each curve is drawn
-    as a polyline with point markers and listed in a small legend.
+    The points (xs[k], ys[k]) are drawn as a polyline with point
+    markers; a non-empty label is shown in a small legend.
     """
-    curves = [
-        (np.asarray(x, dtype=float), np.asarray(y, dtype=float), str(label))
-        for x, y, label in curves
-    ]
-    if not curves or any(x.size == 0 for x, _, _ in curves):
-        raise ValueError("line figures need at least one non-empty curve")
-    all_x = np.concatenate([x for x, _, _ in curves])
-    all_y = np.concatenate([y for _, y, _ in curves])
-    frame = _Frame((all_x.min(), all_x.max()), (all_y.min(), all_y.max()), xscale, yscale)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.size == 0:
+        raise ValueError("line figures need a non-empty curve")
+    frame = _Frame((xs.min(), xs.max()), (ys.min(), ys.max()), xscale, yscale)
+    color = PALETTE[0]
+    coords = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in zip(xs, ys))
     parts = _header(title)
     parts.append(_frame_rect())
-    for k, (xs, ys, label) in enumerate(curves):
-        color = PALETTE[k % len(PALETTE)]
-        coords = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in zip(xs, ys))
+    parts.append(
+        f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+    )
+    for x, y in zip(xs, ys):
         parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<circle cx="{_fmt(frame.x(x))}" cy="{_fmt(frame.y(y))}" '
+            f'r="3" fill="{color}"/>'
         )
-        for x, y in zip(xs, ys):
-            parts.append(
-                f'<circle cx="{_fmt(frame.x(x))}" cy="{_fmt(frame.y(y))}" '
-                f'r="3" fill="{color}"/>'
-            )
-        if label:
-            parts.append(
-                f'<rect x="{WIDTH - MARGIN - 150}" y="{MARGIN + 8 + 18 * k}" '
-                f'width="12" height="3" fill="{color}"/>'
-            )
-            parts.append(
-                _tick_text(WIDTH - MARGIN - 132, MARGIN + 14 + 18 * k, label, "start")
-            )
-    for value, place in ((all_x.min(), "start"), (all_x.max(), "end")):
+    if label:
+        parts.append(
+            f'<rect x="{WIDTH - MARGIN - 150}" y="{MARGIN + 8}" width="12" height="3" '
+            f'fill="{color}"/>'
+        )
+        parts.append(_tick_text(WIDTH - MARGIN - 132, MARGIN + 14, label, "start"))
+    for value, place in ((xs.min(), "start"), (xs.max(), "end")):
         parts.append(
             _tick_text(frame.x(value), HEIGHT - MARGIN + 18, _axis_label(value), place)
         )
-    for value in (all_y.min(), all_y.max()):
+    for value in (ys.min(), ys.max()):
         parts.append(_tick_text(MARGIN - 6, frame.y(value) + 4, _axis_label(value), "end"))
     if xlabel:
         parts.append(

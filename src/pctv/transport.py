@@ -124,27 +124,17 @@ class TransportPlan:
         return float(np.sum(self.mm * moved ** p))
 
 
-@dataclass(frozen=True)
-class TransportMap:
-    """Atom-to-atom assignment inducing a deterministic plan."""
-
-    source: DiscreteMeasure
-    target: DiscreteMeasure
-    assignment: np.ndarray
-
-    def __post_init__(self):
-        assignment = np.asarray(self.assignment, dtype=np.int64)
-        if assignment.shape != (self.source.n,):
-            raise ValueError("need one target index per source atom")
-        object.__setattr__(self, "assignment", assignment)
+def check_dense_costs(ns: int, nt: int) -> None:
+    """Refuse an ns x nt cost matrix larger than MAX_DENSE_COSTS entries."""
+    if ns * nt > MAX_DENSE_COSTS:
+        raise UnsupportedConfigurationError(
+            f"cost matrix {ns} x {nt} exceeds the dense limit")
 
 
 def _cost_matrix(a: np.ndarray, b: np.ndarray, p: float,
                  fa: Optional[np.ndarray] = None,
                  fb: Optional[np.ndarray] = None) -> np.ndarray:
-    if a.shape[0] * b.shape[0] > MAX_DENSE_COSTS:
-        raise UnsupportedConfigurationError(
-            f"cost matrix {a.shape[0]} x {b.shape[0]} exceeds the dense limit")
+    check_dense_costs(a.shape[0], b.shape[0])
     cost = cdist(a, b) ** p
     if fa is not None:
         cost = cost + np.abs(fa[:, None] - fb[None, :]) ** p
@@ -261,12 +251,14 @@ def _augment(n: int, ci, cj, match) -> np.ndarray:
 
 
 def bottleneck_distance(mu: DiscreteMeasure,
-                        nu: DiscreteMeasure) -> Tuple[float, TransportMap]:
+                        nu: DiscreteMeasure) -> Tuple[float, np.ndarray]:
     """Infinity-cost transport distance for uniform equal-count measures.
 
-    The optimum is the smallest realized pairwise distance t such that
-    the bipartite graph of pairs within t has a perfect matching; the
-    returned map is a bottleneck-optimal one (ties leave several).
+    Returns (distance, assignment).  The optimum is the smallest realized
+    pairwise distance t such that the bipartite graph of pairs within t
+    has a perfect matching; assignment is one such matching, an int64
+    array that sends atom i of mu to atom assignment[i] of nu (ties leave
+    several bottleneck-optimal ones).
 
     Every atom is matched to some atom on the other side, so the larger
     of the two nearest-neighbour distances bounds t from below.
@@ -319,8 +311,7 @@ def bottleneck_distance(mu: DiscreteMeasure,
         else:
             match_lo = match
             lo = mid + 1
-    return _clamp(float(levels[lo])), TransportMap(source=mu, target=nu,
-                                                   assignment=best)
+    return _clamp(float(levels[lo])), best
 
 
 def scaling_ratio(n: int, d: int, distance: float) -> float:

@@ -175,7 +175,7 @@ def test_criterion_04_pointwise_nonlocal_convergence():
     density = uniform_density(domain)
     u = affine_function([1.0, 0.0])
     values = [
-        nonlocal_tv(u, density, domain, indicator(), eps, method="quadrature").value
+        nonlocal_tv(u, density, domain, indicator(), eps, method="quadrature")[0]
         for eps in (0.16, 0.08, 0.04, 0.02)
     ]
     errors = [abs(v - LIMIT) / LIMIT for v in values]

@@ -1,5 +1,7 @@
 """Config validation, experiment runner plumbing, CLI, SVG output."""
 
+import csv
+import hashlib
 import json
 import math
 import os
@@ -155,16 +157,6 @@ def test_run_experiment_writes_the_standard_artifacts(tmp_path):
     assert stored["config"]["density"] == {"name": "uniform"}
 
 
-def test_reruns_are_byte_identical(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("PCTV_THREADS", "1")
-    run_experiment("gtv-convergence", GTV_CFG, str(out1))
-    monkeypatch.setenv("PCTV_THREADS", "2")
-    run_experiment("gtv-convergence", GTV_CFG, str(out2))
-    assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-
-
 def test_a_failed_write_leaves_no_artifact(tmp_path, monkeypatch):
     def broken_writer(path, rows):
         with open(path, "w", encoding="utf-8") as handle:
@@ -204,9 +196,11 @@ def test_bisect_run_emits_partition_figures(tmp_path):
     out = tmp_path / "bisect"
     summary = run_experiment("bisect", cfg, str(out))
     assert (out / "partition-n60-seed4.svg").exists()
-    record = summary["summary"]["records"][0]
-    assert sorted(record) == ["agreement", "connected", "energy", "eps",
-                              "n", "seed", "tl1_distance"]
+    with open(out / "records.csv", encoding="utf-8", newline="") as handle:
+        (record,) = csv.DictReader(handle)
+    assert sorted(record) == ["agreement", "connected", "domain", "energy", "eps",
+                              "kernel", "n", "seed", "tl1_distance"]
+    assert sorted(summary["summary"]) == ["per_n"]
 
 
 def test_cli_success_and_error_paths(tmp_path, capsys):
@@ -309,6 +303,13 @@ BAD_CONFIGS = [
     ("tl-distance", dict(TL_CFG, n=[]), "/n"),
     ("matching-scaling", {"dimension": 2, "n": [], "seeds": [0]}, "/n"),
     ("bisect", dict(BISECT_CFG, n=[]), "/n"),
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "unit-box", "dimension": 1},
+                             function={"coeffs": [1.0]}), "/domain"),
+    ("nonlocal-convergence",
+     {"domain": {"shape": "unit-box", "dimension": 1}, "kernel": {"name": "indicator"},
+      "function": {"coeffs": [1.0]}, "eps": [0.2]}, "/domain"),
+    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e6}), "/kernel"),
+    ("tl-distance", dict(TL_CFG, grid=32, n=[250, 30000]), "/n/1"),
 ]
 
 
@@ -354,6 +355,26 @@ RUNS = {
 }
 
 
+# sha256 of (records.csv, summary.json) for the RUNS configs of the three
+# experiments that the benchmark's exact workloads run, and of
+# perimeter-convergence, which shares their graph-TV sweep.  A change that
+# moves these bytes also moves the digests in perfbench/digests.json.
+PINNED = {
+    "gtv-convergence": (
+        "bb4566dfef4eb66b84be6d80100971396b3f6044be18bcaa495c9e5f86d23f7d",
+        "f3891152a5b092929958b428df608b915f69e5d7c0758d061a903b45dcaa7c69"),
+    "perimeter-convergence": (
+        "44124c925db75d464a0f068594adf9d68417a66231a036782dbd63eafad4f894",
+        "ecf9610d8c549ae58c1cd7b1b093bb47236c1d3811e6cd40a916a567a29f2888"),
+    "matching-scaling": (
+        "33908c031649418a6f355dc9318b74b3af0fb2b42aa63551804b3a6facce963e",
+        "a8571ff3c55c0c14f16b6696680277b50789c14f95e07b7e8e7366b9fe526e47"),
+    "connectivity": (
+        "8a4d090c2ffb9416e2394f8cced35fe045f7310370ff64445d1382620b9ab576",
+        "9ed49e75753fdd1b10a1549f31fddf40fffdb81a58b85ffe0793efb5ada63107"),
+}
+
+
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_experiment_artifacts(tmp_path, monkeypatch, name):
     cfg, header, rows, figures = RUNS[name]
@@ -366,8 +387,11 @@ def test_experiment_artifacts(tmp_path, monkeypatch, name):
     assert lines[0] == header
     assert len(lines) == 1 + rows
     assert sorted(os.listdir(out1)) == sorted(["records.csv", "summary.json", *figures])
-    for artifact in ("records.csv", "summary.json"):
-        assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
+    tables = [(out1 / artifact).read_bytes() for artifact in ("records.csv", "summary.json")]
+    assert tables == [(out2 / artifact).read_bytes()
+                      for artifact in ("records.csv", "summary.json")]
+    if name in PINNED:
+        assert tuple(hashlib.sha256(table).hexdigest() for table in tables) == PINNED[name]
 
 
 def test_shipped_configs_name_and_pass_every_experiment():
@@ -495,7 +519,7 @@ def test_scatter_figures_are_valid_and_deterministic(tmp_path):
 
 def test_line_figures_support_log_axes(tmp_path):
     path = tmp_path / "curve.svg"
-    line_figure(path, [([100, 1000, 10000], [0.3, 0.1, 0.03], "median")],
+    line_figure(path, [100, 1000, 10000], [0.3, 0.1, 0.03], "median",
                 title="error", xlabel="n", ylabel="err",
                 xscale="log", yscale="log")
     root = ET.parse(path).getroot()

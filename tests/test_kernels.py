@@ -148,23 +148,15 @@ def test_from_config_builders():
         kernels.from_config({"name": "triangle"})
 
 
-def test_eval_scaled_values_and_shape():
-    profile = kernels.indicator()
-    inside = kernels.eval_scaled(profile, 0.5, np.array([[0.3, 0.0]]))
-    outside = kernels.eval_scaled(profile, 0.5, np.array([[0.6, 0.0]]))
-    assert_allclose(inside, [4.0])
-    assert_allclose(outside, [0.0])
-    grid = kernels.eval_scaled(profile, 0.5, np.zeros((3, 4, 2)))
-    assert grid.shape == (3, 4)
+def test_scaled_from_distance_values_and_shape():
+    indicator = kernels.indicator()
+    assert_allclose(kernels.scaled_from_distance(indicator, 0.5, [0.3, 0.6], 2), [4.0, 0.0])
+    assert kernels.scaled_from_distance(indicator, 0.5, np.zeros((3, 4)), 2).shape == (3, 4)
+    with pytest.raises(ValueError):
+        kernels.scaled_from_distance(indicator, 0.0, [0.3], 2)
 
 
-def test_scaled_from_distance_matches_eval_scaled():
-    profile = kernels.gaussian()
-    rng = np.random.default_rng(3)
-    z = rng.normal(size=(50, 2))
-    r = np.linalg.norm(z, axis=1)
-    assert_allclose(
-        kernels.scaled_from_distance(profile, 0.3, r, 2),
-        kernels.eval_scaled(profile, 0.3, z),
-        rtol=1e-12,
-    )
+def test_scaled_from_distance_matches_closed_form_gaussian():
+    r = np.random.default_rng(3).uniform(0.0, 2.0, size=50)
+    assert_allclose(kernels.scaled_from_distance(kernels.gaussian(), 0.3, r, 3),
+                    np.exp(-(r / 0.3) ** 2) / 0.3 ** 3, rtol=1e-12)

@@ -134,18 +134,19 @@ def test_bottleneck_matches_exhaustive_oracle():
         n = int(rng.integers(2, 8))
         x = rng.uniform(size=(n, 2))
         y = rng.uniform(size=(n, 2))
-        distance, match = bottleneck_distance(_uniform_measure(x), _uniform_measure(y))
+        distance, assignment = bottleneck_distance(_uniform_measure(x), _uniform_measure(y))
         oracle = exhaustive_bottleneck(x, y)
         assert abs(distance - oracle) < 1e-12
-        moved = np.linalg.norm(x - y[match.assignment], axis=1)
+        moved = np.linalg.norm(x - y[assignment], axis=1)
         assert_allclose(moved.max(), distance, rtol=1e-12)
 
 
 def _check_against_threshold_oracle(x, y) -> float:
-    distance, match = bottleneck_distance(_uniform_measure(x), _uniform_measure(y))
+    distance, assignment = bottleneck_distance(_uniform_measure(x), _uniform_measure(y))
     assert distance == threshold_bottleneck(x, y)
-    assert np.array_equal(np.sort(match.assignment), np.arange(len(x)))
-    assert np.linalg.norm(x - y[match.assignment], axis=1).max() == distance
+    assert assignment.dtype == np.int64
+    assert np.array_equal(np.sort(assignment), np.arange(len(x)))
+    assert np.linalg.norm(x - y[assignment], axis=1).max() == distance
     return distance
 
 
@@ -201,9 +202,9 @@ def test_bipartite_candidates_match_dense_scan(shift):
 
 def test_bottleneck_on_identical_grids_is_zero():
     grid = _uniform_measure(grid_points(5, 2))
-    distance, match = bottleneck_distance(grid, grid)
+    distance, assignment = bottleneck_distance(grid, grid)
     assert distance == 0.0
-    assert np.array_equal(match.assignment, np.arange(25))
+    assert np.array_equal(assignment, np.arange(25))
 
 
 def test_bottleneck_requires_uniform_equal_counts():
