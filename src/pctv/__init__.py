@@ -59,7 +59,6 @@ from .graph import (
 )
 from .kernels import (
     KernelProfile,
-    SurfaceTension,
     effective_support,
     gaussian,
     indicator,
@@ -95,7 +94,6 @@ __all__ = [
     "PCTVError",
     "PointCloud",
     "SmoothFunction",
-    "SurfaceTension",
     "TransportPlan",
     "UnsupportedConfigurationError",
     "WeightedGraph",

@@ -43,7 +43,6 @@ class Bisection:
 
     labels: np.ndarray
     energy: float
-    method: str
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels, dtype=bool)
@@ -120,7 +119,7 @@ def brute_force_bisection(graph: WeightedGraph) -> Bisection:
             best_energy = float(low)
             best_labels = candidate
     assert best_labels is not None
-    return Bisection(np.array(best_labels, dtype=bool), best_energy, method="brute-force")
+    return Bisection(np.array(best_labels, dtype=bool), best_energy)
 
 
 def _zero_energy_start(graph: WeightedGraph) -> np.ndarray | None:
@@ -284,7 +283,7 @@ def local_search_bisection(graph: WeightedGraph, seed: int, restarts: int = 32) 
     final = np.array(best_labels, dtype=bool)
     crossing = final[graph.ii] != final[graph.jj]
     energy = scale * float(graph.ww[crossing].sum())
-    return Bisection(final, energy, method="local-search")
+    return Bisection(final, energy)
 
 
 def agreement(labels: np.ndarray, reference: np.ndarray) -> float:
@@ -343,7 +342,7 @@ class SweepRun:
     labels: np.ndarray
 
 
-def sweep_reference(domain: Domain, density, reference_size: int = 2000):
+def sweep_reference(domain: Domain, density, reference_size: int):
     """Fixed discretization of the continuum minimizers for TL1 scoring.
 
     Returns the reference measure and the indicator label vectors of
@@ -363,7 +362,7 @@ def sweep_run(
     eps: float,
     seed: int,
     reference,
-    restarts: int = 32,
+    restarts: int,
 ) -> SweepRun:
     """Sample one cloud, bisect it, and score it against the reference.
 

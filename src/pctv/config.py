@@ -17,7 +17,7 @@ import jsonschema
 import numpy as np
 
 from .bisection import reference_partitions
-from .continuum import halfplane_set
+from .continuum import check_grid_sizes, halfplane_set
 from .errors import ConfigError, DivergentKernelError, PCTVError
 from .geometry import Box, density_from_config, domain_from_config
 from .kernels import effective_support, surface_tension
@@ -164,10 +164,7 @@ SCHEMAS = {
                 "items": {"type": "number", "exclusiveMinimum": 0},
                 "minItems": 1,
             },
-            "method": {"enum": ["quadrature", "monte-carlo"]},
             "cells_per_eps": {"type": "integer", "minimum": 2},
-            "samples": {"type": "integer", "minimum": 1000},
-            "seed": {"type": "integer", "minimum": 0},
         },
         ["domain", "kernel", "function", "eps"],
     ),
@@ -225,13 +222,7 @@ EXPERIMENTS = tuple(SCHEMAS)
 DEFAULTS = {
     "gtv-convergence": {"density": {"name": "uniform"}},
     "perimeter-convergence": {"density": {"name": "uniform"}},
-    "nonlocal-convergence": {
-        "density": {"name": "uniform"},
-        "method": "quadrature",
-        "cells_per_eps": 8,
-        "samples": 200000,
-        "seed": 0,
-    },
+    "nonlocal-convergence": {"density": {"name": "uniform"}, "cells_per_eps": 8},
     "tl-distance": {"density": {"name": "uniform"}, "p": 2},
     "matching-scaling": {},
     "connectivity": {
@@ -289,7 +280,8 @@ def _preflight(experiment: str, cfg: dict) -> None:
     """The checks that need built objects.
 
     Nothing is sampled; the one integral is the kernel's surface tension,
-    a few milliseconds, for the runs that compare against it.
+    a few milliseconds, for the runs that compare against it.  Quadrature
+    grids are sized, not built.
     """
     d = cfg.get("dimension")
     if "domain" in cfg:
@@ -306,6 +298,11 @@ def _preflight(experiment: str, cfg: dict) -> None:
             _built("/domain", surface_tension, profile, d)
     if "function" in cfg and len(cfg["function"]["coeffs"]) != d:
         raise ConfigError("/function/coeffs: length must match the domain dimension")
+    if experiment in ("gtv-convergence", "nonlocal-convergence"):  # weighted TV runs
+        _built("/domain", check_grid_sizes, domain)
+    if experiment == "nonlocal-convergence":
+        for i, eps in enumerate(cfg["eps"]):
+            _built(f"/eps/{i}", check_grid_sizes, domain, profile, eps, cfg["cells_per_eps"])
     if "set" in cfg:
         if cfg["set"]["axis"] >= d:
             raise ConfigError("/set/axis: axis is outside the domain dimension")

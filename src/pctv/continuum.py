@@ -24,8 +24,11 @@ import numpy as np
 
 from . import kernels
 from .errors import UnsupportedConfigurationError
-from .geometry import (Box, BoxUnion, ConvexPolygon, Density, Domain,
-                       sample_iid)
+from .geometry import Box, BoxUnion, ConvexPolygon, Density, Domain
+
+RESOLUTION = 256  # weighted_tv_smooth's midpoints per axis
+SUBCELLS = 8  # kernel subgrid points per axis in each nonlocal lattice cell
+MAX_GRID_POINTS = RESOLUTION ** 3  # the weighted TV grid of a 3-d box
 
 
 @dataclass(frozen=True)
@@ -86,39 +89,50 @@ def disk_set(center, radius: float, segments: int = 720) -> ConvexPolygon:
     return ConvexPolygon(verts)
 
 
-def _quadrature_grid(domain: Domain, resolution: int):
-    lo, hi = domain.bounding_box()
+def check_grid_sizes(domain: Domain, profile: Optional[kernels.KernelProfile] = None,
+                     eps: Optional[float] = None, cells_per_eps: int = 8) -> None:
+    """Refuse a quadrature grid of more than MAX_GRID_POINTS points.
+
+    Without eps the grid is the one weighted_tv_smooth builds, RESOLUTION^d
+    midpoints.  With eps it is nonlocal_tv's finest lattice, and its
+    kernel subgrid of SUBCELLS^d points for each lattice offset.
+    """
     d = domain.dimension
-    axes = [lo[ax] + (hi[ax] - lo[ax]) * (np.arange(resolution) + 0.5) / resolution
-            for ax in range(d)]
+    if eps is None:
+        sizes = {"weighted TV grid": float(RESOLUTION) ** d}
+    else:
+        with np.errstate(all="ignore"):  # sizes far past the limit overflow to inf
+            cells, _, steps = _lattice(domain, profile, eps, cells_per_eps)
+            offsets = (float(np.prod(2.0 * steps + 1.0)) - 1.0) / 2.0
+            sizes = {"nonlocal lattice": float(np.prod(cells)),
+                     "kernel subgrid": offsets * float(SUBCELLS) ** d}
+    for name, size in sizes.items():
+        if not size <= MAX_GRID_POINTS:
+            raise UnsupportedConfigurationError(
+                f"the {name} would hold {size:.3g} points, more than the "
+                f"{MAX_GRID_POINTS} a quadrature may build")
+
+
+def weighted_tv_smooth(u: SmoothFunction, density: Density, domain: Domain) -> float:
+    """TV(u; rho^2) by the midpoint rule on RESOLUTION cells per axis.
+
+    The cells tile the domain's bounding box; those whose center lies in
+    the domain count.
+    """
+    check_grid_sizes(domain)
+    lo, hi = domain.bounding_box()
+    axes = [lo[ax] + (hi[ax] - lo[ax]) * (np.arange(RESOLUTION) + 0.5) / RESOLUTION
+            for ax in range(domain.dimension)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    cell = float(np.prod((hi - lo) / resolution))
-    return pts[domain.contains(pts)], cell
-
-
-def _tv_midpoint(u: SmoothFunction, density: Density, domain: Domain,
-                 resolution: int) -> float:
-    pts, cell = _quadrature_grid(domain, resolution)
+    pts = pts[domain.contains(pts)]
     total = 0.0
     chunk = 1 << 18
     for start in range(0, pts.shape[0], chunk):
         block = pts[start:start + chunk]
         grad_norm = np.linalg.norm(u.grad(block), axis=1)
         total += float(np.sum(grad_norm * density(block) ** 2))
-    return total * cell
-
-
-def weighted_tv_smooth(u: SmoothFunction, density: Density, domain: Domain,
-                       resolution: int = 256) -> Tuple[float, float]:
-    """TV(u; rho^2) by midpoint quadrature, with a Richardson error bound.
-
-    Returns (value, error_estimate); the estimate compares the requested
-    resolution with half of it, scaled for the midpoint rule's h^2 rate.
-    """
-    fine = _tv_midpoint(u, density, domain, resolution)
-    coarse = _tv_midpoint(u, density, domain, max(2, resolution // 2))
-    return fine, abs(fine - coarse) / 3.0
+    return total * float(np.prod((hi - lo) / RESOLUTION))
 
 
 def _strictly_inside(domain: Domain, points: np.ndarray, delta: float = 1e-9) -> np.ndarray:
@@ -206,17 +220,33 @@ def weighted_perimeter(set_e: ConvexPolygon, density: Density, domain: Domain,
     return total
 
 
+def _lattice(domain: Domain, profile: kernels.KernelProfile, eps: float,
+             cells_per_eps: int):
+    """The nonlocal midpoint lattice: cells and offset steps per axis, cell sizes.
+
+    Cells are cells_per_eps across the kernel radius eps * support.
+    Offsets reach one cell past the radius on each axis, but stop at the
+    lattice's last cell: a longer step pairs no cells.  Counts are
+    floats, so a lattice far past the grid limit is measured without
+    overflowing.
+    """
+    lo, hi = domain.bounding_box()
+    radius = eps * kernels.effective_support(profile, domain.dimension)
+    cells = np.maximum(2.0, np.rint((hi - lo) / (radius / cells_per_eps)))
+    h = (hi - lo) / cells
+    return cells, h, np.minimum(np.floor(radius / h) + 1.0, cells - 1.0)
+
+
 def _cell_mean_kernel(offsets: np.ndarray, h: np.ndarray,
-                      profile: kernels.KernelProfile, eps: float,
-                      sub: int = 8) -> np.ndarray:
+                      profile: kernels.KernelProfile, eps: float) -> np.ndarray:
     """Kernel averaged over each offset's cell by a midpoint subgrid.
 
     Point evaluation at cell centers misclassifies every cell cut by the
     support sphere, which biases the offset sum at O(h); averaging over
-    a sub x sub grid per cell shrinks that to O(h / sub).
+    a SUBCELLS^d grid per cell shrinks that to O(h / SUBCELLS).
     """
     d = offsets.shape[1]
-    steps = (np.arange(sub) + 0.5) / sub - 0.5
+    steps = (np.arange(SUBCELLS) + 0.5) / SUBCELLS - 0.5
     subgrid = np.stack(np.meshgrid(*([steps] * d), indexing="ij"),
                        axis=-1).reshape(-1, d)
     z = (offsets[:, None, :] + subgrid[None, :, :]) * h
@@ -225,10 +255,10 @@ def _cell_mean_kernel(offsets: np.ndarray, h: np.ndarray,
     return kv.mean(axis=1)
 
 
-def _nonlocal_lattice(values: np.ndarray, weights: np.ndarray, mask: np.ndarray,
-                      h: np.ndarray, profile: kernels.KernelProfile,
-                      eps: float, support: float) -> float:
-    """Offset sum for the double integral on a tensor midpoint grid.
+def _nonlocal_quadrature(u: SmoothFunction, density: Density, domain: Domain,
+                         profile: kernels.KernelProfile, eps: float,
+                         cells_per_eps: int) -> float:
+    """Offset sum for the double integral on a tensor midpoint lattice.
 
     For a fixed lattice offset o the kernel factor is shared by every
     cell pair, so the double integral collapses to shifted array
@@ -237,10 +267,17 @@ def _nonlocal_lattice(values: np.ndarray, weights: np.ndarray, mask: np.ndarray,
     eta_eps, so cells straddling the support sphere enter with their
     overlap fraction.
     """
-    d = values.ndim
-    radius = eps * support
-    max_steps = [int(math.floor(radius / h[ax])) + 1 for ax in range(d)]
-    ranges = [np.arange(-m, m + 1) for m in max_steps]
+    cells, h, steps = _lattice(domain, profile, eps, cells_per_eps)
+    d = domain.dimension
+    shape = tuple(int(c) for c in cells)
+    lo = domain.bounding_box()[0]
+    axes = [lo[ax] + h[ax] * (np.arange(shape[ax]) + 0.5) for ax in range(d)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    rho_masked = np.where(domain.contains(pts), density(pts), 0.0).reshape(shape)
+    vals = u(pts).reshape(shape)
+
+    ranges = [np.arange(-m, m + 1) for m in steps.astype(int)]
     offsets = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
     nonzero = np.any(offsets != 0, axis=1)
     first = np.argmax(offsets != 0, axis=1)
@@ -248,15 +285,11 @@ def _nonlocal_lattice(values: np.ndarray, weights: np.ndarray, mask: np.ndarray,
     offsets = offsets[nonzero & sign]
     kvals = _cell_mean_kernel(offsets, h, profile, eps)
     total = 0.0
-    rho_masked = np.where(mask, weights, 0.0)
-    vals = values
     for o, kv in zip(offsets, kvals):
         if kv <= 0.0:
             continue
-        src = tuple(slice(max(0, -s), vals.shape[ax] - max(0, s))
-                    for ax, s in enumerate(o))
-        dst = tuple(slice(max(0, s), vals.shape[ax] - max(0, -s))
-                    for ax, s in enumerate(o))
+        src = tuple(slice(max(0, -s), shape[ax] - max(0, s)) for ax, s in enumerate(o))
+        dst = tuple(slice(max(0, s), shape[ax] - max(0, -s)) for ax, s in enumerate(o))
         contrib = np.sum(rho_masked[src] * rho_masked[dst]
                          * np.abs(vals[src] - vals[dst]))
         total += 2.0 * kv * float(contrib)
@@ -264,52 +297,17 @@ def _nonlocal_lattice(values: np.ndarray, weights: np.ndarray, mask: np.ndarray,
     return total * cell * cell / eps
 
 
-def _nonlocal_quadrature(u: SmoothFunction, density: Density, domain: Domain,
-                         profile: kernels.KernelProfile, eps: float,
-                         cells_per_eps: int) -> float:
-    lo, hi = domain.bounding_box()
-    d = domain.dimension
-    support = kernels.effective_support(profile, d)
-    target = eps * support / cells_per_eps
-    shape = tuple(max(2, int(round((hi[ax] - lo[ax]) / target)))
-                  for ax in range(d))
-    h = np.array([(hi[ax] - lo[ax]) / shape[ax] for ax in range(d)])
-    axes = [lo[ax] + h[ax] * (np.arange(shape[ax]) + 0.5) for ax in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    mask = domain.contains(pts).reshape(shape)
-    values = u(pts).reshape(shape)
-    weights = density(pts).reshape(shape)
-    return _nonlocal_lattice(values, weights, mask, h, profile, eps, support)
-
-
 def nonlocal_tv(u: SmoothFunction, density: Density, domain: Domain,
                 profile: kernels.KernelProfile, eps: float,
-                method: str = "quadrature", cells_per_eps: int = 8,
-                samples: int = 200000, seed: Optional[int] = None) -> Tuple[float, float]:
-    """TV_eps(u; rho) by tensor quadrature or Monte Carlo sampling.
+                cells_per_eps: int = 8) -> Tuple[float, float]:
+    """TV_eps(u; rho) by tensor midpoint quadrature.
 
-    Returns (value, error_estimate).  quadrature: midpoint rule on a
-    grid with cells_per_eps cells across the kernel radius; the error
-    estimate is a Richardson comparison against half the resolution.
-    monte-carlo: mean over `samples` pairs drawn i.i.d. from the density
-    (which must be normalized); the error estimate is the standard error
-    of that mean.
+    Returns (value, error_estimate).  The lattice has cells_per_eps cells
+    across the kernel radius; the error estimate is a Richardson
+    comparison against half that resolution.
     """
-    if method == "quadrature":
-        fine = _nonlocal_quadrature(u, density, domain, profile, eps, cells_per_eps)
-        coarse = _nonlocal_quadrature(u, density, domain, profile, eps,
-                                      max(2, cells_per_eps // 2))
-        return fine, abs(fine - coarse) / 3.0
-    if method == "monte-carlo":
-        if not density.normalized:
-            raise UnsupportedConfigurationError(
-                "monte-carlo estimation needs a normalized density")
-        seeds = np.random.SeedSequence(seed).spawn(2)
-        x = sample_iid(domain, density, samples, seed=seeds[0]).points
-        y = sample_iid(domain, density, samples, seed=seeds[1]).points
-        kv = kernels.scaled_from_distance(profile, eps, np.linalg.norm(x - y, axis=1),
-                                          domain.dimension)
-        terms = kv * np.abs(u(x) - u(y)) / eps
-        return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(samples))
-    raise ValueError("method must be 'quadrature' or 'monte-carlo'")
+    check_grid_sizes(domain, profile, eps, cells_per_eps)
+    fine = _nonlocal_quadrature(u, density, domain, profile, eps, cells_per_eps)
+    coarse = _nonlocal_quadrature(u, density, domain, profile, eps,
+                                  max(2, cells_per_eps // 2))
+    return fine, abs(fine - coarse) / 3.0

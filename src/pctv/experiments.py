@@ -94,12 +94,8 @@ def eps_rule(spec: dict, d: int):
     if kind == "sub-connectivity":
         factor = float(spec.get("factor", 0.3))
         return lambda n: factor * connectivity_scale(n, d)
-    if kind == "fixed":
-        if "value" not in spec:
-            raise ConfigError("/eps_rule/value: the fixed rule needs a value")
-        value = float(spec["value"])
-        return lambda n: value
-    raise ConfigError(f"/eps_rule/kind: unknown rule {kind!r}")
+    value = float(spec["value"])  # the fixed rule; the schema admits no other
+    return lambda n: value
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +230,7 @@ def _graph_tv_sweep(cfg, fig_dir, setup, u, limit, *, title, constants, extra):
     """
     domain, density, domain_label = setup
     profile = kernel_from_config(cfg["kernel"])
-    sigma = surface_tension(profile, domain.dimension).value
+    sigma = surface_tension(profile, domain.dimension)
     reference = sigma * limit
     denom = abs(reference) if reference else 1.0
     rule = eps_rule(cfg["eps_rule"], domain.dimension)
@@ -285,7 +281,7 @@ def _graph_tv_sweep(cfg, fig_dir, setup, u, limit, *, title, constants, extra):
 def _run_gtv(cfg: dict, fig_dir: str):
     setup = domain, density, _ = _setup(cfg)
     fn = _function(cfg)
-    tv_value, _ = weighted_tv_smooth(fn, density, domain)
+    tv_value = weighted_tv_smooth(fn, density, domain)
     return _graph_tv_sweep(cfg, fig_dir, setup, fn, tv_value,
                            title="graph TV vs continuum limit",
                            constants={}, extra={"weighted_tv": tv_value})
@@ -310,28 +306,15 @@ def _run_nonlocal(cfg: dict, fig_dir: str):
     domain, density, domain_label = _setup(cfg)
     profile = kernel_from_config(cfg["kernel"])
     fn = _function(cfg)
-    sigma = surface_tension(profile, domain.dimension).value
-    tv_value, _ = weighted_tv_smooth(fn, density, domain)
-    reference = sigma * tv_value
+    sigma = surface_tension(profile, domain.dimension)
+    reference = sigma * weighted_tv_smooth(fn, density, domain)
     denom = abs(reference) if reference else 1.0
-    method = cfg["method"]
 
-    def one(task):
-        index, eps = task
-        value, error_estimate = nonlocal_tv(
-            fn,
-            density,
-            domain,
-            profile,
-            eps,
-            method=method,
-            cells_per_eps=cfg["cells_per_eps"],
-            samples=cfg["samples"],
-            seed=cfg["seed"] + index,
-        )
+    def one(eps):
+        value, error_estimate = nonlocal_tv(fn, density, domain, profile, eps,
+                                            cells_per_eps=cfg["cells_per_eps"])
         return {
             "eps": eps,
-            "method": method,
             "kernel": profile.name,
             "domain": domain_label,
             "value": value,
@@ -340,7 +323,7 @@ def _run_nonlocal(cfg: dict, fig_dir: str):
             "rel_error": abs(value - reference) / denom,
         }
 
-    rows = _parallel_map(one, list(enumerate(float(e) for e in cfg["eps"])))
+    rows = _parallel_map(one, [float(e) for e in cfg["eps"]])
     errors = [row["rel_error"] for row in rows]
     summary = {
         "reference": reference,

@@ -217,14 +217,12 @@ class Density:
 
     fn maps an (m, d) array of points to (m,) values.  lower and upper
     are declared bounds 0 < lower <= rho <= upper that sampling relies
-    on.  normalized marks whether the evaluator is meant to integrate to
-    1 over its domain.
+    on.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
-    normalized: bool = False
     name: str = "custom"
 
     def __post_init__(self):
@@ -242,8 +240,7 @@ def uniform_density(domain: Domain) -> Density:
     def fn(points):
         return np.full(points.shape[0], value)
 
-    return Density(fn=fn, lower=value, upper=value, normalized=True,
-                   name="uniform")
+    return Density(fn=fn, lower=value, upper=value, name="uniform")
 
 
 def affine_density(domain: Domain, axis: int = 0, slope: float = 1.0) -> Density:
@@ -262,7 +259,7 @@ def affine_density(domain: Domain, axis: int = 0, slope: float = 1.0) -> Density
         return (1.0 + slope * points[:, axis]) / z
 
     return Density(fn=fn, lower=float(np.min(ends)), upper=float(np.max(ends)),
-                   normalized=True, name=f"affine(axis={axis},slope={slope:g})")
+                   name=f"affine(axis={axis},slope={slope:g})")
 
 
 @dataclass(frozen=True)

@@ -55,15 +55,6 @@ class KernelProfile:
 
 
 @dataclass(frozen=True)
-class SurfaceTension:
-    """Value of sigma for one profile and dimension, with quadrature error."""
-
-    value: float
-    dimension: int
-    error_estimate: float
-
-
-@dataclass(frozen=True)
 class ProfileReport:
     """Outcome of the admissibility checks for a profile."""
 
@@ -169,16 +160,16 @@ def from_config(spec: dict) -> KernelProfile:
     raise ValueError(f"unknown kernel name: {name!r}")
 
 
-def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> Tuple[float, float]:
+def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
     """Adaptive composite Simpson rule on [a, b].
 
-    Returns (value, error_estimate).  Starts from 32 equal panels so the
-    tolerance scale survives integrands concentrated on a small part of
-    the interval, then subdivides panels until the Richardson estimate of
-    the local error is below the panel's tolerance share.
+    Starts from 32 equal panels so the tolerance scale survives integrands
+    concentrated on a small part of the interval, then subdivides panels
+    until the Richardson estimate of the local error is below the panel's
+    tolerance share.
     """
     if b <= a:
-        return 0.0, 0.0
+        return 0.0
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
@@ -192,7 +183,6 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> Tuple[float, flo
     scale = max(abs(coarse), 1e-30)
 
     total = 0.0
-    err_total = 0.0
     budget = 400000
     stack = [
         (xs[2 * k], xs[2 * k + 2], fs[2 * k], fs[2 * k + 1], fs[2 * k + 2],
@@ -213,14 +203,13 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> Tuple[float, flo
         delta = left + right - s
         if abs(delta) <= 15.0 * tol or depth >= 40 or budget <= 0:
             total += left + right + delta / 15.0
-            err_total += abs(delta) / 15.0
         else:
             stack.append((x0, xm, f0, fl, f1, left, tol / 2.0, depth + 1))
             stack.append((xm, x2, f1, fr, f2, right, tol / 2.0, depth + 1))
-    return total, err_total
+    return total
 
 
-def _moment_integral(profile: KernelProfile, d: int, upper: float) -> Tuple[float, float]:
+def _moment_integral(profile: KernelProfile, d: int, upper: float) -> float:
     """Integral of eta(r) * r^d over [0, upper], split at jump radii."""
     cuts = [0.0] + [b for b in profile.breakpoints if 0.0 < b < upper] + [upper]
     fn = profile.fn
@@ -229,12 +218,9 @@ def _moment_integral(profile: KernelProfile, d: int, upper: float) -> Tuple[floa
         return float(fn(np.asarray(r))) * r ** d
 
     value = 0.0
-    err = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        v, e = _adaptive_simpson(integrand, lo, hi, QUADRATURE_REL_TOL)
-        value += v
-        err += e
-    return value, err
+        value += _adaptive_simpson(integrand, lo, hi, QUADRATURE_REL_TOL)
+    return value
 
 
 def _settled_moment(profile: KernelProfile, d: int, support: float) -> Tuple[bool, float]:
@@ -243,8 +229,8 @@ def _settled_moment(profile: KernelProfile, d: int, support: float) -> Tuple[boo
     Settled means I4, the integral up to 4 * support, is finite and within
     max(1e-10, 1e-8 * |I4|) of the integral up to 2 * support.
     """
-    i2, _ = _moment_integral(profile, d, 2.0 * support)
-    i4, _ = _moment_integral(profile, d, 4.0 * support)
+    i2 = _moment_integral(profile, d, 2.0 * support)
+    i4 = _moment_integral(profile, d, 4.0 * support)
     return math.isfinite(i4) and abs(i4 - i2) <= max(1e-10, 1e-8 * abs(i4)), i4
 
 
@@ -353,7 +339,7 @@ def _angular_constant(d: int) -> float:
     return 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
-def surface_tension(profile: KernelProfile, d: int) -> SurfaceTension:
+def surface_tension(profile: KernelProfile, d: int) -> float:
     """sigma = c_d * integral of eta(r) * r^d dr for the truncated profile.
 
     Unbounded profiles are cut at their effective support; the constant is
@@ -362,7 +348,7 @@ def surface_tension(profile: KernelProfile, d: int) -> SurfaceTension:
     integral fails to stabilize under doubling of the cut radius.
     """
     support = effective_support(profile, d)
-    value, q_err = _moment_integral(profile, d, support)
+    value = _moment_integral(profile, d, support)
     if not math.isfinite(profile.support_radius):
         if not _settled_moment(profile, d, support)[0]:
             raise DivergentKernelError(
@@ -370,8 +356,7 @@ def surface_tension(profile: KernelProfile, d: int) -> SurfaceTension:
     if not math.isfinite(value):
         raise DivergentKernelError(
             f"moment integral of {profile.name!r} is not finite")
-    c = _angular_constant(d)
-    return SurfaceTension(value=c * value, dimension=d, error_estimate=c * q_err)
+    return float(_angular_constant(d) * value)
 
 
 def scaled_from_distance(profile: KernelProfile, eps: float, r, d: int):

@@ -1,9 +1,11 @@
 """Independent oracles used to freeze expected values in the tests.
 
-Everything here is deliberately written from first principles with no
-imports from the package under test: plain quadrature, Monte Carlo,
-full pairwise loops, and exhaustive enumeration.  Slow is fine; these
-only run at test time on small instances.
+Everything here is deliberately written from first principles: plain
+quadrature, Monte Carlo, full pairwise loops, and exhaustive
+enumeration.  The one import from the package under test is the
+sampler and the scaled kernel that the Monte Carlo nonlocal TV draws
+its pairs with.  Slow is fine; these only run at test time on small
+instances.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import itertools
 import math
 
 import numpy as np
+
+from pctv.geometry import sample_iid
+from pctv.kernels import scaled_from_distance
 
 
 def surface_tension_grid_2d(profile_fn, support: float, cells: int = 2048) -> float:
@@ -48,6 +53,22 @@ def surface_tension_mc_3d(profile_fn, support: float, samples: int = 10_000_000,
     var = max(total_sq / samples - mean * mean, 0.0)
     stderr = volume * math.sqrt(var / samples)
     return volume * mean, stderr
+
+
+def nonlocal_tv_monte_carlo(u, density, domain, profile, eps: float, samples: int,
+                            seed: int) -> tuple[float, float]:
+    """TV_eps(u; rho) as a mean over pairs drawn i.i.d. from the density.
+
+    The density must integrate to 1 over the domain.  Returns the mean
+    over `samples` pairs and its standard error.
+    """
+    seeds = np.random.SeedSequence(seed).spawn(2)
+    x = sample_iid(domain, density, samples, seed=seeds[0]).points
+    y = sample_iid(domain, density, samples, seed=seeds[1]).points
+    kv = scaled_from_distance(profile, eps, np.linalg.norm(x - y, axis=1),
+                              domain.dimension)
+    terms = kv * np.abs(u(x) - u(y)) / eps
+    return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(samples))
 
 
 def integrate_density(density, domain, resolution: int = 512) -> float:

@@ -66,8 +66,8 @@ def _report(num, name, ok, detail=""):
 
 def test_criterion_01_surface_tension_constants():
     t0 = time.perf_counter()
-    sigma2 = surface_tension(indicator(), 2).value
-    sigma3 = surface_tension(indicator(), 3).value
+    sigma2 = surface_tension(indicator(), 2)
+    sigma3 = surface_tension(indicator(), 3)
     grid = surface_tension_grid_2d(lambda r: np.where(r <= 1.0, 1.0, 0.0), 1.0)
     mc, stderr = surface_tension_mc_3d(
         lambda r: np.where(r <= 1.0, 1.0, 0.0), 1.0, samples=2_000_000
@@ -175,7 +175,7 @@ def test_criterion_04_pointwise_nonlocal_convergence():
     density = uniform_density(domain)
     u = affine_function([1.0, 0.0])
     values = [
-        nonlocal_tv(u, density, domain, indicator(), eps, method="quadrature")[0]
+        nonlocal_tv(u, density, domain, indicator(), eps)[0]
         for eps in (0.16, 0.08, 0.04, 0.02)
     ]
     errors = [abs(v - LIMIT) / LIMIT for v in values]

@@ -91,11 +91,11 @@ def test_odd_and_oversized_inputs_are_rejected():
 
 def test_bisection_class_enforces_canonical_balance():
     with pytest.raises(UnsupportedConfigurationError):
-        Bisection(np.array([True, True, False]), 0.0, "t")
+        Bisection(np.array([True, True, False]), 0.0)
     with pytest.raises(UnsupportedConfigurationError):
-        Bisection(np.array([True, True, True, False]), 0.0, "t")
+        Bisection(np.array([True, True, True, False]), 0.0)
     with pytest.raises(UnsupportedConfigurationError):
-        Bisection(np.array([False, True, True, False]), 0.0, "t")
+        Bisection(np.array([False, True, True, False]), 0.0)
 
 
 def test_local_search_matches_brute_force_on_random_graphs():

@@ -113,8 +113,6 @@ def test_eps_rules_evaluate_their_formulas():
     assert math.isclose(sub(1000), 0.25 * connectivity_scale(1000, 2))
     fixed = eps_rule({"kind": "fixed", "value": 0.2}, 2)
     assert fixed(10) == 0.2 and fixed(100000) == 0.2
-    with pytest.raises(ConfigError, match="/eps_rule/value"):
-        eps_rule({"kind": "fixed"}, 2)
 
 
 def test_worker_count_respects_environment(monkeypatch):
@@ -310,6 +308,17 @@ BAD_CONFIGS = [
       "function": {"coeffs": [1.0]}, "eps": [0.2]}, "/domain"),
     ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e6}), "/kernel"),
     ("tl-distance", dict(TL_CFG, grid=32, n=[250, 30000]), "/n/1"),
+    # quadrature grids past the limit: 256^4 weighted TV points, 256^6
+    # for the nonlocal run's weighted TV reference, and 400^3 lattice
+    # cells at the second eps
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "unit-box", "dimension": 4},
+                             function={"coeffs": [1.0, 0.0, 0.0, 0.0]}), "/domain"),
+    ("nonlocal-convergence",
+     {"domain": {"shape": "unit-box", "dimension": 6}, "kernel": {"name": "indicator"},
+      "function": {"coeffs": [1.0] + [0.0] * 5}, "eps": [0.2]}, "/domain"),
+    ("nonlocal-convergence",
+     {"domain": {"shape": "unit-box", "dimension": 3}, "kernel": {"name": "indicator"},
+      "function": {"coeffs": [1.0, 0.0, 0.0]}, "eps": [0.2, 0.02]}, "/eps/1"),
 ]
 
 
@@ -339,7 +348,7 @@ RUNS = {
         4, ["convergence.svg"]),
     "nonlocal-convergence": (
         dict({k: GTV_CFG[k] for k in ("domain", "kernel", "function")}, eps=[0.2, 0.1]),
-        "eps,method,kernel,domain,value,error_estimate,reference,rel_error",
+        "eps,kernel,domain,value,error_estimate,reference,rel_error",
         2, ["convergence.svg"]),
     # n = 16 matches the 16-point grid (assignment), n = 36 does not (LP)
     "tl-distance": (dict(TL_CFG, n=[16, 36]), "n,seed,p,grid,domain,distance",

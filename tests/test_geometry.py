@@ -108,7 +108,6 @@ def test_uniform_density_integrates_to_one():
         (Box([0.0, 0.0, 0.0], [2.0, 1.0, 1.0]), 48),
     ):
         density = uniform_density(domain)
-        assert density.normalized
         assert_allclose(integrate_density(density, domain, resolution), 1.0, rtol=5e-3)
 
 
@@ -141,8 +140,7 @@ def test_sampling_matches_affine_mean():
 def test_envelope_violation_is_detected():
     domain = unit_box(2)
     spiky = Density(
-        lambda p: np.where(p[:, 0] > 0.9, 3.0, 1.0), lower=0.5, upper=2.0,
-        normalized=False,
+        lambda p: np.where(p[:, 0] > 0.9, 3.0, 1.0), lower=0.5, upper=2.0
     )
     with pytest.raises(EnvelopeError):
         sample_iid(domain, spiky, 1000, seed=0)
@@ -150,9 +148,7 @@ def test_envelope_violation_is_detected():
 
 def test_hopeless_acceptance_rate_is_detected():
     domain = unit_box(2)
-    flat = Density(
-        lambda p: np.ones(len(p)), lower=1.0, upper=1e6, normalized=False
-    )
+    flat = Density(lambda p: np.ones(len(p)), lower=1.0, upper=1e6)
     with pytest.raises(EnvelopeError):
         sample_iid(domain, flat, 1000, seed=0)
 
@@ -189,6 +185,6 @@ def test_density_from_config_names():
     uniform = geometry.density_from_config({"name": "uniform"}, domain)
     assert_allclose(uniform(np.array([[0.5, 0.5]])), [1.0])
     affine = geometry.density_from_config({"name": "affine", "slope": 1.0}, domain)
-    assert affine.normalized
+    assert affine.name == "affine(axis=0,slope=1)"
     with pytest.raises(ValueError):
         geometry.density_from_config({"name": "rings"}, domain)

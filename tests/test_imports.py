@@ -1,6 +1,8 @@
-"""No module imports a name it never uses, and the CLI skips slow imports."""
+"""No module imports a name it never uses, the CLI skips slow imports,
+and every function the benchmark wraps exists."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -47,3 +49,16 @@ def test_the_cli_does_not_import_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_every_benchmark_layer_resolves():
+    # perfbench/spans.py wraps these functions by name; a rename would
+    # only surface when a traced benchmark run crashes.
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    (layers,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)]
+    assert layers
+    missing = [f"{module}.{attr}" for module, attr, _ in layers
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

@@ -65,40 +65,38 @@ def test_vanishing_at_zero_fails_positivity():
 
 def test_surface_tension_indicator_2d():
     sigma = kernels.surface_tension(kernels.indicator(), 2)
-    assert_allclose(sigma.value, 4.0 / 3.0, rtol=1e-9)
-    assert sigma.dimension == 2
-    assert sigma.error_estimate >= 0.0
+    assert_allclose(sigma, 4.0 / 3.0, rtol=1e-9)
 
 
 def test_surface_tension_indicator_3d():
     sigma = kernels.surface_tension(kernels.indicator(), 3)
-    assert_allclose(sigma.value, math.pi / 2.0, rtol=1e-8)
+    assert_allclose(sigma, math.pi / 2.0, rtol=1e-8)
 
 
 def test_surface_tension_gaussian_2d():
     sigma = kernels.surface_tension(kernels.gaussian(), 2)
-    assert_allclose(sigma.value, math.sqrt(math.pi), rtol=1e-7)
+    assert_allclose(sigma, math.sqrt(math.pi), rtol=1e-7)
 
 
 def test_surface_tension_indicator_4d_closed_form():
     # angular constant in d dimensions is 2 pi^((d-1)/2) / Gamma((d+1)/2),
     # so the unit indicator gives 2 pi^(3/2) / Gamma(5/2) / 5 = 8 pi / 15
     sigma = kernels.surface_tension(kernels.indicator(), 4)
-    assert_allclose(sigma.value, 8.0 * math.pi / 15.0, rtol=1e-6)
+    assert_allclose(sigma, 8.0 * math.pi / 15.0, rtol=1e-6)
 
 
 def test_surface_tension_step_profile_by_hand():
     profile = kernels.step_sum([0.5, 1.2], [2.0, 0.5])
     sigma = kernels.surface_tension(profile, 2)
     expected = 4.0 * (2.0 * 0.5 ** 3 / 3.0 + 0.5 * (1.2 ** 3 - 0.5 ** 3) / 3.0)
-    assert_allclose(sigma.value, expected, rtol=1e-7)
+    assert_allclose(sigma, expected, rtol=1e-7)
 
 
 def test_surface_tension_matches_grid_oracle():
     profile = kernels.indicator()
     sigma = kernels.surface_tension(profile, 2)
     oracle = surface_tension_grid_2d(profile.fn, 1.0, cells=2048)
-    assert abs(sigma.value - oracle) < 2e-3
+    assert abs(sigma - oracle) < 2e-3
 
 
 def test_truncation_scales_like_alpha_cubed():
@@ -107,14 +105,14 @@ def test_truncation_scales_like_alpha_cubed():
     for alpha in (0.25, 0.5, 0.75, 1.0):
         cut = kernels.truncate(base, alpha)
         sigma = kernels.surface_tension(cut, 2)
-        assert_allclose(sigma.value, 4.0 * alpha ** 3 / 3.0, rtol=1e-7)
-        values.append(sigma.value)
+        assert_allclose(sigma, 4.0 * alpha ** 3 / 3.0, rtol=1e-7)
+        values.append(sigma)
     assert values == sorted(values)
 
 
 def test_truncated_gaussian_loses_tension():
-    full = kernels.surface_tension(kernels.gaussian(), 2).value
-    cut = kernels.surface_tension(kernels.truncate(kernels.gaussian(), 1.0), 2).value
+    full = kernels.surface_tension(kernels.gaussian(), 2)
+    cut = kernels.surface_tension(kernels.truncate(kernels.gaussian(), 1.0), 2)
     assert 0.0 < cut < full
 
 
