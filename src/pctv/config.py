@@ -20,7 +20,8 @@ from .bisection import reference_partitions
 from .continuum import check_grid_sizes, halfplane_set
 from .errors import ConfigError, DivergentKernelError, PCTVError
 from .geometry import Box, density_from_config, domain_from_config
-from .kernels import effective_support, surface_tension
+from .graph import connectivity_scale
+from .kernels import effective_support, scaled_from_distance, surface_tension
 from .kernels import from_config as kernel_from_config
 from .transport import check_dense_costs
 
@@ -318,6 +319,10 @@ def _preflight(experiment: str, cfg: dict) -> None:
         for i, n in enumerate(cfg["n"]):
             if round(n ** (1.0 / d)) ** d != n:
                 raise ConfigError(f"/n/{i}: {n} is not a perfect {d}-th power")
+    if experiment == "connectivity":
+        scale = connectivity_scale(cfg["n"], d)
+        for i, factor in enumerate(cfg["factors"]):  # eps must be positive, eps^-d finite
+            _built(f"/factors/{i}", scaled_from_distance, profile, factor * scale, 0.0, d)
     if experiment == "bisect":
         for i, n in enumerate(cfg["n"]):
             if n % 2:

@@ -121,18 +121,37 @@ def weighted_tv_smooth(u: SmoothFunction, density: Density, domain: Domain) -> f
     """
     check_grid_sizes(domain)
     lo, hi = domain.bounding_box()
-    axes = [lo[ax] + (hi[ax] - lo[ax]) * (np.arange(RESOLUTION) + 0.5) / RESOLUTION
-            for ax in range(domain.dimension)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    pts = pts[domain.contains(pts)]
-    total = 0.0
+    # Sums run over fixed blocks of the midpoints in the domain, in grid
+    # order, so the value's bits do not depend on how the grid is built.
     chunk = 1 << 18
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start:start + chunk]
-        grad_norm = np.linalg.norm(u.grad(block), axis=1)
-        total += float(np.sum(grad_norm * density(block) ** 2))
+    total = 0.0
+    held, count = [], 0
+    for slab in _midpoints_in(domain, lo, hi):
+        held.append(slab)
+        count += slab.shape[0]
+        while count >= chunk:
+            pts = np.concatenate(held)
+            total += _tv_block(u, density, pts[:chunk])
+            held, count = [pts[chunk:]], count - chunk
+    if count:
+        total += _tv_block(u, density, np.concatenate(held))
     return total * float(np.prod((hi - lo) / RESOLUTION))
+
+
+def _midpoints_in(domain: Domain, lo: np.ndarray, hi: np.ndarray):
+    """The grid's cell midpoints inside the domain, one slab of the first axis at a time."""
+    d = domain.dimension
+    axes = [lo[ax] + (hi[ax] - lo[ax]) * (np.arange(RESOLUTION) + 0.5) / RESOLUTION
+            for ax in range(d)]
+    slab = RESOLUTION ** (d - 1)
+    for start in range(0, RESOLUTION ** d, slab):
+        index = np.unravel_index(np.arange(start, start + slab), (RESOLUTION,) * d)
+        pts = np.stack([axes[ax][index[ax]] for ax in range(d)], axis=1)
+        yield pts[domain.contains(pts)]
+
+
+def _tv_block(u: SmoothFunction, density: Density, pts: np.ndarray) -> float:
+    return float(np.sum(np.linalg.norm(u.grad(pts), axis=1) * density(pts) ** 2))
 
 
 def _strictly_inside(domain: Domain, points: np.ndarray, delta: float = 1e-9) -> np.ndarray:

@@ -44,7 +44,13 @@ from .geometry import (
     uniform_density,
     unit_box,
 )
-from .graph import build_graph, graph_total_variation, is_connected
+from .graph import (
+    build_graph,
+    connected_at,
+    connection_distance,
+    connectivity_scale,
+    graph_total_variation,
+)
 from .kernels import from_config as kernel_from_config
 from .kernels import surface_tension
 from .transport import (
@@ -68,11 +74,6 @@ def critical_rate(n: int, d: int) -> float:
     if d == 2:
         return math.log(n) ** 0.75 / math.sqrt(n)
     return connectivity_scale(n, d)
-
-
-def connectivity_scale(n: int, d: int) -> float:
-    """The (log n / n)^(1/d) scale where random geometric graphs connect."""
-    return (math.log(n) / n) ** (1.0 / d)
 
 
 def eps_rule(spec: dict, d: int):
@@ -430,12 +431,9 @@ def _run_connectivity(cfg: dict, fig_dir: str):
     scale = connectivity_scale(n, domain.dimension)
 
     def one(seed):
-        cloud = sample_iid(domain, density, n, seed=seed)
-        flags = []
-        for factor in factors:
-            graph = build_graph(cloud, profile, factor * scale)
-            flags.append(is_connected(graph))
-        return flags
+        distance = connection_distance(sample_iid(domain, density, n, seed=seed).points)
+        return [connected_at(profile, factor * scale, distance, domain.dimension)
+                for factor in factors]
 
     per_seed = _parallel_map(one, list(cfg["seeds"]))
     rows = [

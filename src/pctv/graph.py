@@ -22,16 +22,30 @@ this finds exactly the pairs with positive weight.  A distance is summed
 one coordinate at a time in axis order, ((0 + dx^2) + dy^2) + dz^2, and
 that order fixes its bits, so the pairs kept at the radius and every
 weight are reproducible to the last bit.
+
+Connectivity at any eps is decided by one number per cloud, without
+building the graph: the connection distance b, the smallest distance t
+at which the pairs with distance <= t connect the cloud.  It is the
+longest edge of the cloud's Euclidean minimum spanning tree (Penrose,
+"The longest edge of the random minimal spanning tree", Ann. Appl.
+Probab. 1997, gives its law for random clouds).  A pair is
+kept when its distance is at most the radius and its weight reaches
+WEIGHT_FLOOR.  The profile never increases (kernel condition K2), so
+at a fixed eps the kept pairs form a down-set in distance: with a pair,
+every shorter pair is kept too.  The eps-graph is therefore connected
+exactly when the pair at distance b is kept, which ``connected_at``
+tests on the same distance bits that ``build_graph`` computes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
 from . import kernels
@@ -88,10 +102,22 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
     jj = key.astype(np.int32)
     del key
 
-    # One coordinate column at a time, so every temporary is one (m,)
-    # array; the axis order fixes the bits of each distance.
+    dist = _pair_distances(points, ii, jj)
+    ww = kernels.scaled_from_distance(profile, eps, dist, d)
+    keep = _kept(dist, ww, radius)
+    del dist
+    return WeightedGraph(n=n, dimension=d, eps=eps, ii=ii[keep], jj=jj[keep],
+                         ww=ww[keep])
+
+
+def _pair_distances(points: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Distance of each pair (ii[k], jj[k]), summed in axis order.
+
+    One coordinate column at a time, so every temporary is one (m,)
+    array; the axis order fixes the bits of each distance.
+    """
     dist = np.zeros(ii.size)
-    for axis in range(d):
+    for axis in range(points.shape[1]):
         column = np.ascontiguousarray(points[:, axis])
         delta = column.take(ii)
         delta -= column.take(jj)
@@ -99,11 +125,71 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
         dist += delta
         del delta
     np.sqrt(dist, out=dist)
-    ww = kernels.scaled_from_distance(profile, eps, dist, d)
-    keep = (dist <= radius) & (ww >= WEIGHT_FLOOR)
-    del dist
-    return WeightedGraph(n=n, dimension=d, eps=eps, ii=ii[keep], jj=jj[keep],
-                         ww=ww[keep])
+    return dist
+
+
+def _kept(dist: np.ndarray, weights: np.ndarray, radius: float) -> np.ndarray:
+    """Which pairs are edges: within the radius and not below the weight floor."""
+    return (dist <= radius) & (weights >= WEIGHT_FLOOR)
+
+
+def connection_distance(points) -> float:
+    """Smallest distance t at which the pairs with distance <= t connect the cloud.
+
+    This is the longest edge of the Euclidean minimum spanning tree, with
+    the distance bits of ``build_graph``.  A cloud of at most one point
+    is connected by no pair at all; it reports -inf.
+
+    The largest nearest-neighbour distance bounds t from below.  A
+    kd-tree range search starts just above this bound (at 4 n^(-1/d)
+    when the bound is 0) and doubles its radius until the pairs within
+    it span the cloud.  The spanning tree is taken over the ranks 1..m
+    of the candidate distances, not the distances: a rank is never 0,
+    so coincident points keep their edge, and the tree's largest rank
+    names the exact bottleneck distance.
+    """
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    if n <= 1:
+        return -math.inf
+    tree = cKDTree(points)
+    lb = float(tree.query(points, k=2)[0][:, 1].max())
+    radius = lb * (1 + 1e-9) if lb > 0 else 4.0 * n ** (-1.0 / d)
+    while True:
+        # As in build_graph, the slack only widens the candidate set and
+        # the distance test decides every pair.
+        pairs = tree.query_pairs(radius * (1 + 1e-12), output_type="ndarray")
+        dist = _pair_distances(points, pairs[:, 0], pairs[:, 1])
+        within = dist <= radius
+        pairs, dist = pairs[within], dist[within]
+        order = np.argsort(dist, kind="stable")
+        ranks = np.empty(dist.size)
+        ranks[order] = np.arange(1, dist.size + 1)
+        spanning = minimum_spanning_tree(
+            csr_matrix((ranks, (pairs[:, 0], pairs[:, 1])), shape=(n, n)))
+        if spanning.nnz == n - 1:
+            return float(dist[order[int(spanning.data.max()) - 1]])
+        radius *= 2.0
+
+
+def connectivity_scale(n: int, d: int) -> float:
+    """The (log n / n)^(1/d) scale where random geometric graphs connect."""
+    return (math.log(n) / n) ** (1.0 / d)
+
+
+def connected_at(profile: kernels.KernelProfile, eps: float, distance: float,
+                 d: int) -> bool:
+    """Whether ``build_graph`` at eps connects a cloud of this connection distance.
+
+    It applies build_graph's keep rule to the one pair at the connection
+    distance; the module docstring says why that decides connectivity.
+    """
+    if distance == -math.inf:
+        return True
+    eps = float(eps)
+    dist = np.array([distance])
+    weight = kernels.scaled_from_distance(profile, eps, dist, d)
+    return bool(_kept(dist, weight, eps * kernels.effective_support(profile, d))[0])
 
 
 def _as_values(graph: WeightedGraph, u) -> np.ndarray:

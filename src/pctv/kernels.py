@@ -97,7 +97,10 @@ def gaussian(width: float = 1.0) -> KernelProfile:
 
     def fn(r):
         r = np.asarray(r, dtype=float)
-        return np.exp(-((r / width) ** 2))
+        # Past sqrt(max float) widths the square overflows to inf, and
+        # exp(-inf) is the right 0.
+        with np.errstate(over="ignore"):
+            return np.exp(-((r / width) ** 2))
 
     return KernelProfile(name="gaussian", fn=fn, support_radius=math.inf)
 
@@ -364,5 +367,9 @@ def scaled_from_distance(profile: KernelProfile, eps: float, r, d: int):
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    try:
+        height = eps ** (-d)
+    except OverflowError:
+        raise ValueError(f"eps = {eps:.3g} is too small: eps^-{d} overflows") from None
     r = np.asarray(r, dtype=float)
-    return eps ** (-d) * np.asarray(profile(r / eps), dtype=float)
+    return height * np.asarray(profile(r / eps), dtype=float)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import tempfile
 import xml.etree.ElementTree as ET
 
 import jsonschema
@@ -486,16 +487,26 @@ _CONFIGS = {
 _OPTIONAL_KEYS = {"density", "domain"}
 
 
-@st.composite
-def _schema_valid_configs(draw):
-    name = draw(st.sampled_from(EXPERIMENTS))
-    fields = _CONFIGS[name]
+def _draw_schema_valid(draw, name, fields):
     required = {k: v for k, v in fields.items() if k not in _OPTIONAL_KEYS
                 or k in SCHEMAS[name]["required"]}
     optional = {k: v for k, v in fields.items() if k not in required}
     cfg = draw(st.fixed_dictionaries(required, optional=optional))
     assume(jsonschema.Draft202012Validator(SCHEMAS[name]).is_valid(cfg))
-    return name, cfg
+    return cfg
+
+
+@st.composite
+def _schema_valid_configs(draw):
+    name = draw(st.sampled_from(EXPERIMENTS))
+    return name, _draw_schema_valid(draw, name, _CONFIGS[name])
+
+
+@st.composite
+def _small_connectivity_configs(draw):
+    return _draw_schema_valid(draw, "connectivity", dict(
+        _CONFIGS["connectivity"], n=st.integers(2, 400),
+        seeds=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3)))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -510,6 +521,21 @@ def test_schema_valid_configs_pass_or_raise_config_errors(case):
         assert str(exc).startswith("/")
     else:
         assert set(cfg) <= set(resolved)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_small_connectivity_configs())
+@example({"kernel": {"name": "indicator"}, "n": 9, "factors": [1.0, 5e-324], "seeds": [0]})
+@example({"kernel": {"name": "indicator"}, "n": 2, "factors": [1e-161], "seeds": [0]})
+def test_small_connectivity_configs_run_or_raise_config_errors(cfg):
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run_experiment("connectivity", cfg, out)
+        except ConfigError as exc:
+            assert str(exc).startswith("/")
+            assert os.listdir(out) == []
+        else:
+            assert {"records.csv", "summary.json"} <= set(os.listdir(out))
 
 
 def test_scatter_figures_are_valid_and_deterministic(tmp_path):

@@ -17,9 +17,18 @@ from pctv.continuum import (
     weighted_tv_smooth,
 )
 from pctv.errors import UnsupportedConfigurationError
-from pctv.geometry import ConvexPolygon, Density, dumbbell, uniform_density, unit_box
+from pctv.geometry import (
+    Box,
+    BoxUnion,
+    ConvexPolygon,
+    Density,
+    affine_density,
+    dumbbell,
+    uniform_density,
+    unit_box,
+)
 
-from oracles import halfplane_tv_expansion, nonlocal_tv_monte_carlo
+from oracles import halfplane_tv_expansion, nonlocal_tv_monte_carlo, weighted_tv_whole_grid
 
 
 def test_affine_function_values_and_gradient():
@@ -43,6 +52,21 @@ def test_weighted_tv_with_affine_weight():
     rho = Density(lambda p: 1.0 + p[:, 0], lower=1.0, upper=2.0)
     value = weighted_tv_smooth(affine_function([1.0, 0.0]), rho, domain)
     assert_allclose(value, 7.0 / 3.0, rtol=1e-5)
+
+
+@pytest.mark.parametrize("domain,coeffs", [
+    (unit_box(1), [2.0]),
+    (unit_box(2), [1.0, -0.5]),
+    # An L-shaped union: its slabs hold 65536 or 19712 midpoints, so the
+    # 2^18-point blocks straddle slabs.
+    (BoxUnion([Box([0.0, 0.0, 0.0], [1.0, 1.0, 0.3]), Box([0.0, 0.0, 0.0], [0.4, 1.0, 1.0])]),
+     [0.3, 1.0, -2.0]),
+    (dumbbell(), [1.0, 0.25]),
+], ids=["d1", "d2", "d3", "dumbbell"])
+def test_weighted_tv_slabs_keep_the_whole_grid_bits(domain, coeffs):
+    u = affine_function(coeffs)
+    rho = affine_density(domain, axis=domain.dimension - 1, slope=0.5)
+    assert weighted_tv_smooth(u, rho, domain) == weighted_tv_whole_grid(u, rho, domain)
 
 
 def test_halfplane_set_membership():

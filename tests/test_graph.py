@@ -12,6 +12,8 @@ from pctv.graph import (
     coarea_decompose,
     coarea_reconstruct,
     component_labels,
+    connected_at,
+    connection_distance,
     graph_perimeter,
     graph_total_variation,
     is_connected,
@@ -247,3 +249,60 @@ def test_connectivity_tracks_the_scale():
     dense = build_graph(cloud, kernels.indicator(), 0.35)
     assert not is_connected(sparse)
     assert is_connected(dense)
+
+
+def _connection_cases():
+    """EXACT_CASES plus clouds whose connection distance the search reaches late."""
+    yield from EXACT_CASES
+    yield "n2", np.array([[0.1, 0.2], [0.4, 0.6]]), 0.3
+    for d in (1, 2, 3):
+        yield f"coincident-{d}d", np.full((12, d), 0.25), 0.3
+        # Two blobs of width 0.2 whose gap of about 1.8 is the connection
+        # distance: the search doubles its radius from the blobs'
+        # nearest-neighbour distance several times before it spans.
+        blobs = 0.2 * _random_cloud(60, d, seed=d + 70).points
+        blobs[30:, 0] += 2.0
+        yield f"dumbbell-{d}d", blobs, 0.3
+
+
+CONNECTION_CASES = list(_connection_cases())
+CONNECTION_PROFILES = dict(
+    PROFILES,
+    # Closed at its radius, so a pair at exactly eps * support is an edge.
+    closed=kernels.KernelProfile("closed", lambda r: np.where(r <= 1.0, 1.0, 0.0), 1.0, (1.0,)),
+    # Its outer step weighs eps^-d * 1e-16, under the floor once eps^d > 0.1.
+    floor=kernels.step_sum([0.5, 1.0], [1.0, 1e-16]),
+)
+
+
+@pytest.mark.parametrize("kernel", list(CONNECTION_PROFILES))
+@pytest.mark.parametrize("case,points,eps", CONNECTION_CASES,
+                         ids=[c[0] for c in CONNECTION_CASES])
+def test_connected_at_the_connection_distance_matches_built_graphs(case, points, eps, kernel):
+    profile = CONNECTION_PROFILES[kernel]
+    n, d = points.shape
+    cloud = PointCloud(points=points, seed=0)
+    distance = connection_distance(points)
+    scales = [eps]
+    if distance > 0:
+        # eps at which the pair at the connection distance meets the radius,
+        # one ulp either side, and well inside it.
+        edge = distance / kernels.effective_support(profile, d)
+        scales += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), 3.0 * edge]
+    for scale in scales:
+        radius = scale * kernels.effective_support(profile, d)
+        ii, jj, _ = exact_edges(points, profile.fn, scale, d, radius)
+        oracle = bool(np.all(bfs_component_labels(n, ii, jj) == 0))
+        assert is_connected(build_graph(cloud, profile, scale)) == oracle, scale
+        assert connected_at(profile, scale, distance, d) == oracle, scale
+
+
+def test_connection_distance_is_the_longest_spanning_tree_edge():
+    assert connection_distance(np.zeros((0, 2))) == -np.inf
+    assert connection_distance(np.zeros((1, 3))) == -np.inf
+    assert connection_distance(np.full((5, 2), 0.5)) == 0.0
+    # A path 0 - 1 - 3 - 6 on the line: its longest link is 3 and no
+    # shorter threshold joins 6 to the rest.
+    assert connection_distance(np.array([[0.0], [1.0], [3.0], [6.0]])) == 3.0
+    tripled = np.repeat(np.array([[0.0, 0.0], [0.0, 2.0], [1.5, 2.0]]), 3, axis=0)
+    assert connection_distance(tripled) == 2.0

@@ -1,6 +1,7 @@
 """Kernel profile validation and surface tension quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,16 @@ def test_effective_support_gaussian_decay():
     assert 4.0 < radius < 8.0
     tail = profile.fn(np.array([radius]))[0] * radius ** 2
     assert tail <= 10.0 * kernels.TRUNCATION_THRESHOLD
+
+
+def test_tiny_gaussian_width_warns_of_no_overflow():
+    # (r / width)^2 overflows to inf here; exp(-inf) = 0 is the right value.
+    profile = kernels.gaussian(1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert profile.fn(np.array([0.0, 1.0]))[1] == 0.0
+        assert profile(0.5) == 0.0
+        kernels.effective_support(profile, 2)
 
 
 def test_heavy_tail_is_divergent():
