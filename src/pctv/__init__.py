@@ -17,7 +17,6 @@ from .bisection import (
     local_search_bisection,
 )
 from .continuum import (
-    SmoothFunction,
     affine_function,
     disk_set,
     halfplane_set,
@@ -30,7 +29,6 @@ from .errors import (
     DivergentKernelError,
     EnvelopeError,
     InvalidProfileError,
-    MarginalError,
     PCTVError,
     UnsupportedConfigurationError,
 )
@@ -67,14 +65,7 @@ from .kernels import (
     truncate,
     validate_profile,
 )
-from .transport import (
-    DiscreteMeasure,
-    LiftedFunction,
-    TransportPlan,
-    bottleneck_distance,
-    ot_distance,
-    tlp_distance,
-)
+from .transport import bottleneck_distance, tlp_distance
 
 __all__ = [
     "__version__",
@@ -84,17 +75,12 @@ __all__ = [
     "ConfigError",
     "ConvexPolygon",
     "Density",
-    "DiscreteMeasure",
     "DivergentKernelError",
     "EnvelopeError",
     "InvalidProfileError",
     "KernelProfile",
-    "LiftedFunction",
-    "MarginalError",
     "PCTVError",
     "PointCloud",
-    "SmoothFunction",
-    "TransportPlan",
     "UnsupportedConfigurationError",
     "WeightedGraph",
     "affine_density",
@@ -119,7 +105,6 @@ __all__ = [
     "is_connected",
     "local_search_bisection",
     "nonlocal_tv",
-    "ot_distance",
     "sample_iid",
     "step_sum",
     "surface_tension",

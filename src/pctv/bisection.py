@@ -26,7 +26,7 @@ from .graph import (
     graph_total_variation,
     is_connected,
 )
-from .transport import DiscreteMeasure, LiftedFunction, tlp_distance
+from .transport import tlp_distance
 
 BRUTE_FORCE_LIMIT = 24
 GAIN_TOL = 1e-12
@@ -345,13 +345,13 @@ class SweepRun:
 def sweep_reference(domain: Domain, density, reference_size: int):
     """Fixed discretization of the continuum minimizers for TL1 scoring.
 
-    Returns the reference measure and the indicator label vectors of
-    each flat interface over its support.  The reference cloud uses a
+    Returns the reference points and the indicator label vectors of
+    each flat interface over them.  The reference cloud uses a
     fixed internal seed so every sweep scores against the same points.
     """
     reference = sample_iid(domain, density, reference_size, seed=715517)
     partitions = reference_partitions(domain, reference.points)
-    return DiscreteMeasure.uniform_on(reference.points), partitions
+    return reference.points, partitions
 
 
 def sweep_run(
@@ -371,7 +371,7 @@ def sweep_run(
     computed indicator and a reference interface indicator over all
     interface choices and label identifications.
     """
-    ref_measure, ref_partitions = reference
+    ref_points, ref_partitions = reference
     cloud = sample_iid(domain, density, n, seed=seed)
     graph = build_graph(cloud, profile, eps)
     result = local_search_bisection(graph, seed=seed, restarts=restarts)
@@ -379,14 +379,11 @@ def sweep_run(
         agreement(result.labels, part)
         for part in reference_partitions(domain, cloud.points)
     )
-    measure = DiscreteMeasure.uniform_on(cloud.points)
     best_tl1 = np.inf
     for part in ref_partitions:
-        ref_lifted = LiftedFunction(ref_measure, part.astype(float))
         for values in (result.labels, ~result.labels):
-            dist, _ = tlp_distance(
-                LiftedFunction(measure, values.astype(float)), ref_lifted, p=1
-            )
+            dist = tlp_distance(cloud.points, values.astype(float),
+                                ref_points, part.astype(float), p=1)
             best_tl1 = min(best_tl1, dist)
     record = SweepRecord(
         n=n,

@@ -20,7 +20,7 @@ from .bisection import reference_partitions
 from .continuum import check_grid_sizes, halfplane_set
 from .errors import ConfigError, DivergentKernelError, PCTVError
 from .geometry import Box, density_from_config, domain_from_config
-from .graph import connectivity_scale
+from .graph import connectivity_scale, eps_rule
 from .kernels import effective_support, scaled_from_distance, surface_tension
 from .kernels import from_config as kernel_from_config
 from .transport import check_dense_costs
@@ -165,7 +165,6 @@ SCHEMAS = {
                 "items": {"type": "number", "exclusiveMinimum": 0},
                 "minItems": 1,
             },
-            "cells_per_eps": {"type": "integer", "minimum": 2},
         },
         ["domain", "kernel", "function", "eps"],
     ),
@@ -223,7 +222,7 @@ EXPERIMENTS = tuple(SCHEMAS)
 DEFAULTS = {
     "gtv-convergence": {"density": {"name": "uniform"}},
     "perimeter-convergence": {"density": {"name": "uniform"}},
-    "nonlocal-convergence": {"density": {"name": "uniform"}, "cells_per_eps": 8},
+    "nonlocal-convergence": {"density": {"name": "uniform"}},
     "tl-distance": {"density": {"name": "uniform"}, "p": 2},
     "matching-scaling": {},
     "connectivity": {
@@ -303,7 +302,7 @@ def _preflight(experiment: str, cfg: dict) -> None:
         _built("/domain", check_grid_sizes, domain)
     if experiment == "nonlocal-convergence":
         for i, eps in enumerate(cfg["eps"]):
-            _built(f"/eps/{i}", check_grid_sizes, domain, profile, eps, cfg["cells_per_eps"])
+            _built(f"/eps/{i}", check_grid_sizes, domain, profile, eps)
     if "set" in cfg:
         if cfg["set"]["axis"] >= d:
             raise ConfigError("/set/axis: axis is outside the domain dimension")
@@ -319,10 +318,15 @@ def _preflight(experiment: str, cfg: dict) -> None:
         for i, n in enumerate(cfg["n"]):
             if round(n ** (1.0 / d)) ** d != n:
                 raise ConfigError(f"/n/{i}: {n} is not a perfect {d}-th power")
+    # eps must be positive and eps^-d finite at every eps a run will use
     if experiment == "connectivity":
         scale = connectivity_scale(cfg["n"], d)
-        for i, factor in enumerate(cfg["factors"]):  # eps must be positive, eps^-d finite
+        for i, factor in enumerate(cfg["factors"]):
             _built(f"/factors/{i}", scaled_from_distance, profile, factor * scale, 0.0, d)
+    if "eps_rule" in cfg:
+        rule = eps_rule(cfg["eps_rule"], d)
+        for n in cfg["n"]:
+            _built("/eps_rule", scaled_from_distance, profile, rule(n), 0.0, d)
     if experiment == "bisect":
         for i, n in enumerate(cfg["n"]):
             if n % 2:

@@ -28,6 +28,8 @@ from .geometry import Box, BoxUnion, ConvexPolygon, Density, Domain
 
 RESOLUTION = 256  # weighted_tv_smooth's midpoints per axis
 SUBCELLS = 8  # kernel subgrid points per axis in each nonlocal lattice cell
+CELLS_PER_EPS = 8  # nonlocal lattice cells across the kernel radius
+PERIMETER_ORDER = 16  # Gauss-Legendre nodes on each boundary piece
 MAX_GRID_POINTS = RESOLUTION ** 3  # the weighted TV grid of a 3-d box
 
 
@@ -90,7 +92,7 @@ def disk_set(center, radius: float, segments: int = 720) -> ConvexPolygon:
 
 
 def check_grid_sizes(domain: Domain, profile: Optional[kernels.KernelProfile] = None,
-                     eps: Optional[float] = None, cells_per_eps: int = 8) -> None:
+                     eps: Optional[float] = None) -> None:
     """Refuse a quadrature grid of more than MAX_GRID_POINTS points.
 
     Without eps the grid is the one weighted_tv_smooth builds, RESOLUTION^d
@@ -102,7 +104,7 @@ def check_grid_sizes(domain: Domain, profile: Optional[kernels.KernelProfile] = 
         sizes = {"weighted TV grid": float(RESOLUTION) ** d}
     else:
         with np.errstate(all="ignore"):  # sizes far past the limit overflow to inf
-            cells, _, steps = _lattice(domain, profile, eps, cells_per_eps)
+            cells, _, steps = _lattice(domain, profile, eps, CELLS_PER_EPS)
             offsets = (float(np.prod(2.0 * steps + 1.0)) - 1.0) / 2.0
             sizes = {"nonlocal lattice": float(np.prod(cells)),
                      "kernel subgrid": offsets * float(SUBCELLS) ** d}
@@ -215,16 +217,15 @@ def _clip_params(domain: Domain, a: np.ndarray, b: np.ndarray):
     return sorted(cuts)
 
 
-def weighted_perimeter(set_e: ConvexPolygon, density: Density, domain: Domain,
-                       order: int = 16) -> float:
+def weighted_perimeter(set_e: ConvexPolygon, density: Density, domain: Domain) -> float:
     """Per(E; rho^2): the density squared integrated over bd(E) inside D.
 
     The boundary of E is walked edge by edge, vertex k to vertex k + 1;
     each edge is split at every domain face crossing, and atomic pieces
     whose midpoint is strictly interior are integrated with
-    Gauss-Legendre quadrature of the given order.
+    Gauss-Legendre quadrature of order PERIMETER_ORDER.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(PERIMETER_ORDER)
     total = 0.0
     for a, b in zip(set_e.vertices, np.roll(set_e.vertices, -1, axis=0)):
         cuts = _clip_params(domain, a, b)
@@ -317,16 +318,14 @@ def _nonlocal_quadrature(u: SmoothFunction, density: Density, domain: Domain,
 
 
 def nonlocal_tv(u: SmoothFunction, density: Density, domain: Domain,
-                profile: kernels.KernelProfile, eps: float,
-                cells_per_eps: int = 8) -> Tuple[float, float]:
+                profile: kernels.KernelProfile, eps: float) -> Tuple[float, float]:
     """TV_eps(u; rho) by tensor midpoint quadrature.
 
-    Returns (value, error_estimate).  The lattice has cells_per_eps cells
+    Returns (value, error_estimate).  The lattice has CELLS_PER_EPS cells
     across the kernel radius; the error estimate is a Richardson
     comparison against half that resolution.
     """
-    check_grid_sizes(domain, profile, eps, cells_per_eps)
-    fine = _nonlocal_quadrature(u, density, domain, profile, eps, cells_per_eps)
-    coarse = _nonlocal_quadrature(u, density, domain, profile, eps,
-                                  max(2, cells_per_eps // 2))
+    check_grid_sizes(domain, profile, eps)
+    fine = _nonlocal_quadrature(u, density, domain, profile, eps, CELLS_PER_EPS)
+    coarse = _nonlocal_quadrature(u, density, domain, profile, eps, CELLS_PER_EPS // 2)
     return fine, abs(fine - coarse) / 3.0

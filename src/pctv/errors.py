@@ -21,10 +21,6 @@ class UnsupportedConfigurationError(PCTVError):
     """Inputs are outside the supported configuration of an operation."""
 
 
-class MarginalError(PCTVError):
-    """A transport plan fails to reproduce its declared marginals."""
-
-
 class ConfigError(PCTVError):
     """An experiment configuration fails schema validation.
 

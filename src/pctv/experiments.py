@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import shutil
 import sys
@@ -49,55 +48,12 @@ from .graph import (
     connected_at,
     connection_distance,
     connectivity_scale,
+    eps_rule,
     graph_total_variation,
 )
 from .kernels import from_config as kernel_from_config
 from .kernels import surface_tension
-from .transport import (
-    DiscreteMeasure,
-    LiftedFunction,
-    bottleneck_distance,
-    scaling_ratio,
-    tlp_distance,
-)
-
-# ---------------------------------------------------------------------------
-# length-scale rules
-
-
-def critical_rate(n: int, d: int) -> float:
-    """Largest graph scale rate with a consistency guarantee.
-
-    In the plane the rate is (log n)^(3/4)/sqrt(n); in dimension three
-    and up it is the connectivity scale.
-    """
-    if d == 2:
-        return math.log(n) ** 0.75 / math.sqrt(n)
-    return connectivity_scale(n, d)
-
-
-def eps_rule(spec: dict, d: int):
-    """Turn a named rule config into a callable eps(n).
-
-    Kinds: ``admissible`` is c * rate^gamma with gamma < 1, which decays
-    slower than the critical rate; ``borderline`` is c * rate exactly;
-    ``sub-connectivity`` is factor * (log n/n)^(1/d), below the
-    connectivity scale when factor < 1; ``fixed`` ignores n.
-    """
-    kind = spec["kind"]
-    if kind == "admissible":
-        c = float(spec.get("c", 1.0))
-        gamma = float(spec.get("gamma", 0.9))
-        return lambda n: c * critical_rate(n, d) ** gamma
-    if kind == "borderline":
-        c = float(spec.get("c", 1.0))
-        return lambda n: c * critical_rate(n, d)
-    if kind == "sub-connectivity":
-        factor = float(spec.get("factor", 0.3))
-        return lambda n: factor * connectivity_scale(n, d)
-    value = float(spec["value"])  # the fixed rule; the schema admits no other
-    return lambda n: value
-
+from .transport import bottleneck_distance, scaling_ratio, tlp_distance
 
 # ---------------------------------------------------------------------------
 # sweep plumbing
@@ -312,8 +268,7 @@ def _run_nonlocal(cfg: dict, fig_dir: str):
     denom = abs(reference) if reference else 1.0
 
     def one(eps):
-        value, error_estimate = nonlocal_tv(fn, density, domain, profile, eps,
-                                            cells_per_eps=cfg["cells_per_eps"])
+        value, error_estimate = nonlocal_tv(fn, density, domain, profile, eps)
         return {
             "eps": eps,
             "kernel": profile.name,
@@ -343,13 +298,12 @@ def _run_tl_distance(cfg: dict, fig_dir: str):
     p = float(cfg["p"])
     k = int(cfg["grid"])
     ref_points = grid_points(k, domain.dimension)
-    ref = LiftedFunction(DiscreteMeasure.uniform_on(ref_points), fn(ref_points))
+    ref_values = fn(ref_points)
 
     def one(task):
         n, seed = task
         cloud = sample_iid(domain, density, n, seed=seed)
-        lifted = LiftedFunction(DiscreteMeasure.uniform_on(cloud.points), fn(cloud.points))
-        distance, _ = tlp_distance(lifted, ref, p=p)
+        distance = tlp_distance(cloud.points, fn(cloud.points), ref_points, ref_values, p=p)
         return {
             "n": n,
             "seed": seed,
@@ -378,16 +332,12 @@ def _run_matching(cfg: dict, fig_dir: str):
     d = int(cfg["dimension"])
     domain = unit_box(d)
     density = uniform_density(domain)
-    grids = {
-        n: DiscreteMeasure.uniform_on(grid_points(round(n ** (1.0 / d)), d))
-        for n in cfg["n"]
-    }
+    grids = {n: grid_points(round(n ** (1.0 / d)), d) for n in cfg["n"]}
 
     def one(task):
         n, seed = task
         cloud = sample_iid(domain, density, n, seed=seed)
-        sample = DiscreteMeasure.uniform_on(cloud.points)
-        distance, _ = bottleneck_distance(sample, grids[n])
+        distance, _ = bottleneck_distance(cloud.points, grids[n])
         return {
             "n": n,
             "d": d,

@@ -177,6 +177,40 @@ def connectivity_scale(n: int, d: int) -> float:
     return (math.log(n) / n) ** (1.0 / d)
 
 
+def critical_rate(n: int, d: int) -> float:
+    """Largest graph scale rate with a consistency guarantee.
+
+    In the plane the rate is (log n)^(3/4)/sqrt(n); in dimension three
+    and up it is the connectivity scale.
+    """
+    if d == 2:
+        return math.log(n) ** 0.75 / math.sqrt(n)
+    return connectivity_scale(n, d)
+
+
+def eps_rule(spec: dict, d: int):
+    """Turn a named rule config into a callable eps(n).
+
+    Kinds: ``admissible`` is c * rate^gamma with gamma < 1, which decays
+    slower than the critical rate; ``borderline`` is c * rate exactly;
+    ``sub-connectivity`` is factor * (log n/n)^(1/d), below the
+    connectivity scale when factor < 1; ``fixed`` ignores n.
+    """
+    kind = spec["kind"]
+    if kind == "admissible":
+        c = float(spec.get("c", 1.0))
+        gamma = float(spec.get("gamma", 0.9))
+        return lambda n: c * critical_rate(n, d) ** gamma
+    if kind == "borderline":
+        c = float(spec.get("c", 1.0))
+        return lambda n: c * critical_rate(n, d)
+    if kind == "sub-connectivity":
+        factor = float(spec.get("factor", 0.3))
+        return lambda n: factor * connectivity_scale(n, d)
+    value = float(spec["value"])  # the fixed rule; the schema admits no other
+    return lambda n: value
+
+
 def connected_at(profile: kernels.KernelProfile, eps: float, distance: float,
                  d: int) -> bool:
     """Whether ``build_graph`` at eps connects a cloud of this connection distance.

@@ -1,17 +1,19 @@
-"""Exact transportation distances between discrete measures.
+"""Exact transportation distances between functions on point clouds.
 
-Measures are finite atom lists with masses summing to 1.  Distances:
+Each cloud carries the empirical measure, mass 1/n on each of its n
+points.  Distances:
 
-    d_p(mu, nu)      p-cost optimal transport, exact
-    d_inf(mu, nu)    bottleneck (min over matchings of the max move),
-                     uniform measures with equal atom counts only
-    TL^p             transport distance between functions over their
-                     measures, with ground cost |x - y|^p + |f(x) - g(y)|^p,
-                     the p-product metric on the graphs of f and g
+    TL^p             transport distance between functions on two clouds,
+                     with ground cost |x - y|^p + |f(x) - g(y)|^p, the
+                     p-product metric on the graphs of f and g; with
+                     zero values it is the p-cost transport distance
+                     between the clouds
+    d_inf            bottleneck (min over matchings of the max move),
+                     clouds with equal point counts only
 
-Uniform equal-count instances reduce to the assignment problem; an
-optimal vertex of the transportation polytope is a permutation, so the
-assignment solution is exact.  General masses go through the
+Equal-count instances reduce to the assignment problem; an optimal
+vertex of the transportation polytope is a permutation, so the
+assignment solution is exact.  Unequal counts go through the
 transportation linear program.  No entropic or other approximate
 solvers are used anywhere.
 """
@@ -19,109 +21,19 @@ solvers are used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, vstack
 from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import MarginalError, UnsupportedConfigurationError
+from .errors import UnsupportedConfigurationError
 
-MASS_TOL = 1e-12
-MARGINAL_TOL = 1e-10
 DISTANCE_FLOOR = 1e-14
 MAX_DENSE_COSTS = 20_000_000
-
-
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Atoms in R^d with positive masses summing to 1."""
-
-    support: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self):
-        support = np.atleast_2d(np.asarray(self.support, dtype=float))
-        masses = np.asarray(self.masses, dtype=float)
-        if masses.ndim != 1 or masses.size != support.shape[0]:
-            raise ValueError("need one mass per atom")
-        if np.any(masses <= 0):
-            raise ValueError("masses must be positive")
-        if abs(float(masses.sum()) - 1.0) > MASS_TOL:
-            raise ValueError(
-                f"masses sum to {masses.sum()!r}, expected 1 within {MASS_TOL}")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "masses", masses)
-
-    @property
-    def n(self) -> int:
-        return self.support.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.support.shape[1]
-
-    @property
-    def uniform(self) -> bool:
-        return bool(np.all(np.abs(self.masses - 1.0 / self.n) <= MASS_TOL))
-
-    @staticmethod
-    def uniform_on(points) -> "DiscreteMeasure":
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        n = points.shape[0]
-        return DiscreteMeasure(support=points, masses=np.full(n, 1.0 / n))
-
-
-@dataclass(frozen=True)
-class LiftedFunction:
-    """A function given by its values on the atoms of a measure."""
-
-    measure: DiscreteMeasure
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.measure.n,):
-            raise ValueError("need one value per atom")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Sparse coupling between two measures; entries (i, j, mass)."""
-
-    source: DiscreteMeasure
-    target: DiscreteMeasure
-    ii: np.ndarray
-    jj: np.ndarray
-    mm: np.ndarray
-
-    def __post_init__(self):
-        ii = np.asarray(self.ii, dtype=np.int64)
-        jj = np.asarray(self.jj, dtype=np.int64)
-        mm = np.asarray(self.mm, dtype=float)
-        if not (ii.shape == jj.shape == mm.shape) or ii.ndim != 1:
-            raise ValueError("entries must be parallel 1-d arrays")
-        object.__setattr__(self, "ii", ii)
-        object.__setattr__(self, "jj", jj)
-        object.__setattr__(self, "mm", mm)
-        row = np.bincount(ii, weights=mm, minlength=self.source.n)
-        col = np.bincount(jj, weights=mm, minlength=self.target.n)
-        row_gap = float(np.max(np.abs(row - self.source.masses)))
-        col_gap = float(np.max(np.abs(col - self.target.masses)))
-        if max(row_gap, col_gap) > MARGINAL_TOL:
-            raise MarginalError(
-                f"plan marginals off by {max(row_gap, col_gap):.3e} "
-                f"(tolerance {MARGINAL_TOL})")
-
-    def cost(self, p: float = 2.0) -> float:
-        moved = np.linalg.norm(
-            self.source.support[self.ii] - self.target.support[self.jj], axis=1)
-        return float(np.sum(self.mm * moved ** p))
 
 
 def check_dense_costs(ns: int, nt: int) -> None:
@@ -131,78 +43,59 @@ def check_dense_costs(ns: int, nt: int) -> None:
             f"cost matrix {ns} x {nt} exceeds the dense limit")
 
 
-def _cost_matrix(a: np.ndarray, b: np.ndarray, p: float,
-                 fa: Optional[np.ndarray] = None,
-                 fb: Optional[np.ndarray] = None) -> np.ndarray:
-    check_dense_costs(a.shape[0], b.shape[0])
-    cost = cdist(a, b) ** p
-    if fa is not None:
-        cost = cost + np.abs(fa[:, None] - fb[None, :]) ** p
-    return cost
+def _points(points) -> np.ndarray:
+    return np.atleast_2d(np.asarray(points, dtype=float))
+
+
+def _values(values, n: int) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"expected {n} point values, got shape {values.shape}")
+    return values
 
 
 def _clamp(distance: float) -> float:
     return 0.0 if distance <= DISTANCE_FLOOR else distance
 
 
-def _solve_assignment(mu, nu, cost, p):
-    rows, cols = linear_sum_assignment(cost)
-    total = float(cost[rows, cols].sum()) / mu.n
-    plan = TransportPlan(source=mu, target=nu, ii=rows, jj=cols,
-                         mm=np.full(mu.n, 1.0 / mu.n))
-    return _clamp(total ** (1.0 / p)), plan
-
-
-def _solve_lp(mu, nu, cost, p):
+def _transport_lp(cost: np.ndarray) -> float:
+    """Optimal cost between uniform measures of the cost's row and column counts."""
     ns, nt = cost.shape
     row_idx = np.repeat(np.arange(ns), nt)
     col_idx = np.tile(np.arange(nt), ns)
     var = np.arange(ns * nt)
     a_rows = coo_matrix((np.ones(ns * nt), (row_idx, var)), shape=(ns, ns * nt))
     a_cols = coo_matrix((np.ones(ns * nt), (col_idx, var)), shape=(nt, ns * nt))
-    from scipy.sparse import vstack
     a_eq = vstack([a_rows, a_cols]).tocsr()
-    b_eq = np.concatenate([mu.masses, nu.masses])
+    b_eq = np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, 1.0 / nt)])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs")
     if not res.success:
         raise RuntimeError(f"transportation solve failed: {res.message}")
-    x = np.maximum(res.x, 0.0)
-    keep = x > 1e-14
-    plan = TransportPlan(source=mu, target=nu,
-                         ii=row_idx[keep], jj=col_idx[keep], mm=x[keep])
-    return _clamp(float(res.fun) ** (1.0 / p)), plan
+    return float(res.fun)
 
 
-def _solve(mu, nu, p, fa=None, fb=None):
-    """Exact transport under the p-cost, plus the function gap if given.
+def tlp_distance(x, f, y, g, p: float = 1.0) -> float:
+    """TL^p distance between values f on cloud x and values g on cloud y.
 
-    Uniform measures with equal atom counts go to the assignment solver,
-    everything else to the transportation LP.
+    Ground cost |x - y|^p + |f(x) - g(y)|^p; equivalently the p-cost
+    transport distance between the empirical measures pushed onto the
+    function graphs in R^(d+1) under the p-product metric.  Equal point
+    counts go to the assignment solver, unequal ones to the
+    transportation LP.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    cost = _cost_matrix(mu.support, nu.support, p, fa, fb)
-    if mu.n == nu.n and mu.uniform and nu.uniform:
-        return _solve_assignment(mu, nu, cost, p)
-    return _solve_lp(mu, nu, cost, p)
-
-
-def ot_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                p: float = 2.0) -> Tuple[float, TransportPlan]:
-    """Exact p-cost transport distance and an optimal plan."""
-    return _solve(mu, nu, p)
-
-
-def tlp_distance(f: LiftedFunction, g: LiftedFunction,
-                 p: float = 1.0) -> Tuple[float, TransportPlan]:
-    """Transport distance between functions over their measures.
-
-    Ground cost |x - y|^p + |f(x) - g(y)|^p; equivalently the p-cost
-    transport distance between the push-forwards of the measures onto
-    the function graphs in R^(d+1) under the p-product metric.
-    """
-    return _solve(f.measure, g.measure, p, f.values, g.values)
+    x, y = _points(x), _points(y)
+    f, g = _values(f, x.shape[0]), _values(g, y.shape[0])
+    check_dense_costs(x.shape[0], y.shape[0])
+    cost = cdist(x, y) ** p + np.abs(f[:, None] - g[None, :]) ** p
+    if x.shape[0] == y.shape[0]:
+        rows, cols = linear_sum_assignment(cost)
+        total = float(cost[rows, cols].sum()) / x.shape[0]
+    else:
+        total = _transport_lp(cost)
+    return _clamp(total ** (1.0 / p))
 
 
 def _bipartite_candidates(x: np.ndarray, y: np.ndarray, radius: float):
@@ -250,17 +143,16 @@ def _augment(n: int, ci, cj, match) -> np.ndarray:
     return grown
 
 
-def bottleneck_distance(mu: DiscreteMeasure,
-                        nu: DiscreteMeasure) -> Tuple[float, np.ndarray]:
-    """Infinity-cost transport distance for uniform equal-count measures.
+def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
+    """Infinity-cost transport distance between clouds of equal point counts.
 
     Returns (distance, assignment).  The optimum is the smallest realized
     pairwise distance t such that the bipartite graph of pairs within t
     has a perfect matching; assignment is one such matching, an int64
-    array that sends atom i of mu to atom assignment[i] of nu (ties leave
+    array that sends point i of x to point assignment[i] of y (ties leave
     several bottleneck-optimal ones).
 
-    Every atom is matched to some atom on the other side, so the larger
+    Every point is matched to some point on the other side, so the larger
     of the two nearest-neighbour distances bounds t from below.
     Candidate pairs come from a kd-tree range search that starts just
     above this bound (at 4 n^(-1/d) when the bound is 0) and doubles
@@ -271,13 +163,13 @@ def bottleneck_distance(mu: DiscreteMeasure,
     one: each maximum-flow solve starts from it and only looks for the
     augmenting paths still missing.
     """
-    if mu.n != nu.n or not (mu.uniform and nu.uniform):
+    x, y = _points(x), _points(y)
+    n = x.shape[0]
+    if y.shape[0] != n:
         raise UnsupportedConfigurationError(
-            "bottleneck distance needs uniform measures with equal atom counts")
-    n = mu.n
-    x, y = mu.support, nu.support
+            "bottleneck distance needs clouds with equal point counts")
     if n == 0:
-        raise ValueError("empty measures")
+        raise ValueError("empty point clouds")
     lb = max(float(cKDTree(y).query(x)[0].max()),
              float(cKDTree(x).query(y)[0].max()))
     radius = lb * (1 + 1e-9) if lb > 0 else 4.0 * max(n, 2) ** (-1.0 / x.shape[1])

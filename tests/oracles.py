@@ -187,9 +187,9 @@ def gtv_reference(ii, jj, ww, values, n: int, eps: float) -> float:
 
 def exhaustive_tlp(x: np.ndarray, f: np.ndarray, y: np.ndarray, g: np.ndarray,
                    p: float) -> float:
-    """Optimal TL^p distance between uniform lifted measures, n <= 8.
+    """Optimal TL^p distance between functions on two n-point clouds, n <= 8.
 
-    Tries every bijection between atoms and keeps the cheapest mean
+    Tries every bijection between points and keeps the cheapest mean
     ground cost |x - y|^p + |f - g|^p.
     """
     n = len(x)

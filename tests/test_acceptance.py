@@ -39,13 +39,7 @@ from pctv.graph import (
     is_connected,
 )
 from pctv.kernels import gaussian, indicator, step_sum, surface_tension
-from pctv.transport import (
-    DiscreteMeasure,
-    LiftedFunction,
-    bottleneck_distance,
-    scaling_ratio,
-    tlp_distance,
-)
+from pctv.transport import bottleneck_distance, scaling_ratio, tlp_distance
 
 from oracles import (
     exhaustive_tlp,
@@ -139,27 +133,17 @@ def test_criterion_03_tlp_against_exhaustive():
         f = rng.normal(size=n)
         g = rng.normal(size=n)
         p = float(rng.choice([1.0, 2.0]))
-        got, _ = tlp_distance(
-            LiftedFunction(DiscreteMeasure.uniform_on(x), f),
-            LiftedFunction(DiscreteMeasure.uniform_on(y), g),
-            p=p,
-        )
+        got = tlp_distance(x, f, y, g, p=p)
         worst = max(worst, abs(got - exhaustive_tlp(x, f, y, g, p)))
         assert worst <= 1e-10
     for _ in range(1000):
         n = int(rng.integers(2, 6))
-        fns = [
-            LiftedFunction(
-                DiscreteMeasure.uniform_on(rng.uniform(size=(n, 2))),
-                rng.normal(size=n),
-            )
-            for _ in range(3)
-        ]
-        dab, _ = tlp_distance(fns[0], fns[1], p=2)
-        dba, _ = tlp_distance(fns[1], fns[0], p=2)
-        dac, _ = tlp_distance(fns[0], fns[2], p=2)
-        dcb, _ = tlp_distance(fns[2], fns[1], p=2)
-        same, _ = tlp_distance(fns[0], fns[0], p=2)
+        fns = [(rng.uniform(size=(n, 2)), rng.normal(size=n)) for _ in range(3)]
+        dab = tlp_distance(*fns[0], *fns[1], p=2)
+        dba = tlp_distance(*fns[1], *fns[0], p=2)
+        dac = tlp_distance(*fns[0], *fns[2], p=2)
+        dcb = tlp_distance(*fns[2], *fns[1], p=2)
+        same = tlp_distance(*fns[0], *fns[0], p=2)
         assert abs(dab - dba) <= 1e-12
         assert dab <= dac + dcb + 1e-10
         assert same == 0.0
@@ -247,12 +231,10 @@ def _matching_trend(d, n_values, seeds):
     ns, ratios = [], []
     for n in n_values:
         k = round(n ** (1.0 / d))
-        grid = DiscreteMeasure.uniform_on(grid_points(k, d))
+        grid = grid_points(k, d)
         for seed in seeds:
             cloud = sample_iid(domain, density, n, seed=seed)
-            dist, _ = bottleneck_distance(
-                DiscreteMeasure.uniform_on(cloud.points), grid
-            )
+            dist, _ = bottleneck_distance(cloud.points, grid)
             ns.append(n)
             ratios.append(scaling_ratio(n, d, dist))
     tau, pvalue = kendalltau(ns, ratios, alternative="greater")

@@ -19,14 +19,8 @@ import pctv
 from pctv import cli, experiments
 from pctv.config import EXPERIMENTS, SCHEMAS, load_config, validate_config
 from pctv.errors import ConfigError
-from pctv.experiments import (
-    connectivity_scale,
-    critical_rate,
-    eps_rule,
-    run_experiment,
-    worker_count,
-    write_records_csv,
-)
+from pctv.experiments import run_experiment, worker_count, write_records_csv
+from pctv.graph import connectivity_scale, critical_rate, eps_rule
 from pctv.svgplot import line_figure, scatter_figure
 
 
@@ -320,6 +314,12 @@ BAD_CONFIGS = [
     ("nonlocal-convergence",
      {"domain": {"shape": "unit-box", "dimension": 3}, "kernel": {"name": "indicator"},
       "function": {"coeffs": [1.0, 0.0, 0.0]}, "eps": [0.2, 0.02]}, "/eps/1"),
+    # eps^-2 overflows at every n
+    ("gtv-convergence", dict(GTV_CFG, eps_rule={"kind": "fixed", "value": 1e-170}),
+     "/eps_rule"),
+    ("bisect", dict(BISECT_CFG, eps_rule={"kind": "fixed", "value": 1e-170}), "/eps_rule"),
+    ("perimeter-convergence",
+     dict(PERIMETER_CFG, eps_rule={"kind": "admissible", "c": 1e-300}), "/eps_rule"),
 ]
 
 
@@ -365,10 +365,11 @@ RUNS = {
 }
 
 
-# sha256 of (records.csv, summary.json) for the RUNS configs of the three
-# experiments that the benchmark's exact workloads run, and of
-# perimeter-convergence, which shares their graph-TV sweep.  A change that
-# moves these bytes also moves the digests in perfbench/digests.json.
+# sha256 of (records.csv, summary.json) for the RUNS configs of the
+# experiments that the benchmark's exact workloads run, of
+# perimeter-convergence, which shares their graph-TV sweep, and of
+# tl-distance, whose two n take the assignment and the LP path.  A change
+# that moves the benchmark's bytes also moves perfbench/digests.json.
 PINNED = {
     "gtv-convergence": (
         "bb4566dfef4eb66b84be6d80100971396b3f6044be18bcaa495c9e5f86d23f7d",
@@ -382,6 +383,12 @@ PINNED = {
     "connectivity": (
         "8a4d090c2ffb9416e2394f8cced35fe045f7310370ff64445d1382620b9ab576",
         "9ed49e75753fdd1b10a1549f31fddf40fffdb81a58b85ffe0793efb5ada63107"),
+    "tl-distance": (
+        "a063c0a05465c65ab0d5a3d5d4fe4e08b00a5e6b721b509c3f3d7a1340462b8c",
+        "c4285a3b789c42d1cf2666733ca8abc60486694697a0809ba862172b138c6fb3"),
+    "bisect": (
+        "e56c42e62ef9ffe353f819d58f2db3ba77b3d49bd568639171bfc3b67275fdaa",
+        "e754982f73a6519128dd770b57025019992fe1d0616bb5a01025793348ef99fa"),
 }
 
 

@@ -1,9 +1,12 @@
 """No module imports a name it never uses, the CLI skips slow imports,
-and every function the benchmark wraps exists."""
+every function the benchmark wraps exists, and every export is used
+outside its own module."""
 
 import ast
 import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +65,20 @@ def test_every_benchmark_layer_resolves():
     missing = [f"{module}.{attr}" for module, attr, _ in layers
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_every_export_is_used_outside_its_module():
+    # A public name that nothing but its own module mentions is API that
+    # no experiment, test or benchmark needs.
+    import pctv
+
+    texts = {p: p.read_text(encoding="utf-8")
+             for folder in ("src/pctv", "tests", "perfbench")
+             for p in (ROOT / folder).glob("*.py") if p.name != "__init__.py"}
+    unused = []
+    for name in pctv.__all__:
+        own = Path((inspect.getmodule(getattr(pctv, name)) or pctv).__file__)
+        pattern = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(pattern.search(text) for path, text in texts.items() if path != own):
+            unused.append(name)
+    assert unused == []

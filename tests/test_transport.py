@@ -1,19 +1,15 @@
-"""Discrete transport: OT and TL^p distances, plans, bottleneck matching."""
+"""Discrete transport: TL^p distances and bottleneck matching."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
-from pctv.errors import ConfigError, MarginalError, UnsupportedConfigurationError
+from pctv.errors import ConfigError, UnsupportedConfigurationError
 from pctv.experiments import run_experiment
 from pctv.geometry import grid_points, sample_iid, uniform_density, unit_box
 from pctv.transport import (
-    DiscreteMeasure,
-    LiftedFunction,
-    TransportPlan,
     bottleneck_distance,
-    ot_distance,
     scaling_ratio,
     tlp_distance,
     _bipartite_candidates,
@@ -27,36 +23,24 @@ from oracles import (
 )
 
 
-def _uniform_measure(points):
-    return DiscreteMeasure.uniform_on(np.asarray(points, dtype=float))
-
-
-def test_measure_validation():
-    pts = np.array([[0.0], [1.0]])
-    with pytest.raises(ValueError):
-        DiscreteMeasure(pts, np.array([0.7, 0.2]))
-    with pytest.raises(ValueError):
-        DiscreteMeasure(pts, np.array([1.2, -0.2]))
-    measure = DiscreteMeasure.uniform_on(pts)
-    assert measure.uniform
-    assert measure.n == 2
-    assert measure.dimension == 1
+def test_values_need_one_per_point():
+    x = np.array([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="expected 2 point values"):
+        tlp_distance(x, np.zeros(3), x, np.zeros(2))
+    with pytest.raises(ValueError, match="expected 2 point values"):
+        tlp_distance(x, np.zeros(2), x, np.zeros((2, 1)))
 
 
 def test_two_atom_distance_by_hand():
-    mu = _uniform_measure([[0.0], [1.0]])
-    nu = _uniform_measure([[0.4], [1.0]])
-    distance, plan = ot_distance(mu, nu, p=1)
-    assert_allclose(distance, 0.2)
-    assert_allclose(plan.cost(1), 0.2)
+    x = np.array([[0.0], [1.0]])
+    y = np.array([[0.4], [1.0]])
+    assert_allclose(tlp_distance(x, np.zeros(2), y, np.zeros(2), p=1), 0.2)
 
 
 def test_identical_measures_have_zero_distance():
     pts = np.array([[0.1, 0.2], [0.5, 0.9], [0.3, 0.3]])
-    mu = _uniform_measure(pts)
-    distance, plan = ot_distance(mu, mu, p=2)
-    assert distance == 0.0
-    assert_allclose(plan.cost(2), 0.0, atol=1e-30)
+    values = np.array([0.4, -1.0, 2.0])
+    assert tlp_distance(pts, values, pts, values, p=2) == 0.0
 
 
 def test_ot_matches_exhaustive_on_small_uniform_instances():
@@ -66,22 +50,34 @@ def test_ot_matches_exhaustive_on_small_uniform_instances():
         x = rng.uniform(size=(n, 2))
         y = rng.uniform(size=(n, 2))
         p = float(rng.choice([1.0, 2.0, 3.0]))
-        distance, plan = ot_distance(_uniform_measure(x), _uniform_measure(y), p=p)
+        distance = tlp_distance(x, np.zeros(n), y, np.zeros(n), p=p)
         oracle = exhaustive_tlp(x, np.zeros(n), y, np.zeros(n), p)
         assert abs(distance - oracle) < 1e-10
-        assert_allclose(plan.cost(p) ** (1.0 / p), distance, rtol=1e-10)
 
 
-def test_general_masses_use_the_lp_solver():
-    mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.3, 0.7]))
-    nu = DiscreteMeasure(np.array([[0.25], [0.75]]), np.array([0.5, 0.5]))
-    distance, plan = ot_distance(mu, nu, p=1)
-    # move 0.3 from 0 to 0.25, 0.2 from 1 to 0.25, 0.5 from 1 to 0.75
-    assert_allclose(distance, 0.3 * 0.25 + 0.2 * 0.75 + 0.5 * 0.25, rtol=1e-9)
-    assert_allclose(np.bincount(plan.ii, weights=plan.mm, minlength=2),
-                    mu.masses, atol=1e-10)
-    assert_allclose(np.bincount(plan.jj, weights=plan.mm, minlength=2),
-                    nu.masses, atol=1e-10)
+def test_unequal_counts_by_hand():
+    # Two points against three on the line, so the LP decides.  Every
+    # plan sends mass 1/3 to the middle point, whose value adds 1 to its
+    # cost; the rest is the transport between the clouds, read off their
+    # quantile functions: 1/6 for p = 1, 1/12 for p = 2.
+    x, f = np.array([[0.0], [1.0]]), np.zeros(2)
+    y, g = np.array([[0.0], [0.5], [1.0]]), np.array([0.0, 1.0, 0.0])
+    for p, cost in ((1, 1 / 6 + 1 / 3), (2, 1 / 12 + 1 / 3)):
+        assert_allclose(tlp_distance(x, f, y, g, p=p), cost ** (1 / p), rtol=1e-9)
+        assert_allclose(tlp_distance(y, g, x, f, p=p), cost ** (1 / p), rtol=1e-9)
+
+
+def test_lp_and_assignment_paths_agree():
+    # Uniform mass on y repeated twice is uniform mass on y: the doubled
+    # cloud takes the LP, the plain one the assignment solver.
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        x, y = rng.uniform(size=(n, 2)), rng.uniform(size=(n, 2))
+        f, g = rng.normal(size=n), rng.normal(size=n)
+        p = float(rng.choice([1.0, 2.0]))
+        doubled = tlp_distance(x, f, np.vstack([y, y]), np.concatenate([g, g]), p=p)
+        assert abs(doubled - tlp_distance(x, f, y, g, p=p)) < 1e-12
 
 
 def test_tlp_matches_exhaustive_oracle():
@@ -93,39 +89,22 @@ def test_tlp_matches_exhaustive_oracle():
         f = rng.normal(size=n)
         g = rng.normal(size=n)
         p = float(rng.choice([1.0, 2.0]))
-        distance, _ = tlp_distance(
-            LiftedFunction(_uniform_measure(x), f),
-            LiftedFunction(_uniform_measure(y), g),
-            p=p,
-        )
         oracle = exhaustive_tlp(x, f, y, g, p)
-        assert abs(distance - oracle) < 1e-10
+        assert abs(tlp_distance(x, f, y, g, p=p) - oracle) < 1e-10
 
 
 def test_tlp_metric_axioms_on_random_triples():
     rng = np.random.default_rng(31)
     for _ in range(200):
         n = int(rng.integers(2, 6))
-        lifted = []
-        for _ in range(3):
-            pts = rng.uniform(size=(n, 2))
-            lifted.append(LiftedFunction(_uniform_measure(pts), rng.normal(size=n)))
-        dab, _ = tlp_distance(lifted[0], lifted[1], p=2)
-        dba, _ = tlp_distance(lifted[1], lifted[0], p=2)
-        dac, _ = tlp_distance(lifted[0], lifted[2], p=2)
-        dcb, _ = tlp_distance(lifted[2], lifted[1], p=2)
+        fns = [(rng.uniform(size=(n, 2)), rng.normal(size=n)) for _ in range(3)]
+        dab = tlp_distance(*fns[0], *fns[1], p=2)
+        dba = tlp_distance(*fns[1], *fns[0], p=2)
+        dac = tlp_distance(*fns[0], *fns[2], p=2)
+        dcb = tlp_distance(*fns[2], *fns[1], p=2)
         assert abs(dab - dba) < 1e-12
         assert dab <= dac + dcb + 1e-10
-        same, _ = tlp_distance(lifted[0], lifted[0], p=2)
-        assert same == 0.0
-
-
-def test_plan_marginal_validation():
-    mu = _uniform_measure(np.array([[0.0], [1.0]]))
-    nu = _uniform_measure(np.array([[0.5], [1.5]]))
-    with pytest.raises(MarginalError):
-        TransportPlan(mu, nu, np.array([0, 0]), np.array([0, 1]),
-                      np.array([0.5, 0.5]))
+        assert tlp_distance(*fns[0], *fns[0], p=2) == 0.0
 
 
 def test_bottleneck_matches_exhaustive_oracle():
@@ -134,7 +113,7 @@ def test_bottleneck_matches_exhaustive_oracle():
         n = int(rng.integers(2, 8))
         x = rng.uniform(size=(n, 2))
         y = rng.uniform(size=(n, 2))
-        distance, assignment = bottleneck_distance(_uniform_measure(x), _uniform_measure(y))
+        distance, assignment = bottleneck_distance(x, y)
         oracle = exhaustive_bottleneck(x, y)
         assert abs(distance - oracle) < 1e-12
         moved = np.linalg.norm(x - y[assignment], axis=1)
@@ -142,7 +121,7 @@ def test_bottleneck_matches_exhaustive_oracle():
 
 
 def _check_against_threshold_oracle(x, y) -> float:
-    distance, assignment = bottleneck_distance(_uniform_measure(x), _uniform_measure(y))
+    distance, assignment = bottleneck_distance(x, y)
     assert distance == threshold_bottleneck(x, y)
     assert assignment.dtype == np.int64
     assert np.array_equal(np.sort(assignment), np.arange(len(x)))
@@ -174,7 +153,7 @@ def test_bottleneck_matches_threshold_oracle_on_the_line():
 
 
 def test_bottleneck_with_a_zero_bound_but_no_zero_cost_matching():
-    # every atom sits on an atom of the other side, yet one must move:
+    # every point sits on a point of the other side, yet one must move:
     # the search starts from the fallback radius and has to double it
     a, b = [0.0, 0.0], [5.0, 0.0]
     x, y = np.array([a, a, b]), np.array([a, b, b])
@@ -201,20 +180,15 @@ def test_bipartite_candidates_match_dense_scan(shift):
 
 
 def test_bottleneck_on_identical_grids_is_zero():
-    grid = _uniform_measure(grid_points(5, 2))
+    grid = grid_points(5, 2)
     distance, assignment = bottleneck_distance(grid, grid)
     assert distance == 0.0
     assert np.array_equal(assignment, np.arange(25))
 
 
 def test_bottleneck_requires_uniform_equal_counts():
-    mu = _uniform_measure(np.array([[0.0], [1.0]]))
-    nu = _uniform_measure(np.array([[0.0], [0.5], [1.0]]))
     with pytest.raises(UnsupportedConfigurationError):
-        bottleneck_distance(mu, nu)
-    skew = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.3, 0.7]))
-    with pytest.raises(UnsupportedConfigurationError):
-        bottleneck_distance(skew, mu)
+        bottleneck_distance(np.array([[0.0], [1.0]]), np.array([[0.0], [0.5], [1.0]]))
 
 
 def test_scaling_ratio_formulas():
