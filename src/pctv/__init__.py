@@ -28,7 +28,6 @@ from .errors import (
     ConfigError,
     DivergentKernelError,
     EnvelopeError,
-    InvalidProfileError,
     PCTVError,
     UnsupportedConfigurationError,
 )
@@ -62,8 +61,6 @@ from .kernels import (
     indicator,
     step_sum,
     surface_tension,
-    truncate,
-    validate_profile,
 )
 from .transport import bottleneck_distance, tlp_distance
 
@@ -77,7 +74,6 @@ __all__ = [
     "Density",
     "DivergentKernelError",
     "EnvelopeError",
-    "InvalidProfileError",
     "KernelProfile",
     "PCTVError",
     "PointCloud",
@@ -109,10 +105,8 @@ __all__ = [
     "step_sum",
     "surface_tension",
     "tlp_distance",
-    "truncate",
     "uniform_density",
     "unit_box",
-    "validate_profile",
     "weighted_perimeter",
     "weighted_tv_smooth",
 ]

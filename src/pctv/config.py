@@ -25,10 +25,40 @@ from .kernels import effective_support, scaled_from_distance, surface_tension
 from .kernels import from_config as kernel_from_config
 from .transport import check_dense_costs
 
-_DOMAIN = {
-    "type": "object",
-    "properties": {
-        "shape": {"enum": ["unit-box", "box", "dumbbell", "box-union", "polygon"]},
+def _tagged(tag: str, kinds: dict, properties: dict) -> dict:
+    """Schema of an object whose ``tag`` names its kind.
+
+    kinds maps each kind to (required keys, optional keys); a kind must
+    have all of its required keys and takes no key of another kind.
+    """
+    return {
+        "type": "object",
+        "properties": {tag: {"enum": list(kinds)}, **properties},
+        "required": [tag],
+        "additionalProperties": False,
+        "allOf": [
+            {
+                "if": {"properties": {tag: {"const": kind}}, "required": [tag]},
+                "then": {
+                    "required": list(required),
+                    "propertyNames": {"enum": [tag, *required, *optional]},
+                },
+            }
+            for kind, (required, optional) in kinds.items()
+        ],
+    }
+
+
+_DOMAIN = _tagged(
+    "shape",
+    {
+        "unit-box": ((), ("dimension",)),
+        "box": (("lo", "hi"), ()),
+        "dumbbell": ((), ("width", "length")),
+        "box-union": (("boxes",), ()),
+        "polygon": (("vertices",), ()),
+    },
+    {
         "dimension": {"type": "integer", "minimum": 1, "maximum": 8},
         "lo": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "hi": {"type": "array", "items": {"type": "number"}, "minItems": 1},
@@ -53,25 +83,22 @@ _DOMAIN = {
             "minItems": 3,
         },
     },
-    "required": ["shape"],
-    "additionalProperties": False,
-}
+)
 
-_DENSITY = {
-    "type": "object",
-    "properties": {
-        "name": {"enum": ["uniform", "affine"]},
-        "axis": {"type": "integer", "minimum": 0},
-        "slope": {"type": "number"},
+_DENSITY = _tagged(
+    "name",
+    {"uniform": ((), ()), "affine": ((), ("axis", "slope"))},
+    {"axis": {"type": "integer", "minimum": 0}, "slope": {"type": "number"}},
+)
+
+_KERNEL = _tagged(
+    "name",
+    {
+        "indicator": ((), ("radius",)),
+        "gaussian": ((), ("width",)),
+        "step-sum": (("radii", "heights"), ()),
     },
-    "required": ["name"],
-    "additionalProperties": False,
-}
-
-_KERNEL = {
-    "type": "object",
-    "properties": {
-        "name": {"enum": ["indicator", "gaussian", "step-sum"]},
+    {
         "radius": {"type": "number", "exclusiveMinimum": 0},
         "width": {"type": "number", "exclusiveMinimum": 0},
         "radii": {"type": "array", "items": {"type": "number"}, "minItems": 1},
@@ -81,24 +108,23 @@ _KERNEL = {
             "minItems": 1,
         },
     },
-    "required": ["name"],
-    "additionalProperties": False,
-}
+)
 
-_EPS_RULE = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["admissible", "borderline", "sub-connectivity", "fixed"]},
+_EPS_RULE = _tagged(
+    "kind",
+    {
+        "admissible": ((), ("c", "gamma")),
+        "borderline": ((), ("c",)),
+        "sub-connectivity": ((), ("factor",)),
+        "fixed": (("value",), ()),
+    },
+    {
         "c": {"type": "number", "exclusiveMinimum": 0},
         "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "factor": {"type": "number", "exclusiveMinimum": 0},
         "value": {"type": "number", "exclusiveMinimum": 0},
     },
-    "required": ["kind"],
-    "additionalProperties": False,
-    "if": {"properties": {"kind": {"const": "fixed"}}, "required": ["kind"]},
-    "then": {"required": ["value"]},
-}
+)
 
 _FUNCTION = {
     "type": "object",

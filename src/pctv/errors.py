@@ -5,10 +5,6 @@ class PCTVError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidProfileError(PCTVError):
-    """A kernel profile takes a negative value."""
-
-
 class DivergentKernelError(PCTVError):
     """The radial moment integral of a kernel profile does not stabilize."""
 

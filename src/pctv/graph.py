@@ -102,7 +102,7 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
     jj = key.astype(np.int32)
     del key
 
-    dist = _pair_distances(points, ii, jj)
+    dist = _pair_distances(points, ii, points, jj)
     ww = kernels.scaled_from_distance(profile, eps, dist, d)
     keep = _kept(dist, ww, radius)
     del dist
@@ -110,17 +110,17 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
                          ww=ww[keep])
 
 
-def _pair_distances(points: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Distance of each pair (ii[k], jj[k]), summed in axis order.
+def _pair_distances(x: np.ndarray, ii: np.ndarray, y: np.ndarray,
+                    jj: np.ndarray) -> np.ndarray:
+    """Distance of each pair (x[ii[k]], y[jj[k]]), summed in axis order.
 
     One coordinate column at a time, so every temporary is one (m,)
     array; the axis order fixes the bits of each distance.
     """
     dist = np.zeros(ii.size)
-    for axis in range(points.shape[1]):
-        column = np.ascontiguousarray(points[:, axis])
-        delta = column.take(ii)
-        delta -= column.take(jj)
+    for axis in range(x.shape[1]):
+        delta = np.ascontiguousarray(x[:, axis]).take(ii)
+        delta -= np.ascontiguousarray(y[:, axis]).take(jj)
         delta *= delta
         dist += delta
         del delta
@@ -159,7 +159,7 @@ def connection_distance(points) -> float:
         # As in build_graph, the slack only widens the candidate set and
         # the distance test decides every pair.
         pairs = tree.query_pairs(radius * (1 + 1e-12), output_type="ndarray")
-        dist = _pair_distances(points, pairs[:, 0], pairs[:, 1])
+        dist = _pair_distances(points, pairs[:, 0], points, pairs[:, 1])
         within = dist <= radius
         pairs, dist = pairs[within], dist[within]
         order = np.argsort(dist, kind="stable")

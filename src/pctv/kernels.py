@@ -12,6 +12,11 @@ Admissible profiles satisfy
     (K2) eta is non-increasing,
     (K3) the moment integral of eta(r) * r^d over [0, inf) is finite.
 
+The builders enforce these conditions: indicator and gaussian meet all
+three by construction, step_sum raises ValueError on K1 and K2, and
+effective_support raises DivergentKernelError when the K3 integrand of
+an unbounded profile never decays.
+
 The surface tension of an admissible profile in dimension d is
 
     sigma = integral over R^d of eta(|h|) * |h_1| dh
@@ -24,15 +29,14 @@ area: c_d = 2 pi^((d-1)/2) / Gamma((d+1)/2), so c_2 = 4 and c_3 = 2*pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DivergentKernelError, InvalidProfileError
+from .errors import DivergentKernelError
 
 TRUNCATION_THRESHOLD = 1e-12
-MONOTONICITY_SLACK = 1e-12
 QUADRATURE_REL_TOL = 1e-8
 
 
@@ -52,27 +56,6 @@ class KernelProfile:
 
     def __call__(self, r):
         return self.fn(np.asarray(r, dtype=float))
-
-
-@dataclass(frozen=True)
-class ProfileReport:
-    """Outcome of the admissibility checks for a profile."""
-
-    positive_at_zero: bool
-    continuous_at_zero: bool
-    non_increasing: bool
-    finite_moment: bool
-    moment_value: float
-    details: dict = field(default_factory=dict)
-
-    @property
-    def admissible(self) -> bool:
-        return (
-            self.positive_at_zero
-            and self.continuous_at_zero
-            and self.non_increasing
-            and self.finite_moment
-        )
 
 
 def indicator(radius: float = 1.0) -> KernelProfile:
@@ -128,21 +111,6 @@ def step_sum(radii, heights) -> KernelProfile:
 
     return KernelProfile(name="step-sum", fn=fn, support_radius=float(radii[-1]),
                          breakpoints=tuple(radii))
-
-
-def truncate(profile: KernelProfile, alpha: float) -> KernelProfile:
-    """Restrict a profile to [0, alpha), zero beyond."""
-    alpha = float(alpha)
-    base = profile.fn
-
-    def fn(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < alpha, base(r), 0.0)
-
-    support = min(profile.support_radius, alpha)
-    breaks = tuple(b for b in profile.breakpoints if b < alpha) + (alpha,)
-    return KernelProfile(name=f"{profile.name}|{alpha:g}", fn=fn,
-                         support_radius=support, breakpoints=breaks)
 
 
 def from_config(spec: dict) -> KernelProfile:
@@ -226,17 +194,6 @@ def _moment_integral(profile: KernelProfile, d: int, upper: float) -> float:
     return value
 
 
-def _settled_moment(profile: KernelProfile, d: int, support: float) -> Tuple[bool, float]:
-    """The doubling test of the moment integral, and its value I4.
-
-    Settled means I4, the integral up to 4 * support, is finite and within
-    max(1e-10, 1e-8 * |I4|) of the integral up to 2 * support.
-    """
-    i2 = _moment_integral(profile, d, 2.0 * support)
-    i4 = _moment_integral(profile, d, 4.0 * support)
-    return math.isfinite(i4) and abs(i4 - i2) <= max(1e-10, 1e-8 * abs(i4)), i4
-
-
 def effective_support(profile: KernelProfile, d: int) -> float:
     """Radius beyond which eta(r) * r^d stays below the truncation threshold.
 
@@ -265,67 +222,6 @@ def effective_support(profile: KernelProfile, d: int) -> float:
     return hi
 
 
-def validate_profile(profile: KernelProfile, d: int) -> ProfileReport:
-    """Check the admissibility conditions and report each one.
-
-    Raises InvalidProfileError if the profile is negative anywhere on the
-    check grid; the other conditions are reported, not raised.
-    """
-    try:
-        support = effective_support(profile, d)
-        divergent_support = False
-    except DivergentKernelError:
-        support = 1e3
-        divergent_support = True
-
-    hi = 1.1 * support
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, hi, 2001),
-        np.geomspace(1e-9, hi, 200),
-        np.asarray([b + s for b in profile.breakpoints if b < hi
-                    for s in (-1e-12, 0.0, 1e-12)]),
-    ]))
-    grid = grid[grid >= 0.0]
-    values = np.asarray(profile(grid), dtype=float)
-
-    neg = np.nonzero(values < 0.0)[0]
-    if neg.size:
-        raise InvalidProfileError(
-            f"profile {profile.name!r} is negative at r={grid[neg[0]]:.6g}")
-
-    value0 = float(profile(0.0))
-    positive = value0 > 0.0
-    near = grid[(grid > 0.0) & (grid <= 1e-8)]
-    if near.size:
-        gap = float(np.max(np.abs(np.asarray(profile(near)) - value0)))
-    else:
-        gap = 0.0
-    continuous = gap <= 1e-6 * max(1.0, abs(value0))
-
-    diffs = np.diff(values)
-    monotone = bool(np.all(diffs <= MONOTONICITY_SLACK))
-
-    if divergent_support:
-        finite = False
-        moment = math.inf
-    else:
-        finite, moment = _settled_moment(profile, d, support)
-
-    return ProfileReport(
-        positive_at_zero=positive,
-        continuous_at_zero=continuous,
-        non_increasing=monotone,
-        finite_moment=finite,
-        moment_value=moment,
-        details={
-            "value_at_zero": value0,
-            "continuity_gap": gap,
-            "max_increase": float(np.max(diffs)) if diffs.size else 0.0,
-            "support": support,
-        },
-    )
-
-
 def _angular_constant(d: int) -> float:
     """c_d = integral of |omega_1| over the unit sphere S^(d-1).
 
@@ -348,14 +244,11 @@ def surface_tension(profile: KernelProfile, d: int) -> float:
     Unbounded profiles are cut at their effective support; the constant is
     computed for the truncated profile, matching the kernel actually used
     in graph construction.  Raises DivergentKernelError when the moment
-    integral fails to stabilize under doubling of the cut radius.
+    integrand never decays (from effective_support) or the integral is
+    not finite.
     """
     support = effective_support(profile, d)
     value = _moment_integral(profile, d, support)
-    if not math.isfinite(profile.support_radius):
-        if not _settled_moment(profile, d, support)[0]:
-            raise DivergentKernelError(
-                f"moment integral of {profile.name!r} does not stabilize")
     if not math.isfinite(value):
         raise DivergentKernelError(
             f"moment integral of {profile.name!r} is not finite")

@@ -31,6 +31,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import UnsupportedConfigurationError
+from .graph import _pair_distances
 
 DISTANCE_FLOOR = 1e-14
 MAX_DENSE_COSTS = 20_000_000
@@ -107,7 +108,7 @@ def _bipartite_candidates(x: np.ndarray, y: np.ndarray, radius: float):
     pairs = cKDTree(x).sparse_distance_matrix(
         cKDTree(y), radius * (1 + 1e-12), output_type="ndarray")
     ci, cj = pairs["i"], pairs["j"]
-    dist = np.linalg.norm(x[ci] - y[cj], axis=1)
+    dist = _pair_distances(x, ci, y, cj)
     near = dist <= radius
     return ci[near], cj[near], dist[near]
 

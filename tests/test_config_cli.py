@@ -320,6 +320,21 @@ BAD_CONFIGS = [
     ("bisect", dict(BISECT_CFG, eps_rule={"kind": "fixed", "value": 1e-170}), "/eps_rule"),
     ("perimeter-convergence",
      dict(PERIMETER_CFG, eps_rule={"kind": "admissible", "c": 1e-300}), "/eps_rule"),
+    # each kind must have its required keys and takes no key of another kind
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "box"}), "/domain"),
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "box-union"}), "/domain"),
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "polygon"}), "/domain"),
+    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "step-sum", "radii": [1.0]}),
+     "/kernel"),
+    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "radius": 0.1}),
+     "/kernel"),
+    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "indicator", "width": 3}),
+     "/kernel"),
+    ("bisect", dict(BISECT_CFG, domain={"shape": "dumbbell", "dimension": 3}), "/domain"),
+    ("gtv-convergence", dict(GTV_CFG, density={"name": "uniform", "slope": 3}),
+     "/density"),
+    ("gtv-convergence", dict(GTV_CFG, eps_rule={"kind": "borderline", "factor": 0.5}),
+     "/eps_rule"),
 ]
 
 
@@ -468,9 +483,12 @@ _KERNELS = st.one_of(
 )
 _EPS_RULES = st.one_of(
     st.fixed_dictionaries(
-        {"kind": st.sampled_from(["admissible", "borderline", "sub-connectivity"])},
-        optional={"c": _POSITIVE, "factor": _POSITIVE,
+        {"kind": st.just("admissible")},
+        optional={"c": _POSITIVE,
                   "gamma": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)}),
+    st.fixed_dictionaries({"kind": st.just("borderline")}, optional={"c": _POSITIVE}),
+    st.fixed_dictionaries({"kind": st.just("sub-connectivity")},
+                          optional={"factor": _POSITIVE}),
     st.fixed_dictionaries({"kind": st.just("fixed"), "value": _POSITIVE}),
 )
 _FUNCTIONS = st.fixed_dictionaries({"coeffs": _VECTOR}, optional={"offset": _NUMBER})

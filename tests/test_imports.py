@@ -1,6 +1,6 @@
 """No module imports a name it never uses, the CLI skips slow imports,
-every function the benchmark wraps exists, and every export is used
-outside its own module."""
+every function the benchmark wraps or calls exists, and every export is
+used outside its own module."""
 
 import ast
 import importlib
@@ -65,6 +65,53 @@ def test_every_benchmark_layer_resolves():
     missing = [f"{module}.{attr}" for module, attr, _ in layers
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def unresolved_pctv_names(source: str) -> list[str]:
+    """Names that `from pctv... import` or `module.attr` on an imported pctv
+    module asks for and pctv does not have."""
+    tree = ast.parse(source)
+    modules = {}
+    asked = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update({alias.asname or alias.name: alias.name
+                            for alias in node.names if alias.name.split(".")[0] == "pctv"})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pctv":
+            for alias in node.names:
+                asked.append((node.module, alias.name))
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            asked.append((modules[node.value.id], node.attr))
+    missing = []
+    for module, name in asked:
+        try:
+            owner = importlib.import_module(module)
+        except ImportError:  # module.attr on a name that is no module
+            continue
+        if hasattr(owner, name):
+            continue
+        try:  # a submodule the package has not imported yet
+            importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            missing.append(f"{module}.{name}")
+    return sorted(set(missing))
+
+
+def test_the_hook_scan_finds_a_missing_name():
+    source = "from pctv import config, nothing\nconfig.validate_config\nconfig.gone\n"
+    assert unresolved_pctv_names(source) == ["pctv.config.gone", "pctv.nothing"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "perfbench").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_benchmark_hook_resolves(path):
+    # perfbench/worker.py patches and calls pctv names (_parallel_map,
+    # _setup, validate_config, ...); a rename would only surface as a
+    # failed benchmark run.
+    assert unresolved_pctv_names(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_export_is_used_outside_its_module():
