@@ -14,8 +14,12 @@ points.  Distances:
 Equal-count instances reduce to the assignment problem; an optimal
 vertex of the transportation polytope is a permutation, so the
 assignment solution is exact.  Unequal counts go through the
-transportation linear program.  No entropic or other approximate
-solvers are used anywhere.
+transportation linear program.  The bottleneck distance is the smallest
+candidate distance whose threshold graph has a perfect matching: one
+maximum flow matches the first candidate set from scratch, and every
+later threshold grows the last maximum matching by breadth-first
+augmenting phases on the residual graph (Hopcroft & Karp).  No entropic
+or other approximate solvers are used anywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix, csr_matrix, vstack
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -144,6 +148,64 @@ def _augment(n: int, ci, cj, match) -> np.ndarray:
     return grown
 
 
+def _grow(n: int, rows, cols, match) -> np.ndarray:
+    """A maximum matching over the edges (rows, cols), grown from match.
+
+    rows is sorted, and match is as for _augment.  Each phase is one
+    breadth-first search of the residual graph collapsed onto rows, from
+    a source node 2n joined to every free row.  An edge r -> c leads to
+    the row that holds column c, or, when c is free, to c's own sink
+    node n + c.  Every sink reached closes an augmenting path; taking
+    one per free row gives paths in disjoint subtrees of the search
+    tree, so all of them are flipped at once.  A phase that reaches no
+    sink proves the matching maximum (Berge).
+    """
+    source = 2 * n
+    indptr = np.empty(2 * n + 2, dtype=np.int32)
+    indptr[0] = 0
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:n + 1])
+    indptr[n + 1:] = rows.size
+    indices = np.empty(rows.size + n, dtype=np.int32)
+    # float64, as csgraph would convert any other dtype with a copy that
+    # also sorts the indices
+    data = np.ones(rows.size + n)
+    nodes = np.arange(2 * n + 1, dtype=np.int32)
+    match = match.copy()
+    while True:
+        free = np.flatnonzero(match < 0)
+        if free.size == 0:
+            return match
+        held = np.flatnonzero(match >= 0)
+        owner = nodes[n:2 * n].copy()
+        owner[match[held]] = held
+        np.take(owner, cols, out=indices[:rows.size])
+        indices[rows.size:rows.size + free.size] = free
+        indptr[-1] = rows.size + free.size
+        graph = csr_matrix((data[:indptr[-1]], indices[:indptr[-1]], indptr),
+                           shape=(2 * n + 1, 2 * n + 1))
+        order, pred = breadth_first_order(graph, source, return_predecessors=True)
+        sinks = order[(order >= n) & (order < source)]
+        if sinks.size == 0:
+            return match
+        # the free row at the top of each node's branch, by pointer doubling
+        up = np.where((pred == source) | (pred < 0), nodes, pred)
+        while True:
+            jump = up[up]
+            if np.array_equal(jump, up):
+                break
+            up = jump
+        _, first = np.unique(up[sinks], return_index=True)
+        node = sinks[first]
+        col = node - n
+        # flip each path from its sink up: every row takes the column held
+        # by the node below it, and the free row on top ends the walk
+        while node.size:
+            row = pred[node]
+            col, match[row] = match[row], col
+            node = row[col >= 0]
+            col = col[col >= 0]
+
+
 def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
     """Infinity-cost transport distance between clouds of equal point counts.
 
@@ -159,10 +221,13 @@ def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
     above this bound (at 4 n^(-1/d) when the bound is 0) and doubles
     its radius until a perfect matching exists.  The threshold is then
     found by binary search over the candidate distances from the bound
-    up.  Feasibility only grows with the threshold, so the maximum
-    matching of the last infeasible probe stays valid at every higher
-    one: each maximum-flow solve starts from it and only looks for the
-    augmenting paths still missing.
+    up.  The first solve, with every row free, is one maximum flow.
+    Feasibility only grows with the threshold, so the maximum matching
+    of the last infeasible radius or probe stays valid at every higher
+    one, and every later solve grows it by breadth-first augmenting
+    phases (Hopcroft & Karp) over the candidates within the threshold.
+    Near the optimum that matching misses only a few rows, which one or
+    two phases match or prove unmatchable.
     """
     x, y = _points(x), _points(y)
     n = x.shape[0]
@@ -174,30 +239,30 @@ def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
     lb = max(float(cKDTree(y).query(x)[0].max()),
              float(cKDTree(x).query(y)[0].max()))
     radius = lb * (1 + 1e-9) if lb > 0 else 4.0 * max(n, 2) ** (-1.0 / x.shape[1])
-    span = float(np.max(np.max(np.vstack([x, y]), axis=0)
-                        - np.min(np.min(np.vstack([x, y]), axis=0))))
+    diagonal = float(np.linalg.norm(np.ptp(np.vstack([x, y]), axis=0)))
     match_lo = np.full(n, -1, dtype=np.int64)
     below = -math.inf  # largest radius known to be infeasible
+    solve = _augment
     while True:
         ci, cj, dist = _bipartite_candidates(x, y, radius)
-        best = _augment(n, ci, cj, match_lo)
+        order = np.argsort(ci, kind="stable")
+        ci, cj, dist = ci[order], cj[order], dist[order]
+        best = solve(n, ci, cj, match_lo)
         if best.min() >= 0:
             break
-        if radius > 2.0 * max(span, 1.0):
+        if radius > 2.0 * max(diagonal, 1.0):
             raise RuntimeError("no perfect matching found at any radius")
-        match_lo, below = best, radius
+        match_lo, below, solve = best, radius, _grow
         radius *= 2.0
 
-    order = np.argsort(dist, kind="stable")
-    ci, cj, dist = ci[order], cj[order], dist[order]
     levels = np.unique(dist)
     lo = max(int(np.searchsorted(levels, below, side="right")),
              int(np.searchsorted(levels, lb * (1 - 1e-9))))
     hi = levels.size - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        k = int(np.searchsorted(dist, levels[mid], side="right"))
-        match = _augment(n, ci[:k], cj[:k], match_lo)
+        keep = dist <= levels[mid]
+        match = _grow(n, ci[keep], cj[keep], match_lo)
         if match.min() >= 0:
             best = match
             hi = mid

@@ -224,16 +224,18 @@ def threshold_bottleneck(x: np.ndarray, y: np.ndarray) -> float:
     """
     dist = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
     for level in np.unique(dist):
-        if _has_perfect_matching(dist <= level):
+        if matching_size(dist <= level) == len(x):
             return float(level)
     raise AssertionError("the complete bipartite graph has a perfect matching")
 
 
-def _has_perfect_matching(allowed: np.ndarray) -> bool:
-    """Kuhn's augmenting-path test on a boolean row-by-column matrix."""
-    n = allowed.shape[0]
+def matching_size(allowed: np.ndarray) -> int:
+    """Size of a maximum matching of a boolean row-by-column matrix.
+
+    Kuhn's augmenting-path search from every row in turn.
+    """
     adjacency = [np.flatnonzero(row).tolist() for row in allowed]
-    owner = [-1] * n
+    owner = [-1] * allowed.shape[1]
 
     def augment(i, seen):
         for j in adjacency[i]:
@@ -244,7 +246,7 @@ def _has_perfect_matching(allowed: np.ndarray) -> bool:
                     return True
         return False
 
-    return all(augment(i, [False] * n) for i in range(n))
+    return sum(augment(i, [False] * len(owner)) for i in range(len(adjacency)))
 
 
 def exhaustive_bisection_energy(n: int, ii, jj, ww, eps: float) -> float:

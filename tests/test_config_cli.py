@@ -534,6 +534,26 @@ def _small_connectivity_configs(draw):
         seeds=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3)))
 
 
+@st.composite
+def _small_matching_configs(draw):
+    d = draw(st.integers(1, 8))
+    sides = st.integers(1, math.floor(400 ** (1 / d) + 1e-9))
+    return {"dimension": d, "n": draw(st.lists(sides.map(lambda k: k ** d),
+                                               min_size=1, max_size=3)),
+            "seeds": draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))}
+
+
+def _run_or_config_error(name, cfg):
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run_experiment(name, cfg, out)
+        except ConfigError as exc:
+            assert str(exc).startswith("/")
+            assert os.listdir(out) == []
+        else:
+            assert {"records.csv", "summary.json"} <= set(os.listdir(out))
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_schema_valid_configs())
 @example(("gtv-convergence",  # the box volume underflows to 0.0
@@ -553,14 +573,13 @@ def test_schema_valid_configs_pass_or_raise_config_errors(case):
 @example({"kernel": {"name": "indicator"}, "n": 9, "factors": [1.0, 5e-324], "seeds": [0]})
 @example({"kernel": {"name": "indicator"}, "n": 2, "factors": [1e-161], "seeds": [0]})
 def test_small_connectivity_configs_run_or_raise_config_errors(cfg):
-    with tempfile.TemporaryDirectory() as out:
-        try:
-            run_experiment("connectivity", cfg, out)
-        except ConfigError as exc:
-            assert str(exc).startswith("/")
-            assert os.listdir(out) == []
-        else:
-            assert {"records.csv", "summary.json"} <= set(os.listdir(out))
+    _run_or_config_error("connectivity", cfg)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_small_matching_configs())
+def test_small_matching_configs_run_or_raise_config_errors(cfg):
+    _run_or_config_error("matching-scaling", cfg)
 
 
 def test_scatter_figures_are_valid_and_deterministic(tmp_path):

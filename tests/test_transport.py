@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
+import pctv.transport
 from pctv.errors import ConfigError, UnsupportedConfigurationError
 from pctv.experiments import run_experiment
 from pctv.geometry import grid_points, sample_iid, uniform_density, unit_box
@@ -12,13 +15,16 @@ from pctv.transport import (
     bottleneck_distance,
     scaling_ratio,
     tlp_distance,
+    _augment,
     _bipartite_candidates,
+    _grow,
 )
 
 from oracles import (
     bipartite_pairs,
     exhaustive_bottleneck,
     exhaustive_tlp,
+    matching_size,
     threshold_bottleneck,
 )
 
@@ -158,6 +164,105 @@ def test_bottleneck_with_a_zero_bound_but_no_zero_cost_matching():
     a, b = [0.0, 0.0], [5.0, 0.0]
     x, y = np.array([a, a, b]), np.array([a, b, b])
     assert _check_against_threshold_oracle(x, y) == 5.0
+
+
+def test_bottleneck_radius_guard_covers_the_bounding_box_diagonal():
+    # the optimum, the diagonal 1.5 sqrt(8), is more than twice the widest
+    # axis extent 1.5, so a guard on that extent alone gave up too early
+    o, e = np.zeros(8), np.full(8, 1.5)
+    x, y = np.array([o, o, e]), np.array([o, e, e])
+    assert _check_against_threshold_oracle(x, y) == float(np.linalg.norm(e))
+
+
+@st.composite
+def _integer_clouds(draw):
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    coords = st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d)
+    x = np.array(draw(coords), dtype=float).reshape(n, d)
+    y = np.array(draw(coords), dtype=float).reshape(n, d)
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_clouds())
+def test_bottleneck_matches_threshold_oracle_on_integer_clouds(clouds):
+    # coincident points and many equal distances on a small lattice
+    _check_against_threshold_oracle(*clouds)
+
+
+def _count_flow_solves(monkeypatch):
+    solve, calls = pctv.transport.maximum_flow, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pctv.transport, "maximum_flow", counted)
+    return calls
+
+
+def test_one_flow_solve_when_the_first_radius_is_feasible(monkeypatch):
+    # every point sits 1/k above a grid point, which is the bound, so the
+    # first radius already matches all and the binary search grows from empty
+    calls = _count_flow_solves(monkeypatch)
+    grid = grid_points(6, 2)
+    assert _check_against_threshold_oracle(grid + [0.0, 1.0 / 6], grid) > 0
+    assert len(calls) == 1
+
+
+def test_one_flow_solve_when_the_radius_doubles(monkeypatch):
+    calls = _count_flow_solves(monkeypatch)
+    a, b = [0.0, 0.0], [5.0, 0.0]
+    _check_against_threshold_oracle(np.array([a, a, b]), np.array([a, b, b]))
+    assert len(calls) == 1
+
+
+def _random_partial_matching(rng, n, ci, cj):
+    """Greedy over the edges in random order, then about half the rows freed."""
+    match = np.full(n, -1, dtype=np.int64)
+    taken = np.zeros(n, dtype=bool)
+    for e in rng.permutation(ci.size):
+        if match[ci[e]] < 0 and not taken[cj[e]]:
+            match[ci[e]], taken[cj[e]] = cj[e], True
+    match[rng.uniform(size=n) < 0.5] = -1
+    return match
+
+
+def _matching_instances():
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        x, y = rng.uniform(size=(40, d)), rng.uniform(size=(40, d))
+        optimum = threshold_bottleneck(x, y)
+        for radius in (0.5 * optimum, 0.9 * optimum, optimum, 1.5 * optimum):
+            yield x, y, radius
+    for d in (1, 2, 3):
+        # integer lattice points, many of them coincident
+        x = rng.integers(0, 3, size=(30, d)).astype(float)
+        y = rng.integers(0, 3, size=(30, d)).astype(float)
+        for radius in (0.0, 1.0, np.sqrt(2.0)):
+            yield x, y, radius
+
+
+def test_grow_and_flow_reach_maximum_matchings_of_equal_size():
+    rng = np.random.default_rng(29)
+    for x, y, radius in _matching_instances():
+        n = len(x)
+        ci, cj, _ = bipartite_pairs(x, y, radius)  # sorted by row
+        allowed = np.zeros((n, n), dtype=bool)
+        allowed[ci, cj] = True
+        size = matching_size(allowed)
+        starts = [np.full(n, -1, dtype=np.int64)]
+        starts += [_random_partial_matching(rng, n, ci, cj) for _ in range(3)]
+        for start in starts:
+            for solve in (_grow, _augment):
+                match = solve(n, ci, cj, start)
+                rows = np.flatnonzero(match >= 0)
+                assert rows.size == size
+                assert allowed[rows, match[rows]].all()
+                assert np.unique(match[rows]).size == rows.size
+                # augmenting paths never free a matched row
+                assert (match[start >= 0] >= 0).all()
+                assert (start >= 0).sum() <= size
 
 
 @pytest.mark.parametrize("shift", [False, True])
