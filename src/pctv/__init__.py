@@ -18,8 +18,6 @@ from .bisection import (
 )
 from .continuum import (
     affine_function,
-    disk_set,
-    halfplane_set,
     nonlocal_tv,
     weighted_perimeter,
     weighted_tv_smooth,
@@ -89,14 +87,12 @@ __all__ = [
     "coarea_decompose",
     "coarea_reconstruct",
     "component_labels",
-    "disk_set",
     "dumbbell",
     "effective_support",
     "gaussian",
     "graph_perimeter",
     "graph_total_variation",
     "grid_points",
-    "halfplane_set",
     "indicator",
     "is_connected",
     "local_search_bisection",

@@ -17,9 +17,15 @@ import jsonschema
 import numpy as np
 
 from .bisection import reference_partitions
-from .continuum import check_grid_sizes, halfplane_set
+from .continuum import check_grid_sizes
 from .errors import ConfigError, DivergentKernelError, PCTVError
-from .geometry import Box, density_from_config, domain_from_config
+from .geometry import (
+    MIN_ACCEPTANCE,
+    Box,
+    acceptance_rate,
+    density_from_config,
+    domain_from_config,
+)
 from .graph import connectivity_scale, eps_rule
 from .kernels import effective_support, scaled_from_distance, surface_tension
 from .kernels import from_config as kernel_from_config
@@ -60,8 +66,8 @@ _DOMAIN = _tagged(
     },
     {
         "dimension": {"type": "integer", "minimum": 1, "maximum": 8},
-        "lo": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "hi": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "lo": {"type": "array", "items": {"type": "number"}, "minItems": 1, "maxItems": 8},
+        "hi": {"type": "array", "items": {"type": "number"}, "minItems": 1, "maxItems": 8},
         "width": {"type": "number", "exclusiveMinimum": 0},
         "length": {"type": "number", "exclusiveMinimum": 0},
         "boxes": {
@@ -69,8 +75,8 @@ _DOMAIN = _tagged(
             "items": {
                 "type": "object",
                 "properties": {
-                    "lo": {"type": "array", "items": {"type": "number"}},
-                    "hi": {"type": "array", "items": {"type": "number"}},
+                    "lo": {"type": "array", "items": {"type": "number"}, "maxItems": 8},
+                    "hi": {"type": "array", "items": {"type": "number"}, "maxItems": 8},
                 },
                 "required": ["lo", "hi"],
                 "additionalProperties": False,
@@ -306,8 +312,8 @@ def _preflight(experiment: str, cfg: dict) -> None:
     """The checks that need built objects.
 
     Nothing is sampled; the one integral is the kernel's surface tension,
-    a few milliseconds, for the runs that compare against it.  Quadrature
-    grids are sized, not built.
+    a few milliseconds, for the runs that compare against it.  The
+    nonlocal lattice is sized, not built.
     """
     d = cfg.get("dimension")
     if "domain" in cfg:
@@ -315,7 +321,14 @@ def _preflight(experiment: str, cfg: dict) -> None:
         d = domain.dimension
         if cfg["density"].get("axis", 0) >= d:
             raise ConfigError("/density/axis: axis is outside the domain dimension")
-        _built("/density", density_from_config, cfg["density"], domain)
+        density = _built("/density", density_from_config, cfg["density"], domain)
+        # At 10 * MIN_ACCEPTANCE sample_iid's 50000-proposal warmup expects
+        # 50 acceptances and gives up only below 5.  Every run but the
+        # nonlocal one samples.
+        if (experiment != "nonlocal-convergence"
+                and not acceptance_rate(domain, density) >= 10 * MIN_ACCEPTANCE):
+            raise ConfigError("/domain: rejection sampling would accept under "
+                              f"{10 * MIN_ACCEPTANCE:g} of the proposals in the bounding box")
     if "kernel" in cfg:
         profile = _built("/kernel", kernel_from_config, cfg["kernel"])
         _built("/kernel", effective_support, profile, d)
@@ -324,15 +337,11 @@ def _preflight(experiment: str, cfg: dict) -> None:
             _built("/domain", surface_tension, profile, d)
     if "function" in cfg and len(cfg["function"]["coeffs"]) != d:
         raise ConfigError("/function/coeffs: length must match the domain dimension")
-    if experiment in ("gtv-convergence", "nonlocal-convergence"):  # weighted TV runs
-        _built("/domain", check_grid_sizes, domain)
     if experiment == "nonlocal-convergence":
         for i, eps in enumerate(cfg["eps"]):
             _built(f"/eps/{i}", check_grid_sizes, domain, profile, eps)
-    if "set" in cfg:
-        if cfg["set"]["axis"] >= d:
-            raise ConfigError("/set/axis: axis is outside the domain dimension")
-        _built("/set", halfplane_set, domain, cfg["set"]["axis"], cfg["set"]["threshold"])
+    if "set" in cfg and cfg["set"]["axis"] >= d:
+        raise ConfigError("/set/axis: axis is outside the domain dimension")
     if experiment == "tl-distance":
         lo, hi = domain.bounding_box()
         if not (isinstance(domain, Box) and np.allclose(lo, 0.0) and np.allclose(hi, 1.0)):

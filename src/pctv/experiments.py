@@ -27,13 +27,7 @@ import numpy as np
 from . import __version__, svgplot
 from .bisection import sweep_reference, sweep_run
 from .config import validate_config
-from .continuum import (
-    affine_function,
-    halfplane_set,
-    nonlocal_tv,
-    weighted_perimeter,
-    weighted_tv_smooth,
-)
+from .continuum import affine_function, nonlocal_tv, weighted_perimeter, weighted_tv_smooth
 from .errors import ConfigError
 from .geometry import (
     density_from_config,
@@ -248,11 +242,10 @@ def _run_perimeter(cfg: dict, fig_dir: str):
     setup = domain, density, _ = _setup(cfg)
     axis = int(cfg["set"]["axis"])
     threshold = float(cfg["set"]["threshold"])
-    region = halfplane_set(domain, axis, threshold)
     return _graph_tv_sweep(
         cfg, fig_dir, setup,
         lambda points: (points[:, axis] < threshold).astype(float),
-        weighted_perimeter(region, density, domain),
+        weighted_perimeter(density, domain, axis, threshold),
         title="graph perimeter vs continuum limit",
         constants={"axis": axis, "threshold": threshold},
         extra={},

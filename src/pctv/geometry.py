@@ -3,6 +3,9 @@
 Domains are open subsets of R^d given as axis aligned boxes, connected
 unions of boxes, or convex polygons (d = 2 only).  Membership tests use
 the closure; the boundary has measure zero so sampling is unaffected.
+Each domain carries a quadrature rule on its own pieces, exact for
+quadratic polynomials: the 2-point Gauss-Legendre rule per axis on each
+box cell, and the edge-midpoint rule on each triangle of a polygon.
 
 Densities are bounded evaluators 0 < lower <= rho <= upper on a domain.
 Sampling draws i.i.d. points by rejection from the bounding box with the
@@ -11,6 +14,7 @@ declared upper bound as envelope.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -19,8 +23,19 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import EnvelopeError
 
+# The 2-point Gauss-Legendre nodes on [0, 1]; each has weight 1/2.
+_GAUSS = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
+MAX_GRID_POINTS = 256 ** 3  # the most nodes a quadrature rule may hold
+MIN_ACCEPTANCE = 1e-4  # sample_iid gives up below this acceptance rate
+
+
 class Domain:
-    """Common interface: dimension, volume, membership, bounding box."""
+    """Common interface: dimension, volume, membership, bounding box, quadrature.
+
+    ``quadrature`` and ``section`` return (points, weights) of rules that
+    integrate every quadratic polynomial exactly, over the domain and over
+    its open cross-section, the points of D with x_axis = t.
+    """
 
     dimension: int
 
@@ -35,6 +50,12 @@ class Domain:
 
     def moment(self, axis: int) -> float:
         """Integral of the coordinate x_axis over the domain."""
+        raise NotImplementedError
+
+    def quadrature(self) -> Tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def section(self, axis: int, t: float) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
 
@@ -68,6 +89,12 @@ class Box(Domain):
 
     def moment(self, axis: int) -> float:
         return self.volume() * 0.5 * (self.lo[axis] + self.hi[axis])
+
+    def quadrature(self):
+        return _gauss_cells([self.lo], [self.hi])
+
+    def section(self, axis: int, t: float):
+        return _cell_section([self.lo], [self.hi], axis, t)
 
 
 def unit_box(d: int) -> Box:
@@ -105,21 +132,27 @@ class BoxUnion(Domain):
             raise ValueError("box union is not connected through shared faces")
 
     def _covered_cells(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        axes = []
-        for ax in range(self.dimension):
-            coords = sorted({float(b.lo[ax]) for b in self.boxes}
-                            | {float(b.hi[ax]) for b in self.boxes})
-            axes.append(np.asarray(coords))
-        cells = []
-        grids = np.meshgrid(*[np.arange(len(a) - 1) for a in axes], indexing="ij")
-        idx = np.stack([g.ravel() for g in grids], axis=1)
-        for cell in idx:
-            lo = np.array([axes[ax][cell[ax]] for ax in range(self.dimension)])
-            hi = np.array([axes[ax][cell[ax] + 1] for ax in range(self.dimension)])
-            mid = 0.5 * (lo + hi)
-            if any(b.contains(mid[None, :])[0] for b in self.boxes):
-                cells.append((lo, hi))
-        return cells
+        """The covered cells of the coordinate-compressed grid, in C order.
+
+        Refused when the grid could hold more than MAX_GRID_POINTS Gauss
+        nodes, 2^d for each cell, before any of it is built.
+        """
+        axes = [np.asarray(sorted({float(b.lo[ax]) for b in self.boxes}
+                                  | {float(b.hi[ax]) for b in self.boxes}))
+                for ax in range(self.dimension)]
+        shape = [len(a) - 1 for a in axes]
+        cells = float(np.prod(shape, dtype=float))
+        if not cells * 2.0 ** self.dimension <= MAX_GRID_POINTS:
+            raise ValueError(f"box union's grid of {cells:.3g} cells could hold more "
+                             f"than {MAX_GRID_POINTS} quadrature nodes")
+        covered = np.zeros(shape, dtype=bool)
+        for b in self.boxes:  # box corners are grid coordinates
+            covered[tuple(slice(np.searchsorted(a, lo), np.searchsorted(a, hi))
+                          for a, lo, hi in zip(axes, b.lo, b.hi))] = True
+        idx = np.argwhere(covered)
+        lo = np.stack([a[i] for a, i in zip(axes, idx.T)], axis=1)
+        hi = np.stack([a[i + 1] for a, i in zip(axes, idx.T)], axis=1)
+        return list(zip(lo, hi))
 
     def volume(self) -> float:
         return float(sum(np.prod(hi - lo) for lo, hi in self._cells))
@@ -141,6 +174,43 @@ class BoxUnion(Domain):
         for lo, hi in self._cells:
             total += float(np.prod(hi - lo)) * 0.5 * (lo[axis] + hi[axis])
         return total
+
+    def quadrature(self):
+        return _gauss_cells(*zip(*self._cells))
+
+    def section(self, axis: int, t: float):
+        return _cell_section(*zip(*self._cells), axis, t)
+
+
+def _gauss_cells(lo, hi) -> Tuple[np.ndarray, np.ndarray]:
+    """The tensor 2-point Gauss-Legendre rule on each box [lo_i, hi_i].
+
+    The rule is exact for polynomials of degree at most 3 in each
+    coordinate.  A box with no axes is one point of weight 1.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    m, k = lo.shape
+    nodes = np.array(list(itertools.product(_GAUSS, repeat=k)), dtype=float)
+    points = lo[:, None, :] + (hi - lo)[:, None, :] * nodes[None, :, :]
+    weights = np.prod(hi - lo, axis=1) / 2 ** k
+    return points.reshape(m * 2 ** k, k), np.repeat(weights, 2 ** k)
+
+
+def _cell_section(lo, hi, axis: int, t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The Gauss rule on the open cross-section {x_axis = t} of a union of cells.
+
+    A cell the plane cuts strictly contributes its slice.  A face in the
+    plane counts only when covered cells lie on both sides of it, so the
+    boundary of the union contributes nothing.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    rest = [ax for ax in range(lo.shape[1]) if ax != axis]
+    faces = [(tuple(a), tuple(b)) for a, b in zip(lo[:, rest], hi[:, rest])]
+    below = {face for face, top in zip(faces, hi[:, axis] == t) if top}
+    keep = [(a < t < b) or (a == t and face in below)
+            for face, a, b in zip(faces, lo[:, axis], hi[:, axis])]
+    points, weights = _gauss_cells(lo[keep][:, rest], hi[keep][:, rest])
+    return np.insert(points, axis, t, axis=1), weights
 
 
 class ConvexPolygon(Domain):
@@ -186,6 +256,29 @@ class ConvexPolygon(Domain):
         b = np.roll(a, -1, axis=0)
         w = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
         return float(np.sum((a[:, axis] + b[:, axis]) * w)) / 6.0
+
+    def quadrature(self):
+        """The edge-midpoint rule on the triangles fanned out from vertex 0."""
+        a = self.vertices[0]
+        b, c = self.vertices[1:-1], self.vertices[2:]
+        e, f = b - a, c - a
+        area = 0.5 * (e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0])
+        points = np.concatenate([0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)])
+        return points, np.tile(area / 3.0, 3)
+
+    def section(self, axis: int, t: float):
+        """The Gauss rule on the chord {x_axis = t}, empty unless the line cuts the interior."""
+        a = self.vertices
+        b = np.roll(a, -1, axis=0)
+        chord = np.empty((0, 1)), np.empty((0, 1))  # the line misses the interior
+        if a[:, axis].min() < t < a[:, axis].max():
+            with np.errstate(divide="ignore", invalid="ignore"):  # edges parallel to the chord
+                s = (t - a[:, axis]) / (b[:, axis] - a[:, axis])
+            hit = (s >= 0.0) & (s <= 1.0)
+            ends = a[hit, 1 - axis] + s[hit] * (b - a)[hit, 1 - axis]
+            chord = [[ends.min()]], [[ends.max()]]
+        points, weights = _gauss_cells(*chord)
+        return np.insert(points, axis, t, axis=1), weights
 
 
 def _shoelace(verts: np.ndarray) -> float:
@@ -278,6 +371,16 @@ class PointCloud:
         return self.points.shape[1]
 
 
+def acceptance_rate(domain: Domain, density: Density) -> float:
+    """sample_iid's acceptance rate for a density normalized on the domain.
+
+    A proposal is uniform on the bounding box and kept with probability
+    rho / upper, so the rate is 1 / (upper * bounding-box volume).
+    """
+    lo, hi = domain.bounding_box()
+    return 1.0 / (density.upper * float(np.prod(hi - lo)))
+
+
 def sample_iid(domain: Domain, density: Density, n: int,
                seed: Optional[int] = None) -> PointCloud:
     """Draw n i.i.d. points from the density by rejection sampling.
@@ -285,7 +388,7 @@ def sample_iid(domain: Domain, density: Density, n: int,
     Proposals are uniform on the bounding box and accepted with
     probability rho(x) / upper.  Aborts with EnvelopeError when the
     envelope is violated or the estimated acceptance rate falls below
-    1e-4 after a warmup of proposals.
+    MIN_ACCEPTANCE after a warmup of 50000 proposals.
     """
     rng = np.random.default_rng(seed)
     lo, hi = domain.bounding_box()
@@ -306,9 +409,9 @@ def sample_iid(domain: Domain, density: Density, n: int,
         accepted.append(pts[keep])
         got += int(np.count_nonzero(keep))
         proposed += chunk
-        if proposed >= 50000 and got < 1e-4 * proposed:
+        if proposed >= 50000 and got < MIN_ACCEPTANCE * proposed:
             raise EnvelopeError(
-                f"acceptance rate {got / proposed:.2e} below 1e-4; "
+                f"acceptance rate {got / proposed:.2e} below {MIN_ACCEPTANCE:g}; "
                 "tighten the envelope or the bounding box")
     points = np.concatenate(accepted, axis=0)[:n]
     return PointCloud(points=points, seed=seed)

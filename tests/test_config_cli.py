@@ -303,14 +303,14 @@ BAD_CONFIGS = [
       "function": {"coeffs": [1.0]}, "eps": [0.2]}, "/domain"),
     ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e6}), "/kernel"),
     ("tl-distance", dict(TL_CFG, grid=32, n=[250, 30000]), "/n/1"),
-    # quadrature grids past the limit: 256^4 weighted TV points, 256^6
-    # for the nonlocal run's weighted TV reference, and 400^3 lattice
+    # box corners of different lengths
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "box", "lo": [0, 0], "hi": [1, 1, 1]}),
+     "/domain"),
+    # nonlocal lattices past the limit: 40^6 cells at eps = 0.2, and 400^3
     # cells at the second eps
-    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "unit-box", "dimension": 4},
-                             function={"coeffs": [1.0, 0.0, 0.0, 0.0]}), "/domain"),
     ("nonlocal-convergence",
      {"domain": {"shape": "unit-box", "dimension": 6}, "kernel": {"name": "indicator"},
-      "function": {"coeffs": [1.0] + [0.0] * 5}, "eps": [0.2]}, "/domain"),
+      "function": {"coeffs": [1.0] + [0.0] * 5}, "eps": [0.2]}, "/eps/0"),
     ("nonlocal-convergence",
      {"domain": {"shape": "unit-box", "dimension": 3}, "kernel": {"name": "indicator"},
       "function": {"coeffs": [1.0, 0.0, 0.0]}, "eps": [0.2, 0.02]}, "/eps/1"),
@@ -335,6 +335,20 @@ BAD_CONFIGS = [
      "/density"),
     ("gtv-convergence", dict(GTV_CFG, eps_rule={"kind": "borderline", "factor": 0.5}),
      "/eps_rule"),
+    # a sliver triangle fills 1.7e-7 of its bounding box, too little to sample
+    ("perimeter-convergence",
+     dict(PERIMETER_CFG, domain={"shape": "polygon", "vertices": [[0, 0], [3, 3], [3, 3.000001]]}),
+     "/domain"),
+    # a 30-axis box would hold 2^30 Gauss nodes, and its section 2^29
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "box", "lo": [0] * 30, "hi": [1] * 30},
+                             function={"coeffs": [1.0] * 30}), "/domain/lo"),
+    ("perimeter-convergence",
+     dict(PERIMETER_CFG, domain={"shape": "box", "lo": [0] * 30, "hi": [1] * 30}), "/domain/lo"),
+    # three overlapping 8-d boxes make a 5^8-cell grid, up to 1e8 Gauss nodes
+    ("gtv-convergence",
+     dict(GTV_CFG, domain={"shape": "box-union",
+                           "boxes": [{"lo": [o] * 8, "hi": [o + 1] * 8} for o in (0, 0.3, 0.6)]},
+          function={"coeffs": [1.0] * 8}), "/domain"),
 ]
 
 
@@ -527,11 +541,27 @@ def _schema_valid_configs(draw):
     return name, _draw_schema_valid(draw, name, _CONFIGS[name])
 
 
+_SMALL_SEEDS = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3)
+
+
 @st.composite
 def _small_connectivity_configs(draw):
     return _draw_schema_valid(draw, "connectivity", dict(
-        _CONFIGS["connectivity"], n=st.integers(2, 400),
-        seeds=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3)))
+        _CONFIGS["connectivity"], n=st.integers(2, 400), seeds=_SMALL_SEEDS))
+
+
+@st.composite
+def _small_gtv_configs(draw):
+    return _draw_schema_valid(draw, "gtv-convergence", dict(
+        _CONFIGS["gtv-convergence"], n=st.lists(st.integers(2, 400), max_size=3),
+        seeds=_SMALL_SEEDS))
+
+
+@st.composite
+def _small_perimeter_configs(draw):
+    return _draw_schema_valid(draw, "perimeter-convergence", dict(
+        _CONFIGS["perimeter-convergence"], n=st.lists(st.integers(2, 400), max_size=3),
+        seeds=_SMALL_SEEDS))
 
 
 @st.composite
@@ -580,6 +610,20 @@ def test_small_connectivity_configs_run_or_raise_config_errors(cfg):
 @given(_small_matching_configs())
 def test_small_matching_configs_run_or_raise_config_errors(cfg):
     _run_or_config_error("matching-scaling", cfg)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_small_gtv_configs())
+@example(dict(GTV_CFG,  # sample_iid used to give up on this sliver mid-run
+              domain={"shape": "polygon", "vertices": [[0, 0], [3, 3], [3, 3.000001]]}))
+def test_small_gtv_configs_run_or_raise_config_errors(cfg):
+    _run_or_config_error("gtv-convergence", cfg)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_small_perimeter_configs())
+def test_small_perimeter_configs_run_or_raise_config_errors(cfg):
+    _run_or_config_error("perimeter-convergence", cfg)
 
 
 def test_scatter_figures_are_valid_and_deterministic(tmp_path):

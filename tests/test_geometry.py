@@ -11,6 +11,7 @@ from pctv.geometry import (
     BoxUnion,
     ConvexPolygon,
     Density,
+    acceptance_rate,
     affine_density,
     dumbbell,
     grid_points,
@@ -151,6 +152,11 @@ def test_hopeless_acceptance_rate_is_detected():
     flat = Density(lambda p: np.ones(len(p)), lower=1.0, upper=1e6)
     with pytest.raises(EnvelopeError):
         sample_iid(domain, flat, 1000, seed=0)
+
+
+def test_acceptance_rate_is_the_domain_share_of_its_bounding_box():
+    shape = dumbbell()  # a volume of 17/8 in a 2.5 x 1 box
+    assert_allclose(acceptance_rate(shape, uniform_density(shape)), 0.85, rtol=1e-12)
 
 
 def test_grid_points_are_cell_centers_in_order():
