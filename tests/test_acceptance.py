@@ -2,29 +2,26 @@
 
 Each test prints exactly one summary line, "acceptance NN name: PASS"
 or "... FAIL", before asserting, so `pytest -s tests/test_acceptance.py`
-gives a one-line verdict per criterion.  The heavier checks (consistency
-sweeps, matching scaling, connectivity transition) run multi-minute
-workloads; the whole module stays within its stated runtime budgets.
+gives a one-line verdict per criterion.  Criteria 04-07 and the first
+part of 09 run the shipped `configs/*.json` through `run_experiment` and
+judge the artifacts it writes; each asserts the schedule it is defined
+on, so an edit under `configs/` cannot weaken it unnoticed.  The heavier
+checks take seconds to tens of seconds, each within its stated budget.
 """
 
+import csv
 import math
 import time
+from pathlib import Path
 
 import numpy as np
-from scipy.stats import kendalltau
 
-from pctv.bisection import (
-    agreement,
-    brute_force_bisection,
-    local_search_bisection,
-    reference_partitions,
-)
-from pctv.continuum import affine_function, nonlocal_tv
+from pctv.bisection import brute_force_bisection, local_search_bisection
+from pctv.config import load_config
 from pctv.experiments import run_experiment
 from pctv.geometry import (
     PointCloud,
     dumbbell,
-    grid_points,
     sample_iid,
     uniform_density,
     unit_box,
@@ -39,7 +36,7 @@ from pctv.graph import (
     is_connected,
 )
 from pctv.kernels import gaussian, indicator, step_sum, surface_tension
-from pctv.transport import bottleneck_distance, scaling_ratio, tlp_distance
+from pctv.transport import tlp_distance
 
 from oracles import (
     exhaustive_tlp,
@@ -48,6 +45,7 @@ from oracles import (
 )
 
 LIMIT = 4.0 / 3.0
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _report(num, name, ok, detail=""):
@@ -153,100 +151,67 @@ def test_criterion_03_tlp_against_exhaustive():
             f"500 optima within {worst:.1e}, 1000 triples, {elapsed:.1f}s")
 
 
-def test_criterion_04_pointwise_nonlocal_convergence():
+def _shipped(name, tmp_path, **changes):
+    """Run configs/<name>.json, with ``changes`` applied, into tmp_path.
+
+    Returns the resolved config, the records.csv rows and the summary.
+    """
+    cfg = dict(load_config(str(CONFIG_DIR / f"{name}.json")), **changes)
+    out = tmp_path / name
+    payload = run_experiment(name, cfg, str(out))
+    with open(out / "records.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    return payload["config"], rows, payload["summary"]
+
+
+def test_criterion_04_pointwise_nonlocal_convergence(tmp_path):
     t0 = time.perf_counter()
-    domain = unit_box(2)
-    density = uniform_density(domain)
-    u = affine_function([1.0, 0.0])
-    values = [
-        nonlocal_tv(u, density, domain, indicator(), eps)[0]
-        for eps in (0.16, 0.08, 0.04, 0.02)
-    ]
-    errors = [abs(v - LIMIT) / LIMIT for v in values]
+    cfg, rows, summary = _shipped("nonlocal-convergence", tmp_path)
     elapsed = time.perf_counter() - t0
-    monotone = all(a > b for a, b in zip(errors, errors[1:]))
-    below = all(v < LIMIT for v in values)
-    ok = monotone and below and errors[-1] < 0.03 and elapsed < 120.0
+    assert cfg["eps"] == [0.16, 0.08, 0.04, 0.02]
+    assert abs(summary["reference"] - LIMIT) <= 1e-12
+    errors = [float(row["rel_error"]) for row in rows]
+    below = all(float(row["value"]) < LIMIT for row in rows)
+    ok = (summary["monotone_approach"] and below
+          and summary["final_rel_error"] < 0.03 and elapsed < 120.0)
     _report(4, "pointwise nonlocal convergence", ok,
             f"rel errors {', '.join(f'{e:.3f}' for e in errors)}, {elapsed:.1f}s")
 
 
-_CONSISTENCY_CACHE = {}
-
-
-def _consistency_medians():
-    """Median relative errors of graph TV for u = x1 and its half cut.
-
-    Both criteria use the same clouds and graphs, so one pass computes
-    both medians per n.
-    """
-    if _CONSISTENCY_CACHE:
-        return _CONSISTENCY_CACHE
-    domain = unit_box(2)
-    density = uniform_density(domain)
-    profile = indicator()
-    med_smooth, med_cut = [], []
-    for n in (2000, 8000, 32000):
-        eps = 2.0 * math.log(n) ** 0.75 / math.sqrt(n)
-        errs_smooth, errs_cut = [], []
-        for seed in range(10):
-            cloud = sample_iid(domain, density, n, seed=seed)
-            graph = build_graph(cloud, profile, eps)
-            smooth = graph_total_variation(graph, cloud.points[:, 0])
-            cut = graph_total_variation(
-                graph, (cloud.points[:, 0] < 0.5).astype(float)
-            )
-            errs_smooth.append(abs(smooth - LIMIT) / LIMIT)
-            errs_cut.append(abs(cut - LIMIT) / LIMIT)
-        med_smooth.append(float(np.median(errs_smooth)))
-        med_cut.append(float(np.median(errs_cut)))
-    _CONSISTENCY_CACHE["smooth"] = med_smooth
-    _CONSISTENCY_CACHE["cut"] = med_cut
-    return _CONSISTENCY_CACHE
-
-
-def test_criterion_05_graph_tv_consistency():
+def _graph_tv_consistency(num, title, name, tmp_path):
+    """Criteria 05 and 06: the shipped borderline sweep on the unit square."""
     t0 = time.perf_counter()
-    medians = _consistency_medians()["smooth"]
+    cfg, rows, summary = _shipped(name, tmp_path)
     elapsed = time.perf_counter() - t0
-    decreasing = all(a > b for a, b in zip(medians, medians[1:]))
-    ok = decreasing and medians[-1] < 0.10 and elapsed < 600.0
-    _report(5, "graph TV consistency", ok,
+    assert cfg["n"] == [2000, 8000, 32000] and cfg["seeds"] == list(range(10))
+    assert all(float(row["eps"]) == 2.0 * math.log(int(row["n"])) ** 0.75
+               / math.sqrt(int(row["n"])) for row in rows)
+    assert abs(summary["reference"] - LIMIT) <= 1e-12
+    medians = [entry["median_rel_error"] for entry in summary["per_n"]]
+    ok = (summary["median_rel_error_decreasing"] and medians[-1] < 0.10
+          and elapsed < 600.0)
+    _report(num, title, ok,
             f"medians {', '.join(f'{m:.3f}' for m in medians)}, {elapsed:.1f}s")
 
 
-def test_criterion_06_perimeter_consistency():
+def test_criterion_05_graph_tv_consistency(tmp_path):
+    _graph_tv_consistency(5, "graph TV consistency", "gtv-convergence", tmp_path)
+
+
+def test_criterion_06_perimeter_consistency(tmp_path):
+    _graph_tv_consistency(6, "perimeter consistency", "perimeter-convergence", tmp_path)
+
+
+def test_criterion_07_matching_scaling(tmp_path):
     t0 = time.perf_counter()
-    medians = _consistency_medians()["cut"]
+    cfg2, _, plane = _shipped("matching-scaling", tmp_path / "d2")
+    cfg3, _, space = _shipped("matching-scaling", tmp_path / "d3",
+                              dimension=3, n=[512, 1728, 4096])
     elapsed = time.perf_counter() - t0
-    decreasing = all(a > b for a, b in zip(medians, medians[1:]))
-    ok = decreasing and medians[-1] < 0.10 and elapsed < 600.0
-    _report(6, "perimeter consistency", ok,
-            f"medians {', '.join(f'{m:.3f}' for m in medians)}, {elapsed:.1f}s")
-
-
-def _matching_trend(d, n_values, seeds):
-    domain = unit_box(d)
-    density = uniform_density(domain)
-    ns, ratios = [], []
-    for n in n_values:
-        k = round(n ** (1.0 / d))
-        grid = grid_points(k, d)
-        for seed in seeds:
-            cloud = sample_iid(domain, density, n, seed=seed)
-            dist, _ = bottleneck_distance(cloud.points, grid)
-            ns.append(n)
-            ratios.append(scaling_ratio(n, d, dist))
-    tau, pvalue = kendalltau(ns, ratios, alternative="greater")
-    return float(tau), float(pvalue)
-
-
-def test_criterion_07_matching_scaling():
-    t0 = time.perf_counter()
-    seeds = range(20)
-    tau2, p2 = _matching_trend(2, [256, 1024, 4096, 16384], seeds)
-    tau3, p3 = _matching_trend(3, [512, 1728, 4096], seeds)
-    elapsed = time.perf_counter() - t0
+    assert cfg2["dimension"] == 2 and cfg2["n"] == [256, 1024, 4096, 16384]
+    assert cfg2["seeds"] == cfg3["seeds"] == list(range(20))
+    tau2, p2 = plane["kendall_tau"], plane["pvalue_increasing"]
+    tau3, p3 = space["kendall_tau"], space["pvalue_increasing"]
     ok = p2 >= 0.05 and p3 >= 0.05 and elapsed < 900.0
     _report(7, "matching distance scaling", ok,
             f"tau2={tau2:.2f} p2={p2:.3f} tau3={tau3:.2f} p3={p3:.3f} "
@@ -276,20 +241,16 @@ def test_criterion_08_connectivity_transition():
             f"fractions {fractions}, {elapsed:.0f}s")
 
 
-def test_criterion_09_dumbbell_bisection():
+def test_criterion_09_dumbbell_bisection(tmp_path):
     t0 = time.perf_counter()
+    cfg, rows, _ = _shipped("bisect", tmp_path)
+    seeds = (7, 16, 36)
+    assert cfg["n"] == [500] and cfg["seeds"] == list(seeds)
+    assert cfg["eps_rule"] == {"kind": "fixed", "value": 0.18}
+    agreements = [float(row["agreement"]) for row in rows]
     domain = dumbbell()
     density = uniform_density(domain)
     profile = indicator()
-    seeds = (7, 16, 36)
-
-    agreements = []
-    for seed in seeds:
-        cloud = sample_iid(domain, density, 500, seed=seed)
-        graph = build_graph(cloud, profile, 0.18)
-        result = local_search_bisection(graph, seed=seed)
-        neck = reference_partitions(domain, cloud.points)[0]
-        agreements.append(agreement(result.labels, neck))
 
     zero_found = []
     for seed in seeds:

@@ -2,21 +2,23 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import tempfile
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import pctv
-from pctv import cli, experiments
+from pctv import cli, continuum, experiments
 from pctv.config import EXPERIMENTS, SCHEMAS, load_config, validate_config
 from pctv.errors import ConfigError
 from pctv.experiments import run_experiment, worker_count, write_records_csv
@@ -459,41 +461,135 @@ _SCHEDULE = st.lists(st.integers(min_value=2, max_value=7000), max_size=3)
 _SEEDS = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=2)
 
 
-def _optional(**fields):
-    """Fixed-key dicts where every key may be left out."""
-    return st.fixed_dictionaries({}, optional=fields)
+def _mostly(valid, anything):
+    """Draw from valid three times in four, from anything otherwise.
+
+    Most drawn configs then pass validation and run, and a share still
+    exercises rejection.
+    """
+    return st.sampled_from([valid, valid, valid, anything]).flatmap(lambda s: s)
 
 
-_DOMAINS = st.one_of(
-    st.fixed_dictionaries({"shape": st.just("unit-box")},
-                          optional={"dimension": st.integers(1, 8)}),
-    st.fixed_dictionaries({"shape": st.just("box"), "lo": _VECTOR, "hi": _VECTOR}),
-    st.fixed_dictionaries({"shape": st.just("dumbbell")},
-                          optional={"width": _POSITIVE, "length": _POSITIVE}),
-    st.fixed_dictionaries({
-        "shape": st.just("box-union"),
-        "boxes": st.lists(st.fixed_dictionaries({"lo": _VECTOR, "hi": _VECTOR}),
-                          min_size=1, max_size=3),
-    }),
-    st.fixed_dictionaries({
-        "shape": st.just("polygon"),
-        "vertices": st.lists(st.lists(_NUMBER, min_size=1, max_size=3),
-                             min_size=3, max_size=6),
-    }),
-)
-_DENSITIES = st.one_of(
-    st.fixed_dictionaries({"name": st.just("uniform")}),
-    st.fixed_dictionaries({"name": st.just("affine")},
-                          optional={"axis": st.integers(0, 4), "slope": _NUMBER}),
-)
+def _vectors(d):
+    return st.lists(_NUMBER, min_size=d, max_size=d)
+
+
+@st.composite
+def _box(draw, d):
+    """lo plus a positive extent on each axis.
+
+    Every other box is a cube, the only box that bisect takes.
+    """
+    lo = draw(_vectors(d))
+    extents = st.floats(0.1, 3.0)
+    if draw(st.booleans()):
+        extent = [draw(extents)] * d
+    else:
+        extent = draw(st.lists(extents, min_size=d, max_size=d))
+    return {"lo": lo, "hi": [a + e for a, e in zip(lo, extent)]}
+
+
+def _connected_boxes(d):
+    """One to three boxes that all hold the cube [0.5, 0.6]^d, so their
+    union is connected."""
+    return st.lists(st.fixed_dictionaries({
+        "lo": st.lists(st.floats(-1.0, 0.5), min_size=d, max_size=d),
+        "hi": st.lists(st.floats(0.6, 2.0), min_size=d, max_size=d),
+    }), min_size=1, max_size=3)
+
+
+@st.composite
+def _convex_polygon(draw):
+    """Three to six points at increasing angles on a circle."""
+    k = draw(st.integers(3, 6))
+    cx, cy = draw(_NUMBER), draw(_NUMBER)
+    r = draw(st.floats(0.1, 3.0))
+    jitter = draw(st.lists(st.floats(0.0, 0.5), min_size=k, max_size=k))
+    angles = [2.0 * math.pi * (i + j) / k for i, j in enumerate(jitter)]
+    return [[cx + r * math.cos(a), cy + r * math.sin(a)] for a in angles]
+
+
+def _domains(max_dim):
+    """Domain specs of dimension at most max_dim.
+
+    Most boxes, unions and polygons are valid; the rest are any corners
+    and any vertices.
+    """
+    dims = st.integers(2, min(max_dim, 3))
+    vector = st.lists(_NUMBER, min_size=1, max_size=min(max_dim, 3))
+    corners = st.fixed_dictionaries({"lo": vector, "hi": vector})
+    return st.one_of(
+        st.fixed_dictionaries({"shape": st.just("unit-box")},
+                              optional={"dimension": st.integers(1, max_dim)}),
+        _mostly(dims.flatmap(_box), corners).map(lambda box: {"shape": "box", **box}),
+        st.fixed_dictionaries({"shape": st.just("dumbbell")}, optional={
+            "width": _mostly(st.floats(0.05, 1.0), _POSITIVE), "length": _POSITIVE}),
+        st.fixed_dictionaries({
+            "shape": st.just("box-union"),
+            "boxes": _mostly(dims.flatmap(_connected_boxes),
+                             st.lists(corners, min_size=1, max_size=3)),
+        }),
+        st.fixed_dictionaries({
+            "shape": st.just("polygon"),
+            "vertices": _mostly(_convex_polygon(), st.lists(vector, min_size=3, max_size=6)),
+        }),
+    )
+
+
+def _dimension(domain):
+    """The dimension a domain spec asks for."""
+    shape = domain["shape"]
+    if shape == "unit-box":
+        return domain.get("dimension", 2)
+    if shape == "box":
+        return len(domain["lo"])
+    if shape == "box-union":
+        return len(domain["boxes"][0]["lo"])
+    return 2
+
+
+# Fields that depend on the domain are functions of its dimension d.
+def _densities(d):
+    return st.one_of(
+        st.fixed_dictionaries({"name": st.just("uniform")}),
+        st.fixed_dictionaries({"name": st.just("affine")}, optional={
+            "axis": _mostly(st.integers(0, d - 1), st.integers(0, 4)),
+            "slope": _mostly(st.floats(-0.1, 0.1), _NUMBER),
+        }),
+    )
+
+
+def _functions(d):
+    return st.fixed_dictionaries({"coeffs": _mostly(_vectors(d), _VECTOR)},
+                                 optional={"offset": _NUMBER})
+
+
+def _sets(d):
+    return st.fixed_dictionaries({"axis": _mostly(st.integers(0, d - 1), st.integers(0, 3)),
+                                  "threshold": _NUMBER})
+
+
+@st.composite
+def _step_sum(draw):
+    """Positive increasing radii with positive non-increasing heights."""
+    k = draw(st.integers(1, 3))
+    steps = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+    heights = draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k))
+    return {"name": "step-sum", "radii": list(itertools.accumulate(steps)),
+            "heights": sorted(heights, reverse=True)}
+
+
+_DOMAINS = _domains(8)
+_UNIT_CUBES = st.fixed_dictionaries({"shape": st.just("unit-box")},
+                                    optional={"dimension": st.integers(2, 3)})
 _KERNELS = st.one_of(
     st.fixed_dictionaries({"name": st.just("indicator")}, optional={"radius": _POSITIVE}),
     st.fixed_dictionaries({"name": st.just("gaussian")}, optional={"width": _POSITIVE}),
-    st.fixed_dictionaries({
+    _mostly(_step_sum(), st.fixed_dictionaries({
         "name": st.just("step-sum"),
         "radii": st.lists(_NUMBER, min_size=1, max_size=3),
         "heights": st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
-    }),
+    })),
 )
 _EPS_RULES = st.one_of(
     st.fixed_dictionaries(
@@ -505,18 +601,18 @@ _EPS_RULES = st.one_of(
                           optional={"factor": _POSITIVE}),
     st.fixed_dictionaries({"kind": st.just("fixed"), "value": _POSITIVE}),
 )
-_FUNCTIONS = st.fixed_dictionaries({"coeffs": _VECTOR}, optional={"offset": _NUMBER})
-_COMMON = {"domain": _DOMAINS, "density": _DENSITIES, "kernel": _KERNELS}
+_COMMON = {"domain": _DOMAINS, "density": _densities, "kernel": _KERNELS}
 _CONFIGS = {
-    "gtv-convergence": dict(_COMMON, function=_FUNCTIONS, n=_SCHEDULE,
+    "gtv-convergence": dict(_COMMON, function=_functions, n=_SCHEDULE,
                             eps_rule=_EPS_RULES, seeds=_SEEDS),
-    "perimeter-convergence": dict(
-        _COMMON, n=_SCHEDULE, eps_rule=_EPS_RULES, seeds=_SEEDS,
-        set=st.fixed_dictionaries({"axis": st.integers(0, 3), "threshold": _NUMBER})),
-    "nonlocal-convergence": dict(_COMMON, function=_FUNCTIONS,
+    "perimeter-convergence": dict(_COMMON, n=_SCHEDULE, eps_rule=_EPS_RULES, seeds=_SEEDS,
+                                  set=_sets),
+    "nonlocal-convergence": dict(_COMMON, function=_functions,
                                  eps=st.lists(_POSITIVE, min_size=1, max_size=3)),
-    "tl-distance": dict(domain=_DOMAINS, density=_DENSITIES, function=_FUNCTIONS,
-                        grid=st.integers(2, 6), n=_SCHEDULE, seeds=_SEEDS),
+    # the experiment takes only unit boxes
+    "tl-distance": dict(domain=_mostly(_UNIT_CUBES, _DOMAINS), density=_densities,
+                        function=_functions, grid=st.integers(2, 6), n=_SCHEDULE,
+                        seeds=_SEEDS),
     "matching-scaling": dict(dimension=st.integers(1, 8), n=_SCHEDULE, seeds=_SEEDS),
     "connectivity": dict(_COMMON, n=st.integers(2, 7000),
                          factors=st.lists(_POSITIVE, min_size=1, max_size=3),
@@ -526,42 +622,28 @@ _CONFIGS = {
 _OPTIONAL_KEYS = {"density", "domain"}
 
 
-def _draw_schema_valid(draw, name, fields):
-    required = {k: v for k, v in fields.items() if k not in _OPTIONAL_KEYS
-                or k in SCHEMAS[name]["required"]}
-    optional = {k: v for k, v in fields.items() if k not in required}
-    cfg = draw(st.fixed_dictionaries(required, optional=optional))
+@st.composite
+def _schema_valid(draw, name, **changes):
+    """A config of the named experiment, with ``changes`` to its fields,
+    that passes the experiment's schema.
+
+    An optional domain or density is drawn or left out; a field that is a
+    function of the dimension is drawn after the domain, for its dimension.
+    """
+    required = SCHEMAS[name]["required"]
+    cfg = {}
+    for key, field in dict(_CONFIGS[name], **changes).items():
+        if key in _OPTIONAL_KEYS and key not in required and not draw(st.booleans()):
+            continue
+        if callable(field):
+            field = field(_dimension(cfg.get("domain", {"shape": "unit-box"})))
+        cfg[key] = draw(field)
     assume(jsonschema.Draft202012Validator(SCHEMAS[name]).is_valid(cfg))
     return cfg
 
 
-@st.composite
-def _schema_valid_configs(draw):
-    name = draw(st.sampled_from(EXPERIMENTS))
-    return name, _draw_schema_valid(draw, name, _CONFIGS[name])
-
-
 _SMALL_SEEDS = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3)
-
-
-@st.composite
-def _small_connectivity_configs(draw):
-    return _draw_schema_valid(draw, "connectivity", dict(
-        _CONFIGS["connectivity"], n=st.integers(2, 400), seeds=_SMALL_SEEDS))
-
-
-@st.composite
-def _small_gtv_configs(draw):
-    return _draw_schema_valid(draw, "gtv-convergence", dict(
-        _CONFIGS["gtv-convergence"], n=st.lists(st.integers(2, 400), max_size=3),
-        seeds=_SMALL_SEEDS))
-
-
-@st.composite
-def _small_perimeter_configs(draw):
-    return _draw_schema_valid(draw, "perimeter-convergence", dict(
-        _CONFIGS["perimeter-convergence"], n=st.lists(st.integers(2, 400), max_size=3),
-        seeds=_SMALL_SEEDS))
+_SMALL_N = st.lists(st.integers(2, 400), min_size=1, max_size=3)
 
 
 @st.composite
@@ -580,12 +662,15 @@ def _run_or_config_error(name, cfg):
         except ConfigError as exc:
             assert str(exc).startswith("/")
             assert os.listdir(out) == []
+            event(f"config error at {str(exc).split(':')[0]}")
         else:
             assert {"records.csv", "summary.json"} <= set(os.listdir(out))
+            event("ran")
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_schema_valid_configs())
+@given(st.sampled_from(EXPERIMENTS).flatmap(
+    lambda name: st.tuples(st.just(name), _schema_valid(name))))
 @example(("gtv-convergence",  # the box volume underflows to 0.0
           dict(GTV_CFG, domain={"shape": "box", "lo": [0, 0], "hi": [1e-170, 1e-170]})))
 def test_schema_valid_configs_pass_or_raise_config_errors(case):
@@ -594,12 +679,14 @@ def test_schema_valid_configs_pass_or_raise_config_errors(case):
         resolved = validate_config(name, cfg)
     except ConfigError as exc:
         assert str(exc).startswith("/")
+        event(f"{name} rejected")
     else:
         assert set(cfg) <= set(resolved)
+        event(f"{name} valid")
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_small_connectivity_configs())
+@given(_schema_valid("connectivity", n=st.integers(2, 400), seeds=_SMALL_SEEDS))
 @example({"kernel": {"name": "indicator"}, "n": 9, "factors": [1.0, 5e-324], "seeds": [0]})
 @example({"kernel": {"name": "indicator"}, "n": 2, "factors": [1e-161], "seeds": [0]})
 def test_small_connectivity_configs_run_or_raise_config_errors(cfg):
@@ -613,7 +700,7 @@ def test_small_matching_configs_run_or_raise_config_errors(cfg):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_small_gtv_configs())
+@given(_schema_valid("gtv-convergence", n=_SMALL_N, seeds=_SMALL_SEEDS))
 @example(dict(GTV_CFG,  # sample_iid used to give up on this sliver mid-run
               domain={"shape": "polygon", "vertices": [[0, 0], [3, 3], [3, 3.000001]]}))
 def test_small_gtv_configs_run_or_raise_config_errors(cfg):
@@ -621,9 +708,36 @@ def test_small_gtv_configs_run_or_raise_config_errors(cfg):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_small_perimeter_configs())
+@given(_schema_valid("perimeter-convergence", n=_SMALL_N, seeds=_SMALL_SEEDS))
 def test_small_perimeter_configs_run_or_raise_config_errors(cfg):
     _run_or_config_error("perimeter-convergence", cfg)
+
+
+# Planar domains, and a quadrature budget of 512^2 points instead of
+# 4096^2: a kernel of radius 0.1 at eps = 0.1 on a box of side 2.5, or a
+# unit cube at eps = 0.1, would otherwise take seconds.
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_schema_valid("nonlocal-convergence", domain=_domains(2),
+                     eps=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3)))
+def test_small_nonlocal_configs_run_or_raise_config_errors(cfg):
+    with mock.patch.object(continuum, "MAX_GRID_POINTS", 512 ** 2):
+        _run_or_config_error("nonlocal-convergence", cfg)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_schema_valid("tl-distance", domain=_mostly(_UNIT_CUBES, _domains(3)),
+                     n=_SMALL_N, seeds=_SMALL_SEEDS))
+def test_small_tl_distance_configs_run_or_raise_config_errors(cfg):
+    _run_or_config_error("tl-distance", cfg)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_schema_valid("bisect", domain=_domains(3),
+                     n=st.lists(st.integers(1, 50).map(lambda k: 2 * k), min_size=1, max_size=3),
+                     seeds=_SMALL_SEEDS, restarts=st.integers(1, 4),
+                     reference_size=st.integers(10, 100)))
+def test_small_bisect_configs_run_or_raise_config_errors(cfg):
+    _run_or_config_error("bisect", cfg)
 
 
 def test_scatter_figures_are_valid_and_deterministic(tmp_path):
