@@ -17,7 +17,7 @@ import jsonschema
 import numpy as np
 
 from .bisection import reference_partitions
-from .continuum import check_grid_sizes
+from .continuum import nonlocal_rule
 from .errors import ConfigError, DivergentKernelError, PCTVError
 from .geometry import (
     MIN_ACCEPTANCE,
@@ -313,7 +313,7 @@ def _preflight(experiment: str, cfg: dict) -> None:
 
     Nothing is sampled; the one integral is the kernel's surface tension,
     a few milliseconds, for the runs that compare against it.  The
-    nonlocal lattice is sized, not built.
+    nonlocal rule is built, so its size is known, but not evaluated.
     """
     d = cfg.get("dimension")
     if "domain" in cfg:
@@ -339,7 +339,8 @@ def _preflight(experiment: str, cfg: dict) -> None:
         raise ConfigError("/function/coeffs: length must match the domain dimension")
     if experiment == "nonlocal-convergence":
         for i, eps in enumerate(cfg["eps"]):
-            _built(f"/eps/{i}", check_grid_sizes, domain, profile, eps)
+            _built(f"/eps/{i}", scaled_from_distance, profile, eps, 0.0, d)
+            _built("/domain", nonlocal_rule, domain, profile, eps, cfg["function"]["coeffs"])
     if "set" in cfg and cfg["set"]["axis"] >= d:
         raise ConfigError("/set/axis: axis is outside the domain dimension")
     if experiment == "tl-distance":

@@ -261,13 +261,12 @@ def _run_nonlocal(cfg: dict, fig_dir: str):
     denom = abs(reference) if reference else 1.0
 
     def one(eps):
-        value, error_estimate = nonlocal_tv(fn, density, domain, profile, eps)
+        value = nonlocal_tv(fn, density, domain, profile, eps)
         return {
             "eps": eps,
             "kernel": profile.name,
             "domain": domain_label,
             "value": value,
-            "error_estimate": error_estimate,
             "reference": reference,
             "rel_error": abs(value - reference) / denom,
         }

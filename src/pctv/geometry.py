@@ -90,6 +90,10 @@ class Box(Domain):
     def moment(self, axis: int) -> float:
         return self.volume() * 0.5 * (self.lo[axis] + self.hi[axis])
 
+    @property
+    def cells(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        return [(self.lo, self.hi)]
+
     def quadrature(self):
         return _gauss_cells([self.lo], [self.hi])
 
@@ -120,7 +124,7 @@ class BoxUnion(Domain):
         self.boxes = list(boxes)
         self.dimension = d
         self._check_connected()
-        self._cells = self._covered_cells()
+        self.cells = self._covered_cells()
 
     def _check_connected(self):
         lo = np.array([b.lo for b in self.boxes])
@@ -155,7 +159,7 @@ class BoxUnion(Domain):
         return list(zip(lo, hi))
 
     def volume(self) -> float:
-        return float(sum(np.prod(hi - lo) for lo, hi in self._cells))
+        return float(sum(np.prod(hi - lo) for lo, hi in self.cells))
 
     def contains(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -171,15 +175,15 @@ class BoxUnion(Domain):
 
     def moment(self, axis: int) -> float:
         total = 0.0
-        for lo, hi in self._cells:
+        for lo, hi in self.cells:
             total += float(np.prod(hi - lo)) * 0.5 * (lo[axis] + hi[axis])
         return total
 
     def quadrature(self):
-        return _gauss_cells(*zip(*self._cells))
+        return _gauss_cells(*zip(*self.cells))
 
     def section(self, axis: int, t: float):
-        return _cell_section(*zip(*self._cells), axis, t)
+        return _cell_section(*zip(*self.cells), axis, t)
 
 
 def _gauss_cells(lo, hi) -> Tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import integrate
 
 from pctv.geometry import sample_iid
 from pctv.kernels import scaled_from_distance
@@ -297,26 +298,37 @@ def dense_swap_descent(
     return labels, cut
 
 
-def halfplane_tv_expansion(eps: float) -> float:
-    """Nonlocal TV of u(x) = x1 on the unit square, indicator kernel, eps <= 1.
+def unit_box_nonlocal_tv(profile, eps: float, d: int) -> float:
+    """Nonlocal TV of u(x) = x1 on the unit box [0, 1]^d, uniform density.
 
-    Exact in closed form.  With z = y - x, the square overlaps its
-    translate by z in area (1 - |z1|)(1 - |z2|) whenever |z| <= eps <= 1,
-    so
+    Valid while the kernel vanishes past |z| = 1.  There the box overlaps
+    its translate by z in volume prod_k (1 - |z_k|), so
 
-        TV_eps = eps^-3 * integral over |z| <= eps of
-                 |z1| (1 - |z1| - |z2| + |z1| |z2|) dz.
+        TV_eps = (1/eps) * integral of eta_eps(|z|) |z_1| prod_k (1 - |z_k|) dz
+               = (1/eps) * sum over S of (-1)^|S| A_S M_(d+|S|),
 
-    In polar coordinates z = r (cos t, sin t) the four terms are
-
-        |z1|        r^2 dr |cos t| dt          -> (eps^3 / 3) * 4
-        z1^2        r^3 dr cos^2 t dt          -> (eps^4 / 4) * pi
-        |z1| |z2|   r^3 dr |cos t sin t| dt    -> (eps^4 / 4) * 2
-        z1^2 |z2|   r^4 dr cos^2 t |sin t| dt  -> (eps^5 / 5) * 4/3
-
-    and dividing by eps^3 gives 4/3 - (pi/4 + 1/2) eps + (4/15) eps^2.
+    expanding the product over the subsets S of the axes.  In polar
+    coordinates |z_1| prod_(k in S) |z_k| = r^(1+|S|) prod_j |omega_j|^(p_j)
+    with p_j = [j = 1] + [j in S], and the sphere moment of that monomial
+    is A_S = 2 prod_j Gamma((p_j + 1)/2) / Gamma((d + sum p)/2).  The
+    radial moments M_k = integral of eta_eps(r) r^k dr over [0, 1] are
+    taken by scipy's quad, split at the profile's jump radii.
     """
-    return 4.0 / 3.0 - (math.pi / 4.0 + 0.5) * eps + (4.0 / 15.0) * eps ** 2
+    cuts = sorted({0.0, 1.0, *(eps * b for b in profile.breakpoints if eps * b < 1.0)})
+
+    def moment(k):
+        return sum(integrate.quad(lambda r: eps ** -d * float(profile(r / eps)) * r ** k,
+                                  lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+    total = 0.0
+    for size in range(d + 1):
+        for subset in itertools.combinations(range(d), size):
+            p = [(j == 0) + (j in subset) for j in range(d)]
+            sphere = 2.0 * math.prod(math.gamma((pj + 1) / 2.0) for pj in p) \
+                / math.gamma((d + sum(p)) / 2.0)
+            total += (-1) ** size * sphere * moment(d + size)
+    return total / eps
 
 
 def weighted_tv_whole_grid(u, density, domain, resolution: int = 256) -> float:
@@ -331,5 +343,5 @@ def weighted_tv_whole_grid(u, density, domain, resolution: int = 256) -> float:
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     pts = pts[domain.contains(pts)]
-    grad_norm = np.linalg.norm(u.grad(pts), axis=1)
-    return float(np.sum(grad_norm * density(pts) ** 2)) * float(np.prod((hi - lo) / resolution))
+    slope = float(np.linalg.norm(u.coeffs))
+    return slope * float(np.sum(density(pts) ** 2)) * float(np.prod((hi - lo) / resolution))

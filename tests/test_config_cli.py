@@ -9,7 +9,6 @@ import os
 import re
 import tempfile
 import xml.etree.ElementTree as ET
-from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -18,7 +17,7 @@ from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import pctv
-from pctv import cli, continuum, experiments
+from pctv import cli, experiments
 from pctv.config import EXPERIMENTS, SCHEMAS, load_config, validate_config
 from pctv.errors import ConfigError
 from pctv.experiments import run_experiment, worker_count, write_records_csv
@@ -308,14 +307,17 @@ BAD_CONFIGS = [
     # box corners of different lengths
     ("gtv-convergence", dict(GTV_CFG, domain={"shape": "box", "lo": [0, 0], "hi": [1, 1, 1]}),
      "/domain"),
-    # nonlocal lattices past the limit: 40^6 cells at eps = 0.2, and 400^3
-    # cells at the second eps
+    # a 6-d domain has no spheres to integrate over, and two overlapping
+    # cubes at eps = 1.12 make a nonlocal rule just past the size bound (at
+    # eps = 1.11 it holds 0.95 of it)
     ("nonlocal-convergence",
      {"domain": {"shape": "unit-box", "dimension": 6}, "kernel": {"name": "indicator"},
-      "function": {"coeffs": [1.0] + [0.0] * 5}, "eps": [0.2]}, "/eps/0"),
+      "function": {"coeffs": [1.0] + [0.0] * 5}, "eps": [0.2]}, "/domain"),
     ("nonlocal-convergence",
-     {"domain": {"shape": "unit-box", "dimension": 3}, "kernel": {"name": "indicator"},
-      "function": {"coeffs": [1.0, 0.0, 0.0]}, "eps": [0.2, 0.02]}, "/eps/1"),
+     {"domain": {"shape": "box-union", "boxes": [{"lo": [0, 0, 0], "hi": [1, 1, 1]},
+                                                 {"lo": [0.5] * 3, "hi": [1.5] * 3}]},
+      "kernel": {"name": "indicator"}, "function": {"coeffs": [1.0, 0.0, 0.0]},
+      "eps": [0.5, 1.12]}, "/domain"),
     # eps^-2 overflows at every n
     ("gtv-convergence", dict(GTV_CFG, eps_rule={"kind": "fixed", "value": 1e-170}),
      "/eps_rule"),
@@ -380,7 +382,7 @@ RUNS = {
         4, ["convergence.svg"]),
     "nonlocal-convergence": (
         dict({k: GTV_CFG[k] for k in ("domain", "kernel", "function")}, eps=[0.2, 0.1]),
-        "eps,kernel,domain,value,error_estimate,reference,rel_error",
+        "eps,kernel,domain,value,reference,rel_error",
         2, ["convergence.svg"]),
     # n = 16 matches the 16-point grid (assignment), n = 36 does not (LP)
     "tl-distance": (dict(TL_CFG, n=[16, 36]), "n,seed,p,grid,domain,distance",
@@ -396,11 +398,12 @@ RUNS = {
 }
 
 
-# sha256 of (records.csv, summary.json) for the RUNS configs of the
-# experiments that the benchmark's exact workloads run, of
-# perimeter-convergence, which shares their graph-TV sweep, and of
-# tl-distance, whose two n take the assignment and the LP path.  A change
-# that moves the benchmark's bytes also moves perfbench/digests.json.
+# sha256 of (records.csv, summary.json) for every RUNS config: the
+# experiments that the benchmark's exact workloads run, perimeter-convergence,
+# which shares their graph-TV sweep, tl-distance, whose two n take the
+# assignment and the LP path, and nonlocal-convergence, whose values are
+# exact.  A change that moves the benchmark's bytes also moves
+# perfbench/digests.json.
 PINNED = {
     "gtv-convergence": (
         "bb4566dfef4eb66b84be6d80100971396b3f6044be18bcaa495c9e5f86d23f7d",
@@ -414,6 +417,9 @@ PINNED = {
     "connectivity": (
         "8a4d090c2ffb9416e2394f8cced35fe045f7310370ff64445d1382620b9ab576",
         "9ed49e75753fdd1b10a1549f31fddf40fffdb81a58b85ffe0793efb5ada63107"),
+    "nonlocal-convergence": (
+        "6a2ccdc6254b29e1790c33893eaab77b8328bf5492e2dbf80769e8dbcf7f64a2",
+        "f3f26d8c0c46ef2d0d3d3cf61812ec3753b5736469075fe0ab061f9e0c2f5cfe"),
     "tl-distance": (
         "a063c0a05465c65ab0d5a3d5d4fe4e08b00a5e6b721b509c3f3d7a1340462b8c",
         "c4285a3b789c42d1cf2666733ca8abc60486694697a0809ba862172b138c6fb3"),
@@ -438,8 +444,7 @@ def test_experiment_artifacts(tmp_path, monkeypatch, name):
     tables = [(out1 / artifact).read_bytes() for artifact in ("records.csv", "summary.json")]
     assert tables == [(out2 / artifact).read_bytes()
                       for artifact in ("records.csv", "summary.json")]
-    if name in PINNED:
-        assert tuple(hashlib.sha256(table).hexdigest() for table in tables) == PINNED[name]
+    assert tuple(hashlib.sha256(table).hexdigest() for table in tables) == PINNED[name]
 
 
 def test_shipped_configs_name_and_pass_every_experiment():
@@ -713,15 +718,12 @@ def test_small_perimeter_configs_run_or_raise_config_errors(cfg):
     _run_or_config_error("perimeter-convergence", cfg)
 
 
-# Planar domains, and a quadrature budget of 512^2 points instead of
-# 4096^2: a kernel of radius 0.1 at eps = 0.1 on a box of side 2.5, or a
-# unit cube at eps = 0.1, would otherwise take seconds.
+# Planar domains.
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_schema_valid("nonlocal-convergence", domain=_domains(2),
                      eps=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3)))
 def test_small_nonlocal_configs_run_or_raise_config_errors(cfg):
-    with mock.patch.object(continuum, "MAX_GRID_POINTS", 512 ** 2):
-        _run_or_config_error("nonlocal-convergence", cfg)
+    _run_or_config_error("nonlocal-convergence", cfg)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pctv import kernels
+from pctv import continuum, kernels
 from pctv.continuum import (
     affine_function,
-    check_grid_sizes,
+    nonlocal_rule,
     nonlocal_tv,
     weighted_perimeter,
     weighted_tv_smooth,
@@ -26,14 +26,14 @@ from pctv.geometry import (
     unit_box,
 )
 
-from oracles import halfplane_tv_expansion, nonlocal_tv_monte_carlo, weighted_tv_whole_grid
+from oracles import nonlocal_tv_monte_carlo, unit_box_nonlocal_tv, weighted_tv_whole_grid
 
 
 def test_affine_function_values_and_gradient():
     fn = affine_function([2.0, -1.0], offset=0.5)
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
     assert_allclose(fn(pts), [0.5, 1.5])
-    assert_allclose(fn.grad(pts), [[2.0, -1.0], [2.0, -1.0]])
+    assert_allclose(fn.coeffs, [2.0, -1.0])
 
 
 def test_weighted_tv_of_coordinate_is_one():
@@ -144,15 +144,26 @@ def test_polygonal_sets_are_planar_only():
         ConvexPolygon(np.zeros((4, 3)))
 
 
+L_SHAPE = BoxUnion([Box([0.0, 0.0, 0.0], [1.0, 1.0, 0.3]), Box([0.0, 0.0, 0.0], [0.4, 1.0, 1.0])])
+
+
 def test_nonlocal_quadrature_tracks_the_expansion():
-    domain = unit_box(2)
-    rho = uniform_density(domain)
+    # The shipped config: the unit square, the indicator and u = x1, where
+    # TV_eps = 4/3 - (pi/4 + 1/2) eps + (4/15) eps^2 for eps <= 1.
+    square = unit_box(2)
     u = affine_function([1.0, 0.0])
-    profile = kernels.indicator()
-    for eps in (0.16, 0.08):
-        value, error_estimate = nonlocal_tv(u, rho, domain, profile, eps)
-        assert error_estimate >= 0.0
-        assert abs(value - halfplane_tv_expansion(eps)) < 2e-3
+    for eps in (0.16, 0.08, 0.04, 0.02):
+        value = nonlocal_tv(u, uniform_density(square), square, kernels.indicator(), eps)
+        closed_form = 4.0 / 3.0 - (math.pi / 4.0 + 0.5) * eps + 4.0 / 15.0 * eps ** 2
+        assert abs(value - closed_form) < 1e-12
+    cases = [(kernels.indicator(), 0.3, 2), (kernels.step_sum([0.4, 1.0], [2.0, 0.5]), 0.5, 2),
+             (kernels.gaussian(0.2), 0.5, 2), (kernels.indicator(), 0.3, 3),
+             (kernels.indicator(), 0.02, 3)]
+    for profile, eps, d in cases:
+        box = unit_box(d)
+        u = affine_function([1.0] + [0.0] * (d - 1))
+        value = nonlocal_tv(u, uniform_density(box), box, profile, eps)
+        assert abs(value - unit_box_nonlocal_tv(profile, eps, d)) < 1e-12, (profile.name, d)
 
 
 def test_nonlocal_value_grows_toward_the_limit():
@@ -160,36 +171,68 @@ def test_nonlocal_value_grows_toward_the_limit():
     rho = uniform_density(domain)
     u = affine_function([1.0, 0.0])
     profile = kernels.indicator()
-    values = [
-        nonlocal_tv(u, rho, domain, profile, eps)[0]
-        for eps in (0.32, 0.16, 0.08)
-    ]
+    values = [nonlocal_tv(u, rho, domain, profile, eps) for eps in (0.32, 0.16, 0.08)]
     assert values[0] < values[1] < values[2] < 4.0 / 3.0
 
 
 def test_kernel_wider_than_the_domain():
-    # eps = 3 puts the whole unit square inside the kernel: a 3 x 3 lattice
-    # whose every cell pair has eta_eps = 1/9.  The ordered pairs sum
-    # |x1 - y1| to 24 at the cell centers, so the value is
-    # 24 * (1/9) * (1/9)^2 / 3 = 24/2187.
+    # For eps >= sqrt(2) the kernel covers every pair of the unit square at
+    # height eps^-2, so TV_eps = eps^-3 * integral of |x1 - y1| = 1 / (3 eps^3).
     domain = unit_box(2)
-    value, _ = nonlocal_tv(affine_function([1.0, 0.0]), uniform_density(domain), domain,
-                           kernels.indicator(), 3.0)
-    assert_allclose(value, 24.0 / 2187.0, rtol=1e-12)
+    value = nonlocal_tv(affine_function([1.0, 0.0]), uniform_density(domain), domain,
+                        kernels.indicator(), 3.0)
+    assert abs(value - 1.0 / 81.0) < 1e-12
+
+
+def test_one_shape_in_two_representations_has_one_value():
+    u = affine_function([1.0, 0.3])
+    profile = kernels.step_sum([0.5, 1.0], [2.0, 1.0])
+    square, polygon = unit_box(2), ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    for eps in (0.16, 0.7, 3.0):
+        assert abs(nonlocal_tv(u, affine_density(polygon, 1, 0.5), polygon, profile, eps)
+                   - nonlocal_tv(u, affine_density(square, 1, 0.5), square, profile, eps)) < 1e-12
+    # the dumbbell's boxes, and a neck that overlaps both squares
+    shape = dumbbell()
+    union = BoxUnion([Box([0.0, 0.0], [1.0, 1.0]), Box([0.9, 0.375], [1.6, 0.625]),
+                      Box([1.5, 0.0], [2.5, 1.0])])
+    for eps in (0.04, 0.3):
+        assert abs(nonlocal_tv(u, uniform_density(shape), shape, profile, eps)
+                   - nonlocal_tv(u, uniform_density(union), union, profile, eps)) < 1e-12
+
+
+def test_spatial_rule_converges_under_angular_refinement(monkeypatch):
+    # The sphere is cut along every circle where the order of the radii on
+    # a ray changes, so doubling the angular rule moves the value by little
+    # more than rounding, whether the L's contact planes stay outside the
+    # kernel ball (0.2), cross its sphere (0.5) or mostly lie inside it (1).
+    # The doubled rule is four times the size bound.
+    u = affine_function([0.3, 1.0, -2.0])
+    rho = affine_density(L_SHAPE, 2, 0.5)
+    for eps in (0.2, 0.5, 1.0):
+        coarse = nonlocal_tv(u, rho, L_SHAPE, kernels.indicator(), eps)
+        with monkeypatch.context() as patch:
+            patch.setattr(continuum, "ANGULAR_NODES", 2 * continuum.ANGULAR_NODES)
+            patch.setattr(continuum, "MAX_GRID_POINTS", 4 * continuum.MAX_GRID_POINTS)
+            fine = nonlocal_tv(u, rho, L_SHAPE, kernels.indicator(), eps)
+        assert abs(fine - coarse) < 1e-8 * abs(fine), eps
 
 
 def test_nonlocal_monte_carlo_agrees_with_quadrature():
-    domain = unit_box(2)
-    rho = uniform_density(domain)
-    u = affine_function([1.0, 0.0])
+    triangle = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cases = [(unit_box(2), [1.0, 0.0], uniform_density(unit_box(2))),
+             (dumbbell(), [1.0, 0.25], uniform_density(dumbbell())),
+             (triangle, [1.0, 0.5], affine_density(triangle, 1, 0.5)),
+             (L_SHAPE, [0.3, 1.0, -2.0], affine_density(L_SHAPE, 2, 0.5))]
     profile = kernels.indicator()
-    quad, _ = nonlocal_tv(u, rho, domain, profile, 0.16)
-    mc, stderr = nonlocal_tv_monte_carlo(u, rho, domain, profile, 0.16,
-                                         samples=200000, seed=5)
-    again = nonlocal_tv_monte_carlo(u, rho, domain, profile, 0.16,
-                                    samples=200000, seed=5)
-    assert again == (mc, stderr)
-    assert abs(mc - quad) < 5.0 * stderr
+    for domain, coeffs, rho in cases:
+        u = affine_function(coeffs)
+        quad = nonlocal_tv(u, rho, domain, profile, 0.3)
+        mc, stderr = nonlocal_tv_monte_carlo(u, rho, domain, profile, 0.3,
+                                             samples=200000, seed=5)
+        again = nonlocal_tv_monte_carlo(u, rho, domain, profile, 0.3,
+                                        samples=200000, seed=5)
+        assert again == (mc, stderr)
+        assert abs(mc - quad) < 5.0 * stderr, coeffs
 
 
 def test_oversized_grids_are_refused_before_they_are_built():
@@ -197,10 +240,11 @@ def test_oversized_grids_are_refused_before_they_are_built():
     box4 = unit_box(4)
     profile = kernels.indicator()
     assert weighted_tv_smooth(u, uniform_density(box4), box4) == 1.0  # no grid to refuse
-    # 20^4 cells, but 65160 offsets of 8^4 kernel points each
-    with pytest.raises(UnsupportedConfigurationError, match="kernel subgrid"):
+    with pytest.raises(UnsupportedConfigurationError, match="circles and spheres"):
         nonlocal_tv(u, uniform_density(box4), box4, profile, 0.4)
-    box3 = unit_box(3)
-    check_grid_sizes(box3, profile, 0.2)
-    with pytest.raises(UnsupportedConfigurationError, match="nonlocal lattice"):
-        check_grid_sizes(box3, profile, 0.02)  # 400^3 cells
+    # a 40-gon's 38 fan triangles make 741 pairs, and their rules together
+    # pass the size bound
+    circle = ConvexPolygon([[math.cos(t), math.sin(t)]
+                            for t in np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)])
+    with pytest.raises(UnsupportedConfigurationError, match="nonlocal rule"):
+        nonlocal_rule(circle, profile, 0.5, [1.0, 0.0])
