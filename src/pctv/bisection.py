@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import UnsupportedConfigurationError
-from .geometry import Box, BoxUnion, Domain, sample_iid
+from .geometry import BoxUnion, Domain, sample_iid
 from .graph import (
     WeightedGraph,
     build_graph,
@@ -301,20 +301,20 @@ def agreement(labels: np.ndarray, reference: np.ndarray) -> float:
 def reference_partitions(domain: Domain, points: np.ndarray) -> list[np.ndarray]:
     """Label vectors induced by the flat minimal interfaces of a domain.
 
-    A unit box admits one straight halving cut per axis; the dumbbell
-    shape is cut across the middle of its neck.  Other domains are not
+    A cube, a union of one box with equal sides, admits one straight
+    halving cut per axis; a union of several boxes, such as the dumbbell,
+    is cut across the middle of its x_0 extent.  Other domains are not
     covered.
     """
     points = np.asarray(points, dtype=float)
-    if isinstance(domain, Box):
+    if isinstance(domain, BoxUnion):
         lo, hi = domain.bounding_box()
+        if len(domain.boxes) > 1:
+            return [points[:, 0] < 0.5 * (lo[0] + hi[0])]
         edges = hi - lo
         if np.allclose(edges, edges[0]):
             mid = 0.5 * (lo + hi)
             return [points[:, axis] < mid[axis] for axis in range(domain.dimension)]
-    if isinstance(domain, BoxUnion):
-        lo, hi = domain.bounding_box()
-        return [points[:, 0] < 0.5 * (lo[0] + hi[0])]
     raise UnsupportedConfigurationError(
         "reference interfaces are available for cubes and dumbbell shapes only"
     )

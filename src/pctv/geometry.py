@@ -1,22 +1,25 @@
 """Domains, bounded densities and point cloud sampling.
 
-Domains are open subsets of R^d given as axis aligned boxes, connected
-unions of boxes, or convex polygons (d = 2 only).  Membership tests use
-the closure; the boundary has measure zero so sampling is unaffected.
-Each domain carries a quadrature rule on its own pieces, exact for
-quadratic polynomials: the 2-point Gauss-Legendre rule per axis on each
-box cell, and the edge-midpoint rule on each triangle of a polygon.
+A domain is an open subset of R^d of one of two classes: a BoxUnion, a
+connected union of axis aligned boxes (a box is a union of one box, the
+dumbbell one of three), or a ConvexPolygon (d = 2 only).  Membership
+tests use the closure; the boundary has measure zero so sampling is
+unaffected.  Each domain carries a quadrature rule on its own pieces,
+exact for quadratic polynomials: the 2-point Gauss-Legendre rule per axis
+on each box cell, and the edge-midpoint rule on each triangle of a
+polygon.
 
-Densities are bounded evaluators 0 < lower <= rho <= upper on a domain.
-Sampling draws i.i.d. points by rejection from the bounding box with the
-declared upper bound as envelope.
+Densities are bounded evaluators 0 < lower <= rho <= upper on a domain;
+the uniform density is the affine one of slope 0.  Sampling draws i.i.d.
+points by rejection from the bounding box with the declared upper bound
+as envelope.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -29,106 +32,35 @@ MAX_GRID_POINTS = 256 ** 3  # the most nodes a quadrature rule may hold
 MIN_ACCEPTANCE = 1e-4  # sample_iid gives up below this acceptance rate
 
 
-class Domain:
-    """Common interface: dimension, volume, membership, bounding box, quadrature.
-
-    ``quadrature`` and ``section`` return (points, weights) of rules that
-    integrate every quadratic polynomial exactly, over the domain and over
-    its open cross-section, the points of D with x_axis = t.
-    """
-
-    dimension: int
-
-    def volume(self) -> float:
-        raise NotImplementedError
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def bounding_box(self) -> Tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def moment(self, axis: int) -> float:
-        """Integral of the coordinate x_axis over the domain."""
-        raise NotImplementedError
-
-    def quadrature(self) -> Tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def section(self, axis: int, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Box(Domain):
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __init__(self, lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ValueError("lo and hi must be 1-d arrays of equal length")
-        if np.any(hi <= lo):
-            raise ValueError("box must have positive extent in every axis")
-        if not np.prod(hi - lo) > 0.0:
-            raise ValueError("box volume underflows to zero")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "dimension", lo.size)
-
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
-    def contains(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((points >= self.lo) & (points <= self.hi), axis=1)
-
-    def bounding_box(self):
-        return self.lo.copy(), self.hi.copy()
-
-    def moment(self, axis: int) -> float:
-        return self.volume() * 0.5 * (self.lo[axis] + self.hi[axis])
-
-    @property
-    def cells(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        return [(self.lo, self.hi)]
-
-    def quadrature(self):
-        return _gauss_cells([self.lo], [self.hi])
-
-    def section(self, axis: int, t: float):
-        return _cell_section([self.lo], [self.hi], axis, t)
-
-
-def unit_box(d: int) -> Box:
-    return Box(np.zeros(d), np.ones(d))
-
-
-class BoxUnion(Domain):
+class BoxUnion:
     """Union of axis aligned boxes forming a connected open set.
 
-    Two boxes count as adjacent when their closures meet in a face of
+    boxes lists (lo, hi) corner pairs; one pair is a plain box.  Two
+    boxes count as adjacent when their closures meet in a face of
     positive area (at most one axis may be degenerate in the contact).
     The union must be connected under this adjacency.  Volume is exact,
     computed on the coordinate-compressed cell grid, so overlapping
     boxes are handled correctly.
+
+    ``quadrature`` and ``section`` return (points, weights) of rules that
+    integrate every quadratic polynomial exactly, over the domain and over
+    its open cross-section, the points of D with x_axis = t; the polygon's
+    rules do the same.
     """
 
-    def __init__(self, boxes: Sequence[Box]):
+    def __init__(self, boxes: Sequence[Tuple]):
         if not boxes:
             raise ValueError("box union needs at least one box")
-        d = boxes[0].dimension
-        if any(b.dimension != d for b in boxes):
+        self.boxes = [_box(lo, hi) for lo, hi in boxes]
+        d = self.boxes[0][0].size
+        if any(lo.size != d for lo, _ in self.boxes):
             raise ValueError("all boxes must share one dimension")
-        self.boxes = list(boxes)
         self.dimension = d
         self._check_connected()
         self.cells = self._covered_cells()
 
     def _check_connected(self):
-        lo = np.array([b.lo for b in self.boxes])
-        hi = np.array([b.hi for b in self.boxes])
+        lo, hi = (np.array(corner) for corner in zip(*self.boxes))
         # gap[i, j, axis]: extent of the closures' intersection per axis
         gap = np.minimum(hi[:, None], hi[None]) - np.maximum(lo[:, None], lo[None])
         contact = np.all(gap >= 0, axis=2) & (np.sum(gap == 0, axis=2) <= 1)
@@ -141,8 +73,7 @@ class BoxUnion(Domain):
         Refused when the grid could hold more than MAX_GRID_POINTS Gauss
         nodes, 2^d for each cell, before any of it is built.
         """
-        axes = [np.asarray(sorted({float(b.lo[ax]) for b in self.boxes}
-                                  | {float(b.hi[ax]) for b in self.boxes}))
+        axes = [np.asarray(sorted({float(c[ax]) for box in self.boxes for c in box}))
                 for ax in range(self.dimension)]
         shape = [len(a) - 1 for a in axes]
         cells = float(np.prod(shape, dtype=float))
@@ -150,9 +81,9 @@ class BoxUnion(Domain):
             raise ValueError(f"box union's grid of {cells:.3g} cells could hold more "
                              f"than {MAX_GRID_POINTS} quadrature nodes")
         covered = np.zeros(shape, dtype=bool)
-        for b in self.boxes:  # box corners are grid coordinates
+        for box in self.boxes:  # box corners are grid coordinates
             covered[tuple(slice(np.searchsorted(a, lo), np.searchsorted(a, hi))
-                          for a, lo, hi in zip(axes, b.lo, b.hi))] = True
+                          for a, lo, hi in zip(axes, *box))] = True
         idx = np.argwhere(covered)
         lo = np.stack([a[i] for a, i in zip(axes, idx.T)], axis=1)
         hi = np.stack([a[i + 1] for a, i in zip(axes, idx.T)], axis=1)
@@ -164,16 +95,16 @@ class BoxUnion(Domain):
     def contains(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         inside = np.zeros(points.shape[0], dtype=bool)
-        for b in self.boxes:
-            inside |= b.contains(points)
+        for lo, hi in self.boxes:
+            inside |= np.all((points >= lo) & (points <= hi), axis=1)
         return inside
 
     def bounding_box(self):
-        lo = np.min([b.lo for b in self.boxes], axis=0)
-        hi = np.max([b.hi for b in self.boxes], axis=0)
-        return lo, hi
+        lo, hi = zip(*self.boxes)
+        return np.min(lo, axis=0), np.max(hi, axis=0)
 
     def moment(self, axis: int) -> float:
+        """Integral of the coordinate x_axis over the domain."""
         total = 0.0
         for lo, hi in self.cells:
             total += float(np.prod(hi - lo)) * 0.5 * (lo[axis] + hi[axis])
@@ -184,6 +115,28 @@ class BoxUnion(Domain):
 
     def section(self, axis: int, t: float):
         return _cell_section(*zip(*self.cells), axis, t)
+
+
+def _box(lo, hi) -> Tuple[np.ndarray, np.ndarray]:
+    """The corners of one box as float arrays, checked."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError("lo and hi must be 1-d arrays of equal length")
+    if np.any(hi <= lo):
+        raise ValueError("box must have positive extent in every axis")
+    if not np.prod(hi - lo) > 0.0:
+        raise ValueError("box volume underflows to zero")
+    return lo, hi
+
+
+def Box(lo, hi) -> BoxUnion:
+    """The axis aligned box [lo, hi]: a union of one box."""
+    return BoxUnion([(lo, hi)])
+
+
+def unit_box(d: int) -> BoxUnion:
+    return Box(np.zeros(d), np.ones(d))
 
 
 def _gauss_cells(lo, hi) -> Tuple[np.ndarray, np.ndarray]:
@@ -217,8 +170,13 @@ def _cell_section(lo, hi, axis: int, t: float) -> Tuple[np.ndarray, np.ndarray]:
     return np.insert(points, axis, t, axis=1), weights
 
 
-class ConvexPolygon(Domain):
-    """Convex polygon domain in the plane, vertices stored counterclockwise."""
+class ConvexPolygon:
+    """Convex polygon domain in the plane, vertices stored counterclockwise.
+
+    The convexity and membership tests compare cross products, which
+    scale as length^2, so their tolerance is 1e-12 times the squared
+    largest side of the bounding box.
+    """
 
     def __init__(self, vertices):
         verts = np.asarray(vertices, dtype=float)
@@ -230,10 +188,11 @@ class ConvexPolygon(Domain):
             area2 = -area2
         if area2 <= 0:
             raise ValueError("polygon has no area")
+        self._tolerance = 1e-12 * float(np.max(np.ptp(verts, axis=0))) ** 2
         edges = np.roll(verts, -1, axis=0) - verts
         cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
             - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if np.any(cross < -1e-12):
+        if np.any(cross < -self._tolerance):
             raise ValueError("polygon is not convex")
         self.vertices = verts
         self.dimension = 2
@@ -249,7 +208,7 @@ class ConvexPolygon(Domain):
         for k in range(a.shape[0]):
             ex, ey = b[k] - a[k]
             cross = ex * (points[:, 1] - a[k, 1]) - ey * (points[:, 0] - a[k, 0])
-            inside &= cross >= -1e-12
+            inside &= cross >= -self._tolerance
         return inside
 
     def bounding_box(self):
@@ -290,6 +249,9 @@ def _shoelace(verts: np.ndarray) -> float:
     return float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+Domain = Union[BoxUnion, ConvexPolygon]
+
+
 def dumbbell(width: float = 0.25, length: float = 0.5) -> BoxUnion:
     """Two unit squares joined by a neck of the given width and length.
 
@@ -302,9 +264,9 @@ def dumbbell(width: float = 0.25, length: float = 0.5) -> BoxUnion:
         raise ValueError("neck length must be positive")
     half = 0.5 * width
     return BoxUnion([
-        Box([0.0, 0.0], [1.0, 1.0]),
-        Box([1.0, 0.5 - half], [1.0 + length, 0.5 + half]),
-        Box([1.0 + length, 0.0], [2.0 + length, 1.0]),
+        ([0.0, 0.0], [1.0, 1.0]),
+        ([1.0, 0.5 - half], [1.0 + length, 0.5 + half]),
+        ([1.0 + length, 0.0], [2.0 + length, 1.0]),
     ])
 
 
@@ -320,7 +282,6 @@ class Density:
     fn: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
-    name: str = "custom"
 
     def __post_init__(self):
         if not (0 < self.lower <= self.upper):
@@ -332,12 +293,8 @@ class Density:
 
 
 def uniform_density(domain: Domain) -> Density:
-    value = 1.0 / domain.volume()
-
-    def fn(points):
-        return np.full(points.shape[0], value)
-
-    return Density(fn=fn, lower=value, upper=value, name="uniform")
+    """The constant 1 / volume: the affine density of slope 0."""
+    return affine_density(domain, 0, 0.0)
 
 
 def affine_density(domain: Domain, axis: int = 0, slope: float = 1.0) -> Density:
@@ -355,8 +312,7 @@ def affine_density(domain: Domain, axis: int = 0, slope: float = 1.0) -> Density
     def fn(points):
         return (1.0 + slope * points[:, axis]) / z
 
-    return Density(fn=fn, lower=float(np.min(ends)), upper=float(np.max(ends)),
-                   name=f"affine(axis={axis},slope={slope:g})")
+    return Density(fn=fn, lower=float(np.min(ends)), upper=float(np.max(ends)))
 
 
 @dataclass(frozen=True)
@@ -364,15 +320,10 @@ class PointCloud:
     """n sample points in R^d with mass 1/n each."""
 
     points: np.ndarray
-    seed: Optional[int] = None
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
 
 
 def acceptance_rate(domain: Domain, density: Density) -> float:
@@ -418,7 +369,7 @@ def sample_iid(domain: Domain, density: Density, n: int,
                 f"acceptance rate {got / proposed:.2e} below {MIN_ACCEPTANCE:g}; "
                 "tighten the envelope or the bounding box")
     points = np.concatenate(accepted, axis=0)[:n]
-    return PointCloud(points=points, seed=seed)
+    return PointCloud(points=points)
 
 
 def grid_points(k: int, d: int) -> np.ndarray:
@@ -444,7 +395,7 @@ def domain_from_config(spec: dict) -> Domain:
     if shape == "dumbbell":
         return dumbbell(spec.get("width", 0.25), spec.get("length", 0.5))
     if shape == "box-union":
-        return BoxUnion([Box(b["lo"], b["hi"]) for b in spec["boxes"]])
+        return BoxUnion([(b["lo"], b["hi"]) for b in spec["boxes"]])
     if shape == "polygon":
         return ConvexPolygon(spec["vertices"])
     raise ValueError(f"unknown domain shape: {shape!r}")

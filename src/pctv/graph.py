@@ -59,7 +59,6 @@ class WeightedGraph:
     """Sparse symmetric weight matrix stored once per pair with i < j."""
 
     n: int
-    dimension: int
     eps: float
     ii: np.ndarray
     jj: np.ndarray
@@ -106,8 +105,7 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
     ww = kernels.scaled_from_distance(profile, eps, dist, d)
     keep = _kept(dist, ww, radius)
     del dist
-    return WeightedGraph(n=n, dimension=d, eps=eps, ii=ii[keep], jj=jj[keep],
-                         ww=ww[keep])
+    return WeightedGraph(n=n, eps=eps, ii=ii[keep], jj=jj[keep], ww=ww[keep])
 
 
 def _pair_distances(x: np.ndarray, ii: np.ndarray, y: np.ndarray,
@@ -271,15 +269,7 @@ def component_labels(graph: WeightedGraph) -> np.ndarray:
 
 def is_connected(graph: WeightedGraph) -> bool:
     """Whether the positive-weight edges connect all vertices."""
-    n = graph.n
-    if n <= 1:
-        return True
-    if graph.edge_count == 0:
-        return False
-    deg = np.bincount(graph.ii, minlength=n) + np.bincount(graph.jj, minlength=n)
-    if np.any(deg == 0):
-        return False
-    return int(component_labels(graph).max()) == 0
+    return graph.n <= 1 or int(component_labels(graph).max()) == 0
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ Admissible profiles satisfy
     (K2) eta is non-increasing,
     (K3) the moment integral of eta(r) * r^d over [0, inf) is finite.
 
-The builders enforce these conditions: indicator and gaussian meet all
-three by construction, step_sum raises ValueError on K1 and K2, and
-effective_support raises DivergentKernelError when the K3 integrand of
-an unbounded profile never decays.
+The builders enforce these conditions: gaussian meets all three by
+construction, step_sum (and indicator, its one-step case) raises
+ValueError on K1 and K2, and effective_support raises
+DivergentKernelError when the K3 integrand of an unbounded profile never
+decays.
 
 The surface tension of an admissible profile in dimension d is
 
@@ -29,7 +30,7 @@ area: c_d = 2 pi^((d-1)/2) / Gamma((d+1)/2), so c_2 = 4 and c_3 = 2*pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Tuple
 
 import numpy as np
@@ -59,19 +60,14 @@ class KernelProfile:
 
 
 def indicator(radius: float = 1.0) -> KernelProfile:
-    """Indicator profile: 1 on [0, radius), 0 from radius on.
+    """Indicator profile: 1 on [0, radius), 0 from radius on; the step sum
+    of one step.
 
     The value at the jump radius itself is 0; sets of measure zero do not
     affect any integral quantity, so the choice is free and this one keeps
     the support open.
     """
-    radius = float(radius)
-
-    def fn(r):
-        return np.where(np.asarray(r, dtype=float) < radius, 1.0, 0.0)
-
-    return KernelProfile(name="indicator", fn=fn, support_radius=radius,
-                         breakpoints=(radius,))
+    return replace(step_sum([radius], [1.0]), name="indicator")
 
 
 def gaussian(width: float = 1.0) -> KernelProfile:
@@ -103,14 +99,17 @@ def step_sum(radii, heights) -> KernelProfile:
         raise ValueError("radii must be positive and strictly increasing")
     if heights[0] <= 0 or np.any(np.diff(heights) > 0):
         raise ValueError("heights must start positive and never increase")
-    levels = np.append(heights, 0.0)
 
     def fn(r):
-        idx = np.searchsorted(radii, np.asarray(r, dtype=float), side="right")
-        return levels[idx]
+        # From the outermost step in: a radius below radii[k] takes heights[k].
+        r = np.asarray(r, dtype=float)
+        value = 0.0
+        for radius, height in zip(radii[::-1], heights[::-1]):
+            value = np.where(r < radius, height, value)
+        return value
 
     return KernelProfile(name="step-sum", fn=fn, support_radius=float(radii[-1]),
-                         breakpoints=tuple(radii))
+                         breakpoints=tuple(radii.tolist()))
 
 
 def from_config(spec: dict) -> KernelProfile:

@@ -29,12 +29,12 @@ from pctv.kernels import indicator
 from oracles import dense_swap_descent, exhaustive_bisection_energy
 
 
-def _graph(n, edges, eps=1.0, d=2):
+def _graph(n, edges, eps=1.0):
     ii = np.array([e[0] for e in edges], dtype=np.int64)
     jj = np.array([e[1] for e in edges], dtype=np.int64)
     ww = np.array([e[2] for e in edges], dtype=float)
     order = np.lexsort((jj, ii))
-    return WeightedGraph(n=n, dimension=d, eps=eps,
+    return WeightedGraph(n=n, eps=eps,
                          ii=ii[order], jj=jj[order], ww=ww[order])
 
 

@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 import pctv
 from pctv import cli, experiments
+from pctv.bisection import reference_partitions
 from pctv.config import EXPERIMENTS, SCHEMAS, load_config, validate_config
 from pctv.errors import ConfigError
 from pctv.experiments import run_experiment, worker_count, write_records_csv
+from pctv.geometry import domain_from_config
 from pctv.graph import connectivity_scale, critical_rate, eps_rule
 from pctv.svgplot import line_figure, scatter_figure
 
@@ -353,6 +355,14 @@ BAD_CONFIGS = [
      dict(GTV_CFG, domain={"shape": "box-union",
                            "boxes": [{"lo": [o] * 8, "hi": [o + 1] * 8} for o in (0, 0.3, 0.6)]},
           function={"coeffs": [1.0] * 8}), "/domain"),
+    # a 2 x 2 square dented to its centre, at 1e-7 scale
+    ("gtv-convergence",
+     dict(GTV_CFG, domain={"shape": "polygon", "vertices": [[0, 0], [2e-7, 0], [2e-7, 2e-7],
+                                                            [1e-7, 1e-7], [0, 2e-7]]}),
+     "/domain"),
+    # one box is a box however it is written: no reference cut off a cube
+    ("bisect", dict(BISECT_CFG, domain={"shape": "box-union",
+                                        "boxes": [{"lo": [0, 0], "hi": [2, 1]}]}), "/domain"),
 ]
 
 
@@ -457,6 +467,28 @@ def test_shipped_configs_name_and_pass_every_experiment():
 
 def test_bisect_accepts_any_even_n():
     assert validate_config("bisect", dict(BISECT_CFG, n=[6002]))["n"] == [6002]
+
+
+def test_one_shape_gets_one_answer(tmp_path):
+    # The unit square written three ways is one domain: the same tl-distance
+    # validation, the same two reference cuts and the same gtv-convergence
+    # numbers; only the domain label in records.csv differs.
+    squares = [{"shape": "unit-box", "dimension": 2},
+               {"shape": "box", "lo": [0, 0], "hi": [1, 1]},
+               {"shape": "box-union", "boxes": [{"lo": [0, 0], "hi": [1, 1]}]}]
+    points = np.random.default_rng(0).random((40, 2))
+    answers = []
+    for i, square in enumerate(squares):
+        validated = validate_config("tl-distance", dict(TL_CFG, domain=square))
+        cuts = reference_partitions(domain_from_config(square), points)
+        run_experiment("gtv-convergence", dict(GTV_CFG, domain=square), str(tmp_path / str(i)))
+        with open(tmp_path / str(i) / "records.csv", encoding="utf-8", newline="") as handle:
+            rows = [{k: v for k, v in row.items() if k != "domain"}
+                    for row in csv.DictReader(handle)]
+        answers.append(({k: v for k, v in validated.items() if k != "domain"},
+                        [cut.tolist() for cut in cuts], rows))
+    assert len(answers[0][1]) == 2
+    assert answers[1] == answers[0] and answers[2] == answers[0]
 
 
 _NUMBER = st.floats(min_value=-3.0, max_value=3.0)

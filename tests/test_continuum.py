@@ -16,7 +16,6 @@ from pctv.continuum import (
 )
 from pctv.errors import UnsupportedConfigurationError
 from pctv.geometry import (
-    Box,
     BoxUnion,
     ConvexPolygon,
     Density,
@@ -68,7 +67,7 @@ def test_weighted_tv_is_exact_on_every_kind_of_piece():
     # The L-shaped union is the slab x3 < 0.3 and the column x1 < 0.4 above
     # it; rho = (1 + x3/2) / Z with Z = 1387/2000, and the integral of
     # (1 + x3/2)^2 over the union is 50501/60000.
-    ell = BoxUnion([Box([0.0, 0.0, 0.0], [1.0, 1.0, 0.3]), Box([0.0, 0.0, 0.0], [0.4, 1.0, 1.0])])
+    ell = BoxUnion([([0.0, 0.0, 0.0], [1.0, 1.0, 0.3]), ([0.0, 0.0, 0.0], [0.4, 1.0, 1.0])])
     value = weighted_tv_smooth(affine_function([0.3, 1.0, -2.0]),
                                affine_density(ell, 2, 0.5), ell)
     assert_allclose(value, 10100200.0 / 5771307.0 * math.sqrt(5.09), rtol=1e-14)
@@ -81,7 +80,7 @@ def test_weighted_tv_is_exact_on_every_kind_of_piece():
 @pytest.mark.parametrize("domain,coeffs,resolution,rtol", [
     (unit_box(1), [2.0], 256, 1e-6),
     (unit_box(2), [1.0, -0.5], 256, 1e-6),
-    (BoxUnion([Box([0.0, 0.0, 0.0], [1.0, 1.0, 0.3]), Box([0.0, 0.0, 0.0], [0.4, 1.0, 1.0])]),
+    (BoxUnion([([0.0, 0.0, 0.0], [1.0, 1.0, 0.3]), ([0.0, 0.0, 0.0], [0.4, 1.0, 1.0])]),
      [0.3, 1.0, -2.0], 64, 1e-2),
     (dumbbell(), [1.0, 0.25], 256, 5e-3),
 ], ids=["d1", "d2", "d3", "dumbbell"])
@@ -101,7 +100,7 @@ def test_perimeter_of_half_cut_square():
     interval = unit_box(1)  # the section is one point
     assert weighted_perimeter(uniform_density(interval), interval, 0, 0.5) == 1.0
     # the plane along the face the two halves share lies inside the square
-    halves = BoxUnion([Box([0.0, 0.0], [0.5, 1.0]), Box([0.5, 0.0], [1.0, 1.0])])
+    halves = BoxUnion([([0.0, 0.0], [0.5, 1.0]), ([0.5, 0.0], [1.0, 1.0])])
     assert weighted_perimeter(uniform_density(halves), halves, 0, 0.5) == 1.0
 
 
@@ -144,7 +143,7 @@ def test_polygonal_sets_are_planar_only():
         ConvexPolygon(np.zeros((4, 3)))
 
 
-L_SHAPE = BoxUnion([Box([0.0, 0.0, 0.0], [1.0, 1.0, 0.3]), Box([0.0, 0.0, 0.0], [0.4, 1.0, 1.0])])
+L_SHAPE = BoxUnion([([0.0, 0.0, 0.0], [1.0, 1.0, 0.3]), ([0.0, 0.0, 0.0], [0.4, 1.0, 1.0])])
 
 
 def test_nonlocal_quadrature_tracks_the_expansion():
@@ -193,8 +192,8 @@ def test_one_shape_in_two_representations_has_one_value():
                    - nonlocal_tv(u, affine_density(square, 1, 0.5), square, profile, eps)) < 1e-12
     # the dumbbell's boxes, and a neck that overlaps both squares
     shape = dumbbell()
-    union = BoxUnion([Box([0.0, 0.0], [1.0, 1.0]), Box([0.9, 0.375], [1.6, 0.625]),
-                      Box([1.5, 0.0], [2.5, 1.0])])
+    union = BoxUnion([([0.0, 0.0], [1.0, 1.0]), ([0.9, 0.375], [1.6, 0.625]),
+                      ([1.5, 0.0], [2.5, 1.0])])
     for eps in (0.04, 0.3):
         assert abs(nonlocal_tv(u, uniform_density(shape), shape, profile, eps)
                    - nonlocal_tv(u, uniform_density(union), union, profile, eps)) < 1e-12

@@ -35,13 +35,15 @@ def test_box_contains_is_closed():
     box = unit_box(2)
     inside = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
     outside = np.array([[1.0 + 1e-12, 0.5], [-0.1, 0.5]])
-    assert geometry.Box.contains(box, inside).all()
+    assert box.contains(inside).all()
     assert not box.contains(outside).any()
 
 
 def test_degenerate_box_is_rejected():
     with pytest.raises(ValueError):
         Box([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError):
+        BoxUnion([([0.0, 0.0], [1.0, 1.0]), ([1.0, 0.0], [2.0, 0.0])])
 
 
 def test_dumbbell_volume_and_moment_are_exact():
@@ -62,18 +64,18 @@ def test_dumbbell_with_custom_neck():
 
 
 def test_overlapping_union_counts_volume_once():
-    union = BoxUnion([Box([0.0, 0.0], [1.0, 1.0]), Box([0.5, 0.0], [1.5, 1.0])])
+    union = BoxUnion([([0.0, 0.0], [1.0, 1.0]), ([0.5, 0.0], [1.5, 1.0])])
     assert_allclose(union.volume(), 1.5)
 
 
 def test_disconnected_union_is_rejected():
     with pytest.raises(ValueError):
-        BoxUnion([Box([0.0, 0.0], [1.0, 1.0]), Box([2.0, 0.0], [3.0, 1.0])])
+        BoxUnion([([0.0, 0.0], [1.0, 1.0]), ([2.0, 0.0], [3.0, 1.0])])
 
 
 def test_corner_contact_does_not_connect():
     with pytest.raises(ValueError):
-        BoxUnion([Box([0.0, 0.0], [1.0, 1.0]), Box([1.0, 1.0], [2.0, 2.0])])
+        BoxUnion([([0.0, 0.0], [1.0, 1.0]), ([1.0, 1.0], [2.0, 2.0])])
 
 
 def test_triangle_area_and_moment():
@@ -93,6 +95,19 @@ def test_clockwise_vertices_are_normalized():
 def test_nonconvex_polygon_is_rejected():
     with pytest.raises(ValueError):
         ConvexPolygon([[0.0, 0.0], [2.0, 0.0], [1.0, 0.2], [0.0, 2.0]])
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+def test_polygon_tolerances_scale_with_the_polygon(scale):
+    # A 2 x 2 square dented to its centre is not convex at any scale.
+    with pytest.raises(ValueError, match="not convex"):
+        ConvexPolygon(scale * np.array([[0, 0], [2, 0], [2, 2], [1, 1], [0, 2]]))
+    tri = ConvexPolygon(scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert tri.contains(scale * np.array([[0.25, 0.25], [0.5, 0.5 - 1e-6], [0.0, 1.0]])).all()
+    assert not tri.contains(scale * np.array([[0.5, 0.5 + 1e-6], [-1e-6, 0.5],
+                                              [0.5, -1e-6]])).any()
+    points = sample_iid(tri, uniform_density(tri), 2000, seed=0).points / scale
+    assert np.all(points >= -1e-9) and np.all(points.sum(axis=1) <= 1.0 + 1e-9)
 
 
 def test_density_bounds_are_validated():
@@ -191,6 +206,7 @@ def test_density_from_config_names():
     uniform = geometry.density_from_config({"name": "uniform"}, domain)
     assert_allclose(uniform(np.array([[0.5, 0.5]])), [1.0])
     affine = geometry.density_from_config({"name": "affine", "slope": 1.0}, domain)
-    assert affine.name == "affine(axis=0,slope=1)"
+    # (1 + x) / (1 + 1/2) on the unit square
+    assert_allclose(affine(np.array([[1.0, 0.3]])), [4.0 / 3.0], rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
         geometry.density_from_config({"name": "rings"}, domain)

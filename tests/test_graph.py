@@ -75,7 +75,7 @@ EXACT_CASES = list(_exact_cases())
 def test_build_graph_matches_the_exact_edge_oracle(case, points, eps, kernel):
     profile = PROFILES[kernel]
     d = points.shape[1]
-    built = build_graph(PointCloud(points=points, seed=0), profile, eps)
+    built = build_graph(PointCloud(points=points), profile, eps)
     radius = eps * kernels.effective_support(profile, d)
     ii, jj, ww = exact_edges(points, profile.fn, eps, d, radius)
     assert np.array_equal(built.ii, ii)
@@ -95,7 +95,7 @@ def test_edges_are_ordered_and_simple():
 
 def _corners():
     return PointCloud(points=np.array([[0.0, 0.0], [1.0, 0.0],
-                                       [0.0, 1.0], [1.0, 1.0]]), seed=0)
+                                       [0.0, 1.0], [1.0, 1.0]]))
 
 
 def test_pairs_at_exactly_eps_follow_the_open_profile():
@@ -114,7 +114,7 @@ def test_pairs_at_exactly_eps_follow_the_open_profile():
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_degenerate_clouds_give_empty_graphs(n):
-    built = build_graph(PointCloud(points=np.zeros((n, 2)), seed=0),
+    built = build_graph(PointCloud(points=np.zeros((n, 2))),
                         kernels.indicator(), 0.5)
     assert built.n == n and built.edge_count == 0
     assert built.ii.dtype == np.int32 and built.jj.dtype == np.int32
@@ -125,7 +125,7 @@ def test_degenerate_clouds_give_empty_graphs(n):
 def test_tiny_weights_fall_below_the_floor():
     points = np.array([[0.0, 0.0], [0.3, 0.0], [0.7, 0.0]])
     from pctv.geometry import PointCloud
-    cloud = PointCloud(points=points, seed=0)
+    cloud = PointCloud(points=points)
     profile = kernels.step_sum([0.5, 1.0], [1.0, 1e-16])
     built = build_graph(cloud, profile, 1.0)
     # pairs at distance 0.7 and 1.0 carry weight 1e-16 < the 1e-15 floor
@@ -134,7 +134,7 @@ def test_tiny_weights_fall_below_the_floor():
 
 
 def test_gtv_two_point_value():
-    g = WeightedGraph(2, 1, 0.5, np.array([0]), np.array([1]), np.array([0.25]))
+    g = WeightedGraph(2, 0.5, np.array([0]), np.array([1]), np.array([0.25]))
     # 2 * 0.25 * |1 - 0| / (0.5 * 4) = 0.25
     assert_allclose(graph_total_variation(g, np.array([1.0, 0.0])), 0.25)
 
@@ -202,7 +202,7 @@ def test_coarea_edge_cases():
 def test_component_labels_on_two_blocks():
     ii = np.array([0, 1, 3])
     jj = np.array([1, 2, 4])
-    g = WeightedGraph(6, 1, 1.0, ii, jj, np.ones(3))
+    g = WeightedGraph(6, 1.0, ii, jj, np.ones(3))
     labels = component_labels(g)
     assert labels[0] == labels[1] == labels[2]
     assert labels[3] == labels[4]
@@ -224,7 +224,7 @@ def test_component_labels_match_bfs_oracle():
     # isolated vertices at both ends and in the middle
     cases.append((9, np.array([1, 2, 5]), np.array([2, 3, 6])))
     for n, ii, jj in cases:
-        g = WeightedGraph(n, 1, 1.0, ii, jj, np.ones(ii.size))
+        g = WeightedGraph(n, 1.0, ii, jj, np.ones(ii.size))
         assert np.array_equal(component_labels(g), bfs_component_labels(n, ii, jj))
     built = build_graph(_random_cloud(300, 2, seed=12), kernels.indicator(), 0.07)
     assert np.array_equal(component_labels(built),
@@ -232,13 +232,13 @@ def test_component_labels_match_bfs_oracle():
 
 
 def test_connectivity_cases():
-    path = WeightedGraph(4, 1, 1.0, np.array([0, 1, 2]), np.array([1, 2, 3]),
+    path = WeightedGraph(4, 1.0, np.array([0, 1, 2]), np.array([1, 2, 3]),
                          np.ones(3))
     assert is_connected(path)
-    empty = WeightedGraph(3, 1, 1.0, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+    empty = WeightedGraph(3, 1.0, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
                           np.zeros(0))
     assert not is_connected(empty)
-    single = WeightedGraph(1, 1, 1.0, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+    single = WeightedGraph(1, 1.0, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
                            np.zeros(0))
     assert is_connected(single)
 
@@ -281,7 +281,7 @@ CONNECTION_PROFILES = dict(
 def test_connected_at_the_connection_distance_matches_built_graphs(case, points, eps, kernel):
     profile = CONNECTION_PROFILES[kernel]
     n, d = points.shape
-    cloud = PointCloud(points=points, seed=0)
+    cloud = PointCloud(points=points)
     distance = connection_distance(points)
     scales = [eps]
     if distance > 0:
