@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import UnsupportedConfigurationError
-from .geometry import BoxUnion, Domain, sample_iid
+from .geometry import BoxUnion, Domain, fills_bounding_box, sample_iid
 from .graph import (
     WeightedGraph,
     build_graph,
@@ -301,20 +301,20 @@ def agreement(labels: np.ndarray, reference: np.ndarray) -> float:
 def reference_partitions(domain: Domain, points: np.ndarray) -> list[np.ndarray]:
     """Label vectors induced by the flat minimal interfaces of a domain.
 
-    A cube, a union of one box with equal sides, admits one straight
-    halving cut per axis; a union of several boxes, such as the dumbbell,
-    is cut across the middle of its x_0 extent.  Other domains are not
-    covered.
+    A cube, a domain that fills its bounding box with equal sides, admits
+    one straight halving cut per axis; any other union of boxes, such as
+    the dumbbell, is cut across the middle of its x_0 extent.  Other
+    domains are not covered.
     """
     points = np.asarray(points, dtype=float)
-    if isinstance(domain, BoxUnion):
-        lo, hi = domain.bounding_box()
-        if len(domain.boxes) > 1:
-            return [points[:, 0] < 0.5 * (lo[0] + hi[0])]
+    lo, hi = domain.bounding_box()
+    if fills_bounding_box(domain):
         edges = hi - lo
         if np.allclose(edges, edges[0]):
             mid = 0.5 * (lo + hi)
             return [points[:, axis] < mid[axis] for axis in range(domain.dimension)]
+    elif isinstance(domain, BoxUnion):
+        return [points[:, 0] < 0.5 * (lo[0] + hi[0])]
     raise UnsupportedConfigurationError(
         "reference interfaces are available for cubes and dumbbell shapes only"
     )

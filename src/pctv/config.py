@@ -21,10 +21,10 @@ from .continuum import nonlocal_rule
 from .errors import ConfigError, DivergentKernelError, PCTVError
 from .geometry import (
     MIN_ACCEPTANCE,
-    BoxUnion,
     acceptance_rate,
     density_from_config,
     domain_from_config,
+    fills_bounding_box,
 )
 from .graph import connectivity_scale, eps_rule
 from .kernels import effective_support, scaled_from_distance, surface_tension
@@ -345,8 +345,8 @@ def _preflight(experiment: str, cfg: dict) -> None:
         raise ConfigError("/set/axis: axis is outside the domain dimension")
     if experiment == "tl-distance":
         lo, hi = domain.bounding_box()
-        if not (isinstance(domain, BoxUnion) and len(domain.boxes) == 1
-                and np.allclose(lo, 0.0) and np.allclose(hi, 1.0)):
+        if not (fills_bounding_box(domain) and np.allclose(lo, 0.0)
+                and np.allclose(hi, 1.0)):
             raise ConfigError(
                 "/domain: the tl-distance experiment compares against a unit-box grid")
         for i, n in enumerate(cfg["n"]):

@@ -252,6 +252,17 @@ def _shoelace(verts: np.ndarray) -> float:
 Domain = Union[BoxUnion, ConvexPolygon]
 
 
+def fills_bounding_box(domain: Domain) -> bool:
+    """Whether the domain is its bounding box: their volumes agree to 1e-12.
+
+    This asks the shape, not how it was written: a box, and a union of
+    boxes that tiles its bounding box, both fill it.
+    """
+    lo, hi = domain.bounding_box()
+    box = float(np.prod(hi - lo))
+    return abs(domain.volume() - box) <= 1e-12 * box
+
+
 def dumbbell(width: float = 0.25, length: float = 0.5) -> BoxUnion:
     """Two unit squares joined by a neck of the given width and length.
 

@@ -23,6 +23,15 @@ one coordinate at a time in axis order, ((0 + dx^2) + dy^2) + dz^2, and
 that order fixes its bits, so the pairs kept at the radius and every
 weight are reproducible to the last bit.
 
+The candidate pairs are sorted once, as the int64 keys i*n + j, and then
+handled in blocks of BLOCK consecutive keys: each block is split into
+(i, j), its distances, weights and keep mask are computed, and its kept
+edges are written at a running offset.  A block's float64 temporaries
+take 512 KB and stay in cache, so only the keys and the three outputs
+span all edges.  Every step is elementwise, so the edges and their bits
+do not depend on BLOCK; graph_total_variation fills its terms the same
+way and sums them in one call, in numpy's pairwise order.
+
 Connectivity at any eps is decided by one number per cloud, without
 building the graph: the connection distance b, the smallest distance t
 at which the pairs with distance <= t connect the cloud.  It is the
@@ -52,6 +61,7 @@ from . import kernels
 from .geometry import PointCloud
 
 WEIGHT_FLOOR = 1e-15
+BLOCK = 1 << 16  # edges per block: a float64 temporary takes 512 KB
 
 
 @dataclass(frozen=True)
@@ -89,23 +99,28 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
     # decides every pair, including those on the boundary.
     pairs = cKDTree(points).query_pairs(radius * (1 + 1e-12),
                                         output_type="ndarray")
-    # Each array is dropped once spent: dense graphs hold millions of pairs.
-    key = pairs[:, 0] * np.int64(n) + pairs[:, 1]
+    # The pairs are dropped once keyed: dense graphs hold millions of them.
+    key = pairs[:, 0] * np.int64(n)
+    key += pairs[:, 1]
     del pairs
     key.sort()
-    row = key // n
-    ii = row.astype(np.int32)
-    row *= n
-    key -= row
-    del row
-    jj = key.astype(np.int32)
-    del key
-
-    dist = _pair_distances(points, ii, points, jj)
-    ww = kernels.scaled_from_distance(profile, eps, dist, d)
-    keep = _kept(dist, ww, radius)
-    del dist
-    return WeightedGraph(n=n, eps=eps, ii=ii[keep], jj=jj[keep], ww=ww[keep])
+    ii = np.empty(key.size, dtype=np.int32)
+    jj = np.empty(key.size, dtype=np.int32)
+    ww = np.empty(key.size)
+    kept = 0
+    # At least one block, so that an eps the kernel cannot scale raises
+    # even when the graph has no candidate pairs.
+    for start in range(0, max(key.size, 1), BLOCK):
+        bi, bj = np.divmod(key[start:start + BLOCK], n)
+        dist = _pair_distances(points, bi, points, bj)
+        weights = kernels.scaled_from_distance(profile, eps, dist, d)
+        keep = _kept(dist, weights, radius)
+        end = kept + int(np.count_nonzero(keep))
+        ii[kept:end] = bi[keep]
+        jj[kept:end] = bj[keep]
+        ww[kept:end] = weights[keep]
+        kept = end
+    return WeightedGraph(n=n, eps=eps, ii=ii[:kept], jj=jj[:kept], ww=ww[:kept])
 
 
 def _pair_distances(x: np.ndarray, ii: np.ndarray, y: np.ndarray,
@@ -245,8 +260,14 @@ def _as_mask(graph: WeightedGraph, subset: Union[np.ndarray, Sequence[int]]) -> 
 def graph_total_variation(graph: WeightedGraph, u) -> float:
     """Scaled graph total variation of vertex values u."""
     u = _as_values(graph, u)
-    total = float(np.sum(graph.ww * np.abs(u[graph.ii] - u[graph.jj])))
-    return 2.0 * total / (graph.eps * graph.n ** 2)
+    terms = np.empty(graph.edge_count)
+    for start in range(0, terms.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        out = terms[block]
+        np.subtract(u.take(graph.ii[block]), u.take(graph.jj[block]), out=out)
+        np.abs(out, out=out)
+        out *= graph.ww[block]
+    return 2.0 * float(terms.sum()) / (graph.eps * graph.n ** 2)
 
 
 def graph_perimeter(graph: WeightedGraph, subset) -> float:

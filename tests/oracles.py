@@ -186,6 +186,17 @@ def gtv_reference(ii, jj, ww, values, n: int, eps: float) -> float:
     return total / (eps * n * n)
 
 
+def gtv_whole_array(ii, jj, ww, values, n: int, eps: float) -> float:
+    """Graph total variation as one expression over the whole edge arrays.
+
+    The products are elementwise and np.sum adds them in numpy's pairwise
+    order, so a blocked evaluation that fills the same terms and sums
+    them in one call must agree with this bit for bit.
+    """
+    values = np.asarray(values, dtype=float)
+    return 2.0 * float(np.sum(ww * np.abs(values[ii] - values[jj]))) / (eps * n ** 2)
+
+
 def exhaustive_tlp(x: np.ndarray, f: np.ndarray, y: np.ndarray, g: np.ndarray,
                    p: float) -> float:
     """Optimal TL^p distance between functions on two n-point clouds, n <= 8.

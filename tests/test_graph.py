@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pctv import kernels
+from pctv import graph, kernels
 from pctv.geometry import PointCloud, grid_points, sample_iid, uniform_density, unit_box
 from pctv.graph import (
     WeightedGraph,
@@ -19,7 +19,13 @@ from pctv.graph import (
     is_connected,
 )
 
-from oracles import bfs_component_labels, exact_edges, gtv_reference, pairwise_edges
+from oracles import (
+    bfs_component_labels,
+    exact_edges,
+    gtv_reference,
+    gtv_whole_array,
+    pairwise_edges,
+)
 
 
 def _random_cloud(n, d, seed):
@@ -70,10 +76,8 @@ def _exact_cases():
 EXACT_CASES = list(_exact_cases())
 
 
-@pytest.mark.parametrize("kernel", list(PROFILES))
-@pytest.mark.parametrize("case,points,eps", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
-def test_build_graph_matches_the_exact_edge_oracle(case, points, eps, kernel):
-    profile = PROFILES[kernel]
+def _assert_exact_edges(points, profile, eps):
+    """Build the graph, check every edge and weight bit against the oracle, return it."""
     d = points.shape[1]
     built = build_graph(PointCloud(points=points), profile, eps)
     radius = eps * kernels.effective_support(profile, d)
@@ -81,6 +85,39 @@ def test_build_graph_matches_the_exact_edge_oracle(case, points, eps, kernel):
     assert np.array_equal(built.ii, ii)
     assert np.array_equal(built.jj, jj)
     assert np.array_equal(built.ww, ww)
+    return built
+
+
+def _assert_gtv_bits(built, seed):
+    if built.n == 0:  # GTV scales by 1 / n^2
+        return
+    u = np.random.default_rng(seed).normal(size=built.n)
+    assert graph_total_variation(built, u) == gtv_whole_array(
+        built.ii, built.jj, built.ww, u, built.n, built.eps)
+
+
+@pytest.mark.parametrize("kernel", list(PROFILES))
+@pytest.mark.parametrize("case,points,eps", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+def test_build_graph_matches_the_exact_edge_oracle(case, points, eps, kernel):
+    _assert_exact_edges(points, PROFILES[kernel], eps)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+@pytest.mark.parametrize("kernel", list(PROFILES))
+@pytest.mark.parametrize("case,points,eps", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+def test_edge_blocks_keep_every_edge_and_gtv_bit(case, points, eps, kernel, block,
+                                                 monkeypatch):
+    # Small blocks put block boundaries inside every graph, so each
+    # running offset is exercised.
+    monkeypatch.setattr(graph, "BLOCK", block)
+    _assert_gtv_bits(_assert_exact_edges(points, PROFILES[kernel], eps), block)
+
+
+def test_a_graph_of_several_default_blocks_matches_the_oracle():
+    built = _assert_exact_edges(_random_cloud(2500, 2, seed=25).points,
+                                kernels.indicator(), 0.12)
+    assert built.edge_count > graph.BLOCK
+    _assert_gtv_bits(built, 25)
 
 
 def test_edges_are_ordered_and_simple():
@@ -122,15 +159,17 @@ def test_degenerate_clouds_give_empty_graphs(n):
     assert component_labels(built).shape == (n,)
 
 
-def test_tiny_weights_fall_below_the_floor():
-    points = np.array([[0.0, 0.0], [0.3, 0.0], [0.7, 0.0]])
-    from pctv.geometry import PointCloud
-    cloud = PointCloud(points=points)
+def test_tiny_weights_fall_below_the_floor(monkeypatch):
+    cloud = PointCloud(points=np.array([[0.0, 0.0], [0.3, 0.0], [0.7, 0.0]]))
     profile = kernels.step_sum([0.5, 1.0], [1.0, 1e-16])
-    built = build_graph(cloud, profile, 1.0)
-    # pairs at distance 0.7 and 1.0 carry weight 1e-16 < the 1e-15 floor
-    assert built.edge_count == 2
-    assert set(zip(built.ii, built.jj)) == {(0, 1), (1, 2)}
+    # The pairs come as (0, 1), (0, 2), (1, 2); blocks of 1 and 2 drop
+    # (0, 2) at a block's end, and the next block writes after the drop.
+    for block in (graph.BLOCK, 1, 2, 3, 64):
+        monkeypatch.setattr(graph, "BLOCK", block)
+        built = build_graph(cloud, profile, 1.0)
+        # the pair at distance 0.7 carries weight 1e-16 < the 1e-15 floor
+        assert list(zip(built.ii.tolist(), built.jj.tolist())) == [(0, 1), (1, 2)]
+        assert built.ww.tolist() == [1.0, 1.0]
 
 
 def test_gtv_two_point_value():
