@@ -1,33 +1,37 @@
-"""Experiment configuration: JSON schemas, validation, defaults.
+"""Experiment configuration: JSON schemas, validation, defaults, plans.
 
 Each experiment name owns a schema; validation failures surface as
 ConfigError with a JSON-pointer path to the offending field, so a typo
 in a nested key points at itself rather than at the whole file.  After
-the schema, validation builds the domain, density and kernel and runs
-each experiment's own checks, so config errors surface before any work
-starts.
+the schema, ``plan`` builds the domain, density, kernel, function,
+surface tension and nonlocal rules the experiment uses and runs its own
+checks on them, so config errors surface before any work starts.  The
+run then uses the objects of that plan; nothing is built twice.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
 
 from .bisection import reference_partitions
-from .continuum import nonlocal_rule
+from .continuum import AffineFunction, affine_function, nonlocal_rule
 from .errors import ConfigError, DivergentKernelError, PCTVError
 from .geometry import (
     MIN_ACCEPTANCE,
+    Density,
+    Domain,
     acceptance_rate,
     density_from_config,
     domain_from_config,
     fills_bounding_box,
 )
 from .graph import connectivity_scale, eps_rule
-from .kernels import effective_support, scaled_from_distance, surface_tension
+from .kernels import KernelProfile, effective_support, scaled_from_distance, surface_tension
 from .kernels import from_config as kernel_from_config
 from .transport import check_dense_costs
 
@@ -273,8 +277,24 @@ def _pointer(error: jsonschema.exceptions.ValidationError) -> str:
     return "/" + "/".join(str(part) for part in error.absolute_path)
 
 
-def validate_config(experiment: str, config: dict) -> dict:
-    """Validate a raw config and return a copy with defaults filled in.
+@dataclass(frozen=True)
+class Plan:
+    """A validated run: the config with its defaults, as summary.json prints
+    it, and the objects built from it, one nonlocal rule per eps in
+    ``rules``.  A field that the experiment does not use is None."""
+
+    config: dict
+    label: str | None = None
+    domain: Domain | None = None
+    density: Density | None = None
+    profile: KernelProfile | None = None
+    function: AffineFunction | None = None
+    sigma: float | None = None
+    rules: tuple | None = None
+
+
+def plan(experiment: str, config: dict) -> Plan:
+    """Validate a raw config and build what its run uses.
 
     Raises ConfigError whose message starts with the JSON-pointer path
     of the first (most specific) violation.
@@ -291,8 +311,12 @@ def validate_config(experiment: str, config: dict) -> dict:
     resolved = copy.deepcopy(config)
     for key, value in DEFAULTS[experiment].items():
         resolved.setdefault(key, copy.deepcopy(value))
-    _preflight(experiment, resolved)
-    return resolved
+    return _preflight(experiment, resolved)
+
+
+def validate_config(experiment: str, config: dict) -> dict:
+    """Validate a raw config and return a copy with defaults filled in."""
+    return plan(experiment, config).config
 
 
 def _built(pointer: str, build, *args):
@@ -308,16 +332,25 @@ def _built(pointer: str, build, *args):
         raise ConfigError(f"{pointer}: {exc}") from None
 
 
-def _preflight(experiment: str, cfg: dict) -> None:
-    """The checks that need built objects.
+def _domain_label(spec: dict) -> str:
+    d = int(spec.get("dimension", 2))
+    return f"unit-box-{d}d" if spec["shape"] == "unit-box" else spec["shape"]
+
+
+def _preflight(experiment: str, cfg: dict) -> Plan:
+    """The checks that need built objects, and the plan of what they built.
 
     Nothing is sampled; the one integral is the kernel's surface tension,
     a few milliseconds, for the runs that compare against it.  The
-    nonlocal rule is built, so its size is known, but not evaluated.
+    nonlocal rules are built, so their sizes are known, but not evaluated.
     """
     d = cfg.get("dimension")
+    built = {"config": cfg}
     if "domain" in cfg:
         domain = _built("/domain", domain_from_config, cfg["domain"])
+        volume = domain.volume()
+        if not volume >= np.finfo(float).tiny:  # a density would divide by it
+            raise ConfigError(f"/domain: volume {volume:.3g} is below the smallest normal float")
         d = domain.dimension
         if cfg["density"].get("axis", 0) >= d:
             raise ConfigError("/density/axis: axis is outside the domain dimension")
@@ -329,18 +362,22 @@ def _preflight(experiment: str, cfg: dict) -> None:
                 and not acceptance_rate(domain, density) >= 10 * MIN_ACCEPTANCE):
             raise ConfigError("/domain: rejection sampling would accept under "
                               f"{10 * MIN_ACCEPTANCE:g} of the proposals in the bounding box")
+        built.update(label=_domain_label(cfg["domain"]), domain=domain, density=density)
     if "kernel" in cfg:
-        profile = _built("/kernel", kernel_from_config, cfg["kernel"])
+        profile = built["profile"] = _built("/kernel", kernel_from_config, cfg["kernel"])
         _built("/kernel", effective_support, profile, d)
         if experiment in ("gtv-convergence", "perimeter-convergence",
                           "nonlocal-convergence"):  # the runs that compare with sigma
-            _built("/domain", surface_tension, profile, d)
-    if "function" in cfg and len(cfg["function"]["coeffs"]) != d:
-        raise ConfigError("/function/coeffs: length must match the domain dimension")
+            built["sigma"] = _built("/domain", surface_tension, profile, d)
+    if "function" in cfg:
+        if len(cfg["function"]["coeffs"]) != d:
+            raise ConfigError("/function/coeffs: length must match the domain dimension")
+        built["function"] = affine_function(**cfg["function"])
     if experiment == "nonlocal-convergence":
         for i, eps in enumerate(cfg["eps"]):
             _built(f"/eps/{i}", scaled_from_distance, profile, eps, 0.0, d)
-            _built("/domain", nonlocal_rule, domain, profile, eps, cfg["function"]["coeffs"])
+        built["rules"] = tuple(_built("/domain", nonlocal_rule, domain, profile, eps,
+                                      built["function"].coeffs) for eps in cfg["eps"])
     if "set" in cfg and cfg["set"]["axis"] >= d:
         raise ConfigError("/set/axis: axis is outside the domain dimension")
     if experiment == "tl-distance":
@@ -368,7 +405,10 @@ def _preflight(experiment: str, cfg: dict) -> None:
         for i, n in enumerate(cfg["n"]):
             if n % 2:
                 raise ConfigError(f"/n/{i}: bisection needs an even n, got {n}")
+            # TL1 scoring holds an n x reference_size cost matrix
+            _built(f"/n/{i}", check_dense_costs, n, cfg["reference_size"])
         _built("/domain", reference_partitions, domain, np.empty((0, d)))
+    return Plan(**built)
 
 
 def load_config(path: str) -> dict:

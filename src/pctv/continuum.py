@@ -230,7 +230,8 @@ def _spatial_rule(events, window, radii, coeffs, top: float, grow):
     k, alpha = circles[:, 4].astype(int), circles[:, 5]
 
     def kink(omega, which):  # is circle `which` a kink at omega: its plane met in the window?
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a tiny omega_k gives r = +-inf, outside the kernel radius as a zero one does
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             r = alpha[which] / omega[np.arange(len(omega)), k[which]]
             point = r[:, None] * omega
         slack = 1e-9 * radii[-1]
@@ -258,8 +259,9 @@ def _spatial_rule(events, window, radii, coeffs, top: float, grow):
     _, theta, w_theta = _share(cuts[:-1], cuts[1:], graded)
     grow(6 * len(theta) * len(c))
     sin, cos = np.sin(theta)[:, None], np.cos(theta)[:, None]
-    # n1 sin cos(phi) + n2 sin sin(phi) = c - n3 cos at each theta
-    with np.errstate(divide="ignore", invalid="ignore"):  # circles this latitude misses
+    # n1 sin cos(phi) + n2 sin sin(phi) = c - n3 cos at each theta; a latitude
+    # that misses a circle, by a zero or a tiny denominator, gives nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         width = np.arccos((c - n[:, 2] * cos) / (sin * np.hypot(n[:, 0], n[:, 1])))
     base = np.arctan2(n[:, 1], n[:, 0])
     phis = np.nan_to_num(np.mod(np.concatenate([base - width, base + width], axis=1),
@@ -285,8 +287,9 @@ def _radial(omega, normals, offsets, window, radius, steps):
     length carry no nodes.
     """
     lo, hi = window
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # slab entry and exit per axis; a ray along a slab's face (0 / 0) never enters it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # slab entry and exit per axis; a ray along a slab's face (0 / 0) never
+        # enters it, and a tiny omega_k puts the slab at +-inf as 0 would
         r_in = np.max(np.fmin(lo / omega, hi / omega), axis=1, initial=0.0)
         r_out = np.min(np.fmax(lo / omega, hi / omega), axis=1, initial=radius)
         lines = offsets / (omega @ normals.T)
@@ -403,12 +406,11 @@ def nonlocal_rule(domain: Domain, profile: kernels.KernelProfile, eps: float, co
     return rule
 
 
-def nonlocal_tv(u: AffineFunction, density: Density, domain: Domain,
-                profile: kernels.KernelProfile, eps: float) -> float:
-    """TV_eps(u; rho) for affine u, from the covariogram of D's pieces."""
-    overlap = _overlap_polygons if domain.dimension == 2 else _overlap_boxes
+def nonlocal_tv(rule, density: Density) -> float:
+    """TV_eps(u; rho) by the covariogram rule that nonlocal_rule built for u."""
     total = 0.0
-    for p, q, z, w in nonlocal_rule(domain, profile, eps, u.coeffs):
+    for p, q, z, w in rule:
+        overlap = _overlap_polygons if z.shape[1] == 2 else _overlap_boxes
         for start in range(0, len(z), CHUNK):
             part = slice(start, start + CHUNK)
             total += float(np.sum(w[part] * overlap(p, q, z[part], density)))

@@ -1,8 +1,9 @@
 """Seeded experiment sweeps and their CSV/JSON/SVG artifacts.
 
-Every experiment takes a config that ``validate_config`` has fully
-checked, plans its fixed inputs from it, maps its tasks over a thread
-pool, and reduces the rows to a summary.  The output goes into one
+Every experiment runs the plan that ``config.plan`` made of its config:
+the checked config with the domain, density, kernel, function, surface
+tension and nonlocal rules already built.  It maps its tasks over a
+thread pool and reduces the rows to a summary.  The output goes into one
 directory: ``records.csv`` with one self-describing row per run (a
 row's keys, in order, are its CSV columns), ``summary.json`` with the
 resolved config, package version, and aggregate statistics, and (where
@@ -24,10 +25,10 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, svgplot
+from . import __version__, kernels, svgplot
 from .bisection import sweep_reference, sweep_run
-from .config import validate_config
-from .continuum import affine_function, nonlocal_tv, weighted_perimeter, weighted_tv_smooth
+from .config import Plan, _domain_label, plan
+from .continuum import nonlocal_tv, weighted_perimeter, weighted_tv_smooth
 from .errors import ConfigError
 from .geometry import (
     density_from_config,
@@ -45,8 +46,6 @@ from .graph import (
     eps_rule,
     graph_total_variation,
 )
-from .kernels import from_config as kernel_from_config
-from .kernels import surface_tension
 from .transport import bottleneck_distance, scaling_ratio, tlp_distance
 
 # ---------------------------------------------------------------------------
@@ -98,34 +97,18 @@ def write_records_csv(path: str, rows) -> None:
             writer.writerow([_cell(row[key]) for key in header])
 
 
-def _median(values) -> float:
-    return float(np.median(np.asarray(values, dtype=float)))
-
-
 def _strictly_decreasing(values) -> bool:
     return all(b < a for a, b in zip(values, values[1:]))
 
 
-def _non_decreasing(values) -> bool:
-    return all(b >= a for a, b in zip(values, values[1:]))
-
-
-def _domain_label(spec: dict) -> str:
-    shape = spec["shape"]
-    if shape == "unit-box":
-        return f"unit-box-{int(spec.get('dimension', 2))}d"
-    return shape
-
-
+# perfbench/worker.py rebuilds a bisection task's cloud and graph with these
 def _setup(cfg: dict):
     domain = domain_from_config(cfg["domain"])
     density = density_from_config(cfg["density"], domain)
     return domain, density, _domain_label(cfg["domain"])
 
 
-def _function(cfg: dict):
-    spec = cfg["function"]
-    return affine_function(spec["coeffs"], spec.get("offset", 0.0))
+kernel_from_config = kernels.from_config
 
 
 def _sweep(cfg: dict, one):
@@ -148,7 +131,7 @@ def _per_n(rows, *keys, extra=None):
         if "eps" in group[0]:
             entry["eps"] = group[0]["eps"]
         for key in keys:
-            entry[f"median_{key}"] = _median([row[key] for row in group])
+            entry[f"median_{key}"] = float(np.median([row[key] for row in group]))
         if extra is not None:
             entry.update(extra(group))
         per_n.append(entry)
@@ -168,21 +151,32 @@ def _curve(path, xs, ys, label, title, xlabel, ylabel, log=True) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each plans from the validated config, maps its
+# experiment runners: each takes the plan of a validated config, maps its
 # tasks over the pool, and returns (rows, summary); a row's keys, in
 # order, are its CSV columns
 
 
-def _graph_tv_sweep(cfg, fig_dir, setup, u, limit, *, title, constants, extra):
-    """Graph TV of u on sampled clouds against sigma times a continuum limit.
+def _run_graph_tv(plan: Plan, fig_dir: str):
+    """Graph TV of u on sampled clouds against sigma times its continuum limit.
 
-    ``constants`` are config values added to every row after the domain
-    column, ``extra`` are more summary keys.
+    With a ``set``, u is the indicator of {x_axis < threshold} and the
+    limit its weighted perimeter; otherwise u is the config's function and
+    the limit its weighted TV.
     """
-    domain, density, domain_label = setup
-    profile = kernel_from_config(cfg["kernel"])
-    sigma = surface_tension(profile, domain.dimension)
-    reference = sigma * limit
+    cfg, domain, density, profile = plan.config, plan.domain, plan.density, plan.profile
+    if "set" in cfg:
+        axis, threshold = int(cfg["set"]["axis"]), float(cfg["set"]["threshold"])
+
+        def u(points):
+            return (points[:, axis] < threshold).astype(float)
+
+        limit = weighted_perimeter(density, domain, axis, threshold)
+        title, constants, extra = "graph perimeter", {"axis": axis, "threshold": threshold}, {}
+    else:
+        u = plan.function
+        limit = weighted_tv_smooth(u, density, domain)
+        title, constants, extra = "graph TV", {}, {"weighted_tv": limit}
+    reference = plan.sigma * limit
     denom = abs(reference) if reference else 1.0
     rule = eps_rule(cfg["eps_rule"], domain.dimension)
 
@@ -197,7 +191,7 @@ def _graph_tv_sweep(cfg, fig_dir, setup, u, limit, *, title, constants, extra):
             "eps": eps,
             "seed": seed,
             "kernel": profile.name,
-            "domain": domain_label,
+            "domain": plan.label,
             **constants,
             "gtv": value,
             "reference": reference,
@@ -218,60 +212,34 @@ def _graph_tv_sweep(cfg, fig_dir, setup, u, limit, *, title, constants, extra):
     medians = [entry["median_rel_error"] for entry in per_n]
     summary = {
         "reference": reference,
-        "surface_tension": sigma,
+        "surface_tension": plan.sigma,
         "per_n": per_n,
         "median_rel_error_decreasing": _strictly_decreasing(medians),
         "final_median_rel_error": medians[-1],
         **extra,
     }
     _curve(os.path.join(fig_dir, "convergence.svg"), [entry["n"] for entry in per_n],
-           medians, "median", title, "n", "median relative error")
+           medians, "median", f"{title} vs continuum limit", "n", "median relative error")
     return rows, summary
 
 
-def _run_gtv(cfg: dict, fig_dir: str):
-    setup = domain, density, _ = _setup(cfg)
-    fn = _function(cfg)
-    tv_value = weighted_tv_smooth(fn, density, domain)
-    return _graph_tv_sweep(cfg, fig_dir, setup, fn, tv_value,
-                           title="graph TV vs continuum limit",
-                           constants={}, extra={"weighted_tv": tv_value})
-
-
-def _run_perimeter(cfg: dict, fig_dir: str):
-    setup = domain, density, _ = _setup(cfg)
-    axis = int(cfg["set"]["axis"])
-    threshold = float(cfg["set"]["threshold"])
-    return _graph_tv_sweep(
-        cfg, fig_dir, setup,
-        lambda points: (points[:, axis] < threshold).astype(float),
-        weighted_perimeter(density, domain, axis, threshold),
-        title="graph perimeter vs continuum limit",
-        constants={"axis": axis, "threshold": threshold},
-        extra={},
-    )
-
-
-def _run_nonlocal(cfg: dict, fig_dir: str):
-    domain, density, domain_label = _setup(cfg)
-    profile = kernel_from_config(cfg["kernel"])
-    fn = _function(cfg)
-    sigma = surface_tension(profile, domain.dimension)
-    reference = sigma * weighted_tv_smooth(fn, density, domain)
+def _run_nonlocal(plan: Plan, fig_dir: str):
+    reference = plan.sigma * weighted_tv_smooth(plan.function, plan.density, plan.domain)
     denom = abs(reference) if reference else 1.0
 
-    def one(eps):
-        value = nonlocal_tv(fn, density, domain, profile, eps)
+    def one(task):
+        eps, rule = task
+        value = nonlocal_tv(rule, plan.density)
         return {
             "eps": eps,
-            "kernel": profile.name,
-            "domain": domain_label,
+            "kernel": plan.profile.name,
+            "domain": plan.label,
             "value": value,
             "reference": reference,
             "rel_error": abs(value - reference) / denom,
         }
 
-    rows = _parallel_map(one, [float(e) for e in cfg["eps"]])
+    rows = _parallel_map(one, zip([float(e) for e in plan.config["eps"]], plan.rules))
     errors = [row["rel_error"] for row in rows]
     summary = {
         "reference": reference,
@@ -284,9 +252,8 @@ def _run_nonlocal(cfg: dict, fig_dir: str):
     return rows, summary
 
 
-def _run_tl_distance(cfg: dict, fig_dir: str):
-    domain, density, domain_label = _setup(cfg)
-    fn = _function(cfg)
+def _run_tl_distance(plan: Plan, fig_dir: str):
+    cfg, domain, density, fn = plan.config, plan.domain, plan.density, plan.function
     p = float(cfg["p"])
     k = int(cfg["grid"])
     ref_points = grid_points(k, domain.dimension)
@@ -301,7 +268,7 @@ def _run_tl_distance(cfg: dict, fig_dir: str):
             "seed": seed,
             "p": p,
             "grid": k,
-            "domain": domain_label,
+            "domain": plan.label,
             "distance": distance,
         }
 
@@ -320,7 +287,8 @@ def _run_tl_distance(cfg: dict, fig_dir: str):
     return rows, summary
 
 
-def _run_matching(cfg: dict, fig_dir: str):
+def _run_matching(plan: Plan, fig_dir: str):
+    cfg = plan.config
     d = int(cfg["dimension"])
     domain = unit_box(d)
     density = uniform_density(domain)
@@ -365,9 +333,8 @@ def _run_matching(cfg: dict, fig_dir: str):
     return rows, summary
 
 
-def _run_connectivity(cfg: dict, fig_dir: str):
-    domain, density, domain_label = _setup(cfg)
-    profile = kernel_from_config(cfg["kernel"])
+def _run_connectivity(plan: Plan, fig_dir: str):
+    cfg, domain, density, profile = plan.config, plan.domain, plan.density, plan.profile
     n = int(cfg["n"])
     factors = [float(f) for f in cfg["factors"]]
     scale = connectivity_scale(n, domain.dimension)
@@ -385,7 +352,7 @@ def _run_connectivity(cfg: dict, fig_dir: str):
             "eps": factor * scale,
             "seed": seed,
             "kernel": profile.name,
-            "domain": domain_label,
+            "domain": plan.label,
             "connected": flags[fi],
         }
         for fi, factor in enumerate(factors)
@@ -397,7 +364,7 @@ def _run_connectivity(cfg: dict, fig_dir: str):
         "connectivity_scale": scale,
         "factors": factors,
         "connected_fraction": fractions,
-        "fraction_non_decreasing": _non_decreasing(fractions),
+        "fraction_non_decreasing": all(b >= a for a, b in zip(fractions, fractions[1:])),
     }
     _curve(os.path.join(fig_dir, "transition.svg"), factors, fractions,
            "connected fraction", "connectivity transition",
@@ -405,9 +372,8 @@ def _run_connectivity(cfg: dict, fig_dir: str):
     return rows, summary
 
 
-def _run_bisect(cfg: dict, fig_dir: str):
-    domain, density, domain_label = _setup(cfg)
-    profile = kernel_from_config(cfg["kernel"])
+def _run_bisect(plan: Plan, fig_dir: str):
+    cfg, domain, density, profile = plan.config, plan.domain, plan.density, plan.profile
     rule = eps_rule(cfg["eps_rule"], domain.dimension)
     reference = sweep_reference(domain, density, cfg["reference_size"])
 
@@ -428,7 +394,7 @@ def _run_bisect(cfg: dict, fig_dir: str):
     for run in _sweep(cfg, one):
         rec = run.record
         rows.append({"n": rec.n, "eps": rec.eps, "seed": rec.seed,
-                     "kernel": profile.name, "domain": domain_label, **asdict(rec)})
+                     "kernel": profile.name, "domain": plan.label, **asdict(rec)})
         if domain.dimension == 2:
             svgplot.scatter_figure(
                 os.path.join(fig_dir, f"partition-n{rec.n}-seed{rec.seed}.svg"),
@@ -447,8 +413,8 @@ def _run_bisect(cfg: dict, fig_dir: str):
 
 
 RUNNERS = {
-    "gtv-convergence": _run_gtv,
-    "perimeter-convergence": _run_perimeter,
+    "gtv-convergence": _run_graph_tv,
+    "perimeter-convergence": _run_graph_tv,
     "nonlocal-convergence": _run_nonlocal,
     "tl-distance": _run_tl_distance,
     "matching-scaling": _run_matching,
@@ -462,7 +428,7 @@ def run_experiment(name: str, config: dict, out_dir: str) -> dict:
 
     Returns the summary payload that was written to ``summary.json``.
     """
-    resolved = validate_config(name, config)
+    planned = plan(name, config)
     worker_count()  # a malformed PCTV_THREADS fails here, before any work
     os.makedirs(out_dir, exist_ok=True)
     # Figures and tables are written into a hidden staging directory and
@@ -470,11 +436,11 @@ def run_experiment(name: str, config: dict, out_dir: str) -> dict:
     # a run that fails leaves nothing and one killed midway no summary.json.
     staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
     try:
-        rows, summary = RUNNERS[name](resolved, staging)
+        rows, summary = RUNNERS[name](planned, staging)
         payload = {
             "experiment": name,
             "version": __version__,
-            "config": resolved,
+            "config": planned.config,
             "summary": summary,
         }
         write_records_csv(os.path.join(staging, "records.csv"), rows)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import pctv
-from pctv import cli, experiments
+from pctv import cli, continuum, experiments, geometry, kernels
 from pctv.bisection import reference_partitions
 from pctv.config import EXPERIMENTS, SCHEMAS, load_config, validate_config
 from pctv.errors import ConfigError
@@ -363,9 +364,17 @@ BAD_CONFIGS = [
     # one box is a box however it is written: no reference cut off a cube
     ("bisect", dict(BISECT_CFG, domain={"shape": "box-union",
                                         "boxes": [{"lo": [0, 0], "hi": [2, 1]}]}), "/domain"),
+    # TL1 scoring would need a 12000 x 2000 cost matrix
+    ("bisect", {"domain": {"shape": "dumbbell"}, "kernel": {"name": "indicator"},
+                "eps_rule": {"kind": "fixed", "value": 0.05}, "n": [12000], "seeds": [0],
+                "restarts": 1}, "/n/0"),
+    # a volume of 1e-320 is subnormal, and a density's 1 / volume overflows
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "box", "lo": [0, 0],
+                                              "hi": [1e-160, 1e-160]}), "/domain"),
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name,cfg,pointer", BAD_CONFIGS,
                          ids=[f"{i:02d}-{case[2]}" for i, case in enumerate(BAD_CONFIGS)])
 def test_bad_configs_fail_before_any_work(tmp_path, capsys, name, cfg, pointer):
@@ -455,6 +464,31 @@ def test_experiment_artifacts(tmp_path, monkeypatch, name):
     assert tables == [(out2 / artifact).read_bytes()
                       for artifact in ("records.csv", "summary.json")]
     assert tuple(hashlib.sha256(table).hexdigest() for table in tables) == PINNED[name]
+
+
+def _count_calls(monkeypatch, function):
+    """Count the calls to function under every name a pctv module holds it by."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "pctv" or name.startswith("pctv."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_a_run_builds_each_object_once(tmp_path, monkeypatch):
+    builders = [geometry.domain_from_config, geometry.density_from_config,
+                kernels.from_config, kernels.surface_tension, continuum.nonlocal_rule]
+    calls = [_count_calls(monkeypatch, build) for build in builders]
+    cfg = dict({k: GTV_CFG[k] for k in ("domain", "kernel", "function")}, eps=[0.2, 0.1, 0.05])
+    run_experiment("nonlocal-convergence", cfg, str(tmp_path / "out"))
+    assert [len(c) for c in calls] == [1, 1, 1, 1, 3]
 
 
 def test_shipped_configs_name_and_pass_every_experiment():

@@ -1,6 +1,7 @@
 """Weighted continuum functionals and the nonlocal total variation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,10 @@ def test_polygonal_sets_are_planar_only():
         ConvexPolygon(np.zeros((4, 3)))
 
 
+def _tv_eps(u, rho, domain, profile, eps):
+    return nonlocal_tv(nonlocal_rule(domain, profile, eps, u.coeffs), rho)
+
+
 L_SHAPE = BoxUnion([([0.0, 0.0, 0.0], [1.0, 1.0, 0.3]), ([0.0, 0.0, 0.0], [0.4, 1.0, 1.0])])
 
 
@@ -152,7 +157,7 @@ def test_nonlocal_quadrature_tracks_the_expansion():
     square = unit_box(2)
     u = affine_function([1.0, 0.0])
     for eps in (0.16, 0.08, 0.04, 0.02):
-        value = nonlocal_tv(u, uniform_density(square), square, kernels.indicator(), eps)
+        value = _tv_eps(u, uniform_density(square), square, kernels.indicator(), eps)
         closed_form = 4.0 / 3.0 - (math.pi / 4.0 + 0.5) * eps + 4.0 / 15.0 * eps ** 2
         assert abs(value - closed_form) < 1e-12
     cases = [(kernels.indicator(), 0.3, 2), (kernels.step_sum([0.4, 1.0], [2.0, 0.5]), 0.5, 2),
@@ -161,7 +166,7 @@ def test_nonlocal_quadrature_tracks_the_expansion():
     for profile, eps, d in cases:
         box = unit_box(d)
         u = affine_function([1.0] + [0.0] * (d - 1))
-        value = nonlocal_tv(u, uniform_density(box), box, profile, eps)
+        value = _tv_eps(u, uniform_density(box), box, profile, eps)
         assert abs(value - unit_box_nonlocal_tv(profile, eps, d)) < 1e-12, (profile.name, d)
 
 
@@ -170,7 +175,7 @@ def test_nonlocal_value_grows_toward_the_limit():
     rho = uniform_density(domain)
     u = affine_function([1.0, 0.0])
     profile = kernels.indicator()
-    values = [nonlocal_tv(u, rho, domain, profile, eps) for eps in (0.32, 0.16, 0.08)]
+    values = [_tv_eps(u, rho, domain, profile, eps) for eps in (0.32, 0.16, 0.08)]
     assert values[0] < values[1] < values[2] < 4.0 / 3.0
 
 
@@ -178,8 +183,8 @@ def test_kernel_wider_than_the_domain():
     # For eps >= sqrt(2) the kernel covers every pair of the unit square at
     # height eps^-2, so TV_eps = eps^-3 * integral of |x1 - y1| = 1 / (3 eps^3).
     domain = unit_box(2)
-    value = nonlocal_tv(affine_function([1.0, 0.0]), uniform_density(domain), domain,
-                        kernels.indicator(), 3.0)
+    value = _tv_eps(affine_function([1.0, 0.0]), uniform_density(domain), domain,
+                    kernels.indicator(), 3.0)
     assert abs(value - 1.0 / 81.0) < 1e-12
 
 
@@ -188,15 +193,28 @@ def test_one_shape_in_two_representations_has_one_value():
     profile = kernels.step_sum([0.5, 1.0], [2.0, 1.0])
     square, polygon = unit_box(2), ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
     for eps in (0.16, 0.7, 3.0):
-        assert abs(nonlocal_tv(u, affine_density(polygon, 1, 0.5), polygon, profile, eps)
-                   - nonlocal_tv(u, affine_density(square, 1, 0.5), square, profile, eps)) < 1e-12
+        assert abs(_tv_eps(u, affine_density(polygon, 1, 0.5), polygon, profile, eps)
+                   - _tv_eps(u, affine_density(square, 1, 0.5), square, profile, eps)) < 1e-12
     # the dumbbell's boxes, and a neck that overlaps both squares
     shape = dumbbell()
     union = BoxUnion([([0.0, 0.0], [1.0, 1.0]), ([0.9, 0.375], [1.6, 0.625]),
                       ([1.5, 0.0], [2.5, 1.0])])
     for eps in (0.04, 0.3):
-        assert abs(nonlocal_tv(u, uniform_density(shape), shape, profile, eps)
-                   - nonlocal_tv(u, uniform_density(union), union, profile, eps)) < 1e-12
+        assert abs(_tv_eps(u, uniform_density(shape), shape, profile, eps)
+                   - _tv_eps(u, uniform_density(union), union, profile, eps)) < 1e-12
+
+
+def test_a_subnormal_coefficient_computes_no_warning():
+    # Along the normal to a = (2.2e-309, -1) a direction component is
+    # subnormal, and the slab and contact radii it divides overflow to
+    # +-inf: the limit that a = (0, -1) reaches by dividing by zero.
+    square, profile = unit_box(2), kernels.indicator()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny, zero = (_tv_eps(affine_function(coeffs), uniform_density(square), square,
+                              profile, 1.0)
+                      for coeffs in ([2.225073858507203e-309, -1.0], [0.0, -1.0]))
+    assert abs(tiny - zero) <= 1e-12 * abs(zero)
 
 
 def test_spatial_rule_converges_under_angular_refinement(monkeypatch):
@@ -208,11 +226,11 @@ def test_spatial_rule_converges_under_angular_refinement(monkeypatch):
     u = affine_function([0.3, 1.0, -2.0])
     rho = affine_density(L_SHAPE, 2, 0.5)
     for eps in (0.2, 0.5, 1.0):
-        coarse = nonlocal_tv(u, rho, L_SHAPE, kernels.indicator(), eps)
+        coarse = _tv_eps(u, rho, L_SHAPE, kernels.indicator(), eps)
         with monkeypatch.context() as patch:
             patch.setattr(continuum, "ANGULAR_NODES", 2 * continuum.ANGULAR_NODES)
             patch.setattr(continuum, "MAX_GRID_POINTS", 4 * continuum.MAX_GRID_POINTS)
-            fine = nonlocal_tv(u, rho, L_SHAPE, kernels.indicator(), eps)
+            fine = _tv_eps(u, rho, L_SHAPE, kernels.indicator(), eps)
         assert abs(fine - coarse) < 1e-8 * abs(fine), eps
 
 
@@ -225,7 +243,7 @@ def test_nonlocal_monte_carlo_agrees_with_quadrature():
     profile = kernels.indicator()
     for domain, coeffs, rho in cases:
         u = affine_function(coeffs)
-        quad = nonlocal_tv(u, rho, domain, profile, 0.3)
+        quad = _tv_eps(u, rho, domain, profile, 0.3)
         mc, stderr = nonlocal_tv_monte_carlo(u, rho, domain, profile, 0.3,
                                              samples=200000, seed=5)
         again = nonlocal_tv_monte_carlo(u, rho, domain, profile, 0.3,
@@ -240,7 +258,7 @@ def test_oversized_grids_are_refused_before_they_are_built():
     profile = kernels.indicator()
     assert weighted_tv_smooth(u, uniform_density(box4), box4) == 1.0  # no grid to refuse
     with pytest.raises(UnsupportedConfigurationError, match="circles and spheres"):
-        nonlocal_tv(u, uniform_density(box4), box4, profile, 0.4)
+        _tv_eps(u, uniform_density(box4), box4, profile, 0.4)
     # a 40-gon's 38 fan triangles make 741 pairs, and their rules together
     # pass the size bound
     circle = ConvexPolygon([[math.cos(t), math.sin(t)]
