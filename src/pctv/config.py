@@ -3,10 +3,11 @@
 Each experiment name owns a schema; validation failures surface as
 ConfigError with a JSON-pointer path to the offending field, so a typo
 in a nested key points at itself rather than at the whole file.  After
-the schema, ``plan`` builds the domain, density, kernel, function,
-surface tension and nonlocal rules the experiment uses and runs its own
-checks on them, so config errors surface before any work starts.  The
-run then uses the objects of that plan; nothing is built twice.
+the schema, ``plan`` builds the domain, density, kernel, eps rule,
+function, surface tension and nonlocal rules the experiment uses and
+runs its own checks on them, so config errors surface before any work
+starts.  The run then uses the objects of that plan; nothing is built
+twice.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -22,17 +24,22 @@ from .bisection import reference_partitions
 from .continuum import AffineFunction, affine_function, nonlocal_rule
 from .errors import ConfigError, DivergentKernelError, PCTVError
 from .geometry import (
+    DENSITIES,
     MIN_ACCEPTANCE,
+    SHAPES,
     Density,
     Domain,
     acceptance_rate,
-    density_from_config,
-    domain_from_config,
     fills_bounding_box,
 )
-from .graph import connectivity_scale, eps_rule
-from .kernels import KernelProfile, effective_support, scaled_from_distance, surface_tension
-from .kernels import from_config as kernel_from_config
+from .graph import EPS_RULES, connectivity_scale
+from .kernels import (
+    KERNELS,
+    KernelProfile,
+    effective_support,
+    scaled_from_distance,
+    surface_tension,
+)
 from .transport import check_dense_costs
 
 def _tagged(tag: str, kinds: dict, properties: dict) -> dict:
@@ -280,8 +287,9 @@ def _pointer(error: jsonschema.exceptions.ValidationError) -> str:
 @dataclass(frozen=True)
 class Plan:
     """A validated run: the config with its defaults, as summary.json prints
-    it, and the objects built from it, one nonlocal rule per eps in
-    ``rules``.  A field that the experiment does not use is None."""
+    it, and the objects built from it: the eps(n) rule in ``eps``, one
+    nonlocal rule per eps in ``rules``.  A field that the experiment does
+    not use is None."""
 
     config: dict
     label: str | None = None
@@ -290,6 +298,7 @@ class Plan:
     profile: KernelProfile | None = None
     function: AffineFunction | None = None
     sigma: float | None = None
+    eps: Callable[[int], float] | None = None
     rules: tuple | None = None
 
 
@@ -319,22 +328,24 @@ def validate_config(experiment: str, config: dict) -> dict:
     return plan(experiment, config).config
 
 
-def _built(pointer: str, build, *args):
-    """Call a builder, reporting its ValueError or PCTVError at pointer.
+def build(table: dict, tag: str, spec: dict, *args):
+    """Call the builder of table that spec[tag] names, with args and the
+    spec's other keys; a key the spec leaves out takes its default from
+    the builder's signature."""
+    return table[spec[tag]](*args, **{key: value for key, value in spec.items() if key != tag})
+
+
+def _built(pointer: str, fn, *args):
+    """Call fn, reporting its ValueError or PCTVError at pointer.
 
     A divergent kernel is reported at /kernel whichever check finds it.
     """
     try:
-        return build(*args)
+        return fn(*args)
     except DivergentKernelError as exc:
         raise ConfigError(f"/kernel: {exc}") from None
     except (ValueError, PCTVError) as exc:
         raise ConfigError(f"{pointer}: {exc}") from None
-
-
-def _domain_label(spec: dict) -> str:
-    d = int(spec.get("dimension", 2))
-    return f"unit-box-{d}d" if spec["shape"] == "unit-box" else spec["shape"]
 
 
 def _preflight(experiment: str, cfg: dict) -> Plan:
@@ -347,14 +358,14 @@ def _preflight(experiment: str, cfg: dict) -> Plan:
     d = cfg.get("dimension")
     built = {"config": cfg}
     if "domain" in cfg:
-        domain = _built("/domain", domain_from_config, cfg["domain"])
+        domain = _built("/domain", build, SHAPES, "shape", cfg["domain"])
         volume = domain.volume()
         if not volume >= np.finfo(float).tiny:  # a density would divide by it
             raise ConfigError(f"/domain: volume {volume:.3g} is below the smallest normal float")
         d = domain.dimension
-        if cfg["density"].get("axis", 0) >= d:
+        if "axis" in cfg["density"] and cfg["density"]["axis"] >= d:
             raise ConfigError("/density/axis: axis is outside the domain dimension")
-        density = _built("/density", density_from_config, cfg["density"], domain)
+        density = _built("/density", build, DENSITIES, "name", cfg["density"], domain)
         # At 10 * MIN_ACCEPTANCE sample_iid's 50000-proposal warmup expects
         # 50 acceptances and gives up only below 5.  Every run but the
         # nonlocal one samples.
@@ -362,9 +373,11 @@ def _preflight(experiment: str, cfg: dict) -> Plan:
                 and not acceptance_rate(domain, density) >= 10 * MIN_ACCEPTANCE):
             raise ConfigError("/domain: rejection sampling would accept under "
                               f"{10 * MIN_ACCEPTANCE:g} of the proposals in the bounding box")
-        built.update(label=_domain_label(cfg["domain"]), domain=domain, density=density)
+        shape = cfg["domain"]["shape"]
+        label = f"{shape}-{d}d" if shape == "unit-box" else shape
+        built.update(label=label, domain=domain, density=density)
     if "kernel" in cfg:
-        profile = built["profile"] = _built("/kernel", kernel_from_config, cfg["kernel"])
+        profile = built["profile"] = _built("/kernel", build, KERNELS, "name", cfg["kernel"])
         _built("/kernel", effective_support, profile, d)
         if experiment in ("gtv-convergence", "perimeter-convergence",
                           "nonlocal-convergence"):  # the runs that compare with sigma
@@ -398,7 +411,7 @@ def _preflight(experiment: str, cfg: dict) -> Plan:
         for i, factor in enumerate(cfg["factors"]):
             _built(f"/factors/{i}", scaled_from_distance, profile, factor * scale, 0.0, d)
     if "eps_rule" in cfg:
-        rule = eps_rule(cfg["eps_rule"], d)
+        rule = built["eps"] = build(EPS_RULES, "kind", cfg["eps_rule"], d)
         for n in cfg["n"]:
             _built("/eps_rule", scaled_from_distance, profile, rule(n), 0.0, d)
     if experiment == "bisect":

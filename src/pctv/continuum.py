@@ -312,14 +312,19 @@ def _overlap_boxes(p, q, z, density):
     return f.reshape(len(z), 8).sum(axis=1)
 
 
-def _overlap_polygons(p, q, z, density, tol=1e-12):
+def _overlap_polygons(p, q, z, density):
     """G_pq(z) for two convex polygons: the edge-midpoint fan on p & (q - z).
 
     The overlap's vertices are the vertices of p inside q - z, those of
     q - z inside p, and the crossings of their edges.  They are ordered
     by angle about their mean; a vertex found twice adds a triangle of
-    no area.
+    no area.  Each test allows a slack of 1e-12: on the edge fractions s
+    and t as it is, and on the cross products, which scale as length^2,
+    times the squared largest extent of the two pieces, as ConvexPolygon
+    does.
     """
+    tol = 1e-12
+    area_tol = tol * max(float(np.max(np.ptp(v, axis=0))) for v in (p, q)) ** 2
     m, moved = len(z), q[None] - z[:, None]
     edge_p, edge_q = np.roll(p, -1, axis=0) - p, np.roll(q, -1, axis=0) - q
     start = p[None, :, None] - moved[:, None]  # vertex i of p less vertex j of q - z
@@ -330,8 +335,8 @@ def _overlap_polygons(p, q, z, density, tol=1e-12):
         crossing = (p[:, None] + s[..., None] * edge_p[:, None]).reshape(m, -1, 2)
     cand = np.concatenate([np.broadcast_to(p, (m, len(p), 2)), moved, crossing], axis=1)
     valid = np.concatenate([
-        np.all(_cross(edge_q, start) >= -tol, axis=2),  # p's vertices in q - z
-        np.all(_cross(edge_p, moved[:, :, None] - p) >= -tol, axis=2),
+        np.all(_cross(edge_q, start) >= -area_tol, axis=2),  # p's vertices in q - z
+        np.all(_cross(edge_p, moved[:, :, None] - p) >= -area_tol, axis=2),
         ((s >= -tol) & (s <= 1.0 + tol) & (t >= -tol) & (t <= 1.0 + tol)).reshape(m, -1)],
         axis=1)
     count = valid.sum(axis=1)

@@ -1,9 +1,9 @@
 """Seeded experiment sweeps and their CSV/JSON/SVG artifacts.
 
 Every experiment runs the plan that ``config.plan`` made of its config:
-the checked config with the domain, density, kernel, function, surface
-tension and nonlocal rules already built.  It maps its tasks over a
-thread pool and reduces the rows to a summary.  The output goes into one
+the checked config with the domain, density, kernel, eps rule, function,
+surface tension and nonlocal rules already built.  It maps its tasks over
+a thread pool and reduces the rows to a summary.  The output goes into one
 directory: ``records.csv`` with one self-describing row per run (a
 row's keys, in order, are its CSV columns), ``summary.json`` with the
 resolved config, package version, and aggregate statistics, and (where
@@ -25,27 +25,20 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, kernels, svgplot
+from . import __version__, svgplot
 from .bisection import sweep_reference, sweep_run
-from .config import Plan, _domain_label, plan
+from .config import Plan, build, plan
 from .continuum import nonlocal_tv, weighted_perimeter, weighted_tv_smooth
 from .errors import ConfigError
-from .geometry import (
-    density_from_config,
-    domain_from_config,
-    grid_points,
-    sample_iid,
-    uniform_density,
-    unit_box,
-)
+from .geometry import grid_points, sample_iid, uniform_density, unit_box
 from .graph import (
     build_graph,
     connected_at,
     connection_distance,
     connectivity_scale,
-    eps_rule,
     graph_total_variation,
 )
+from .kernels import KERNELS
 from .transport import bottleneck_distance, scaling_ratio, tlp_distance
 
 # ---------------------------------------------------------------------------
@@ -103,12 +96,12 @@ def _strictly_decreasing(values) -> bool:
 
 # perfbench/worker.py rebuilds a bisection task's cloud and graph with these
 def _setup(cfg: dict):
-    domain = domain_from_config(cfg["domain"])
-    density = density_from_config(cfg["density"], domain)
-    return domain, density, _domain_label(cfg["domain"])
+    planned = plan("bisect", cfg)
+    return planned.domain, planned.density, planned.label
 
 
-kernel_from_config = kernels.from_config
+def kernel_from_config(spec: dict):
+    return build(KERNELS, "name", spec)
 
 
 def _sweep(cfg: dict, one):
@@ -178,11 +171,10 @@ def _run_graph_tv(plan: Plan, fig_dir: str):
         title, constants, extra = "graph TV", {}, {"weighted_tv": limit}
     reference = plan.sigma * limit
     denom = abs(reference) if reference else 1.0
-    rule = eps_rule(cfg["eps_rule"], domain.dimension)
 
     def one(task):
         n, seed = task
-        eps = float(rule(n))
+        eps = float(plan.eps(n))
         cloud = sample_iid(domain, density, n, seed=seed)
         graph = build_graph(cloud, profile, eps)
         value = graph_total_variation(graph, u(cloud.points))
@@ -374,7 +366,6 @@ def _run_connectivity(plan: Plan, fig_dir: str):
 
 def _run_bisect(plan: Plan, fig_dir: str):
     cfg, domain, density, profile = plan.config, plan.domain, plan.density, plan.profile
-    rule = eps_rule(cfg["eps_rule"], domain.dimension)
     reference = sweep_reference(domain, density, cfg["reference_size"])
 
     def one(task):
@@ -384,7 +375,7 @@ def _run_bisect(plan: Plan, fig_dir: str):
             density,
             profile,
             n,
-            float(rule(n)),
+            float(plan.eps(n)),
             seed,
             reference,
             restarts=cfg["restarts"],

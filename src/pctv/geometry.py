@@ -9,10 +9,10 @@ exact for quadratic polynomials: the 2-point Gauss-Legendre rule per axis
 on each box cell, and the edge-midpoint rule on each triangle of a
 polygon.
 
-Densities are bounded evaluators 0 < lower <= rho <= upper on a domain;
-the uniform density is the affine one of slope 0.  Sampling draws i.i.d.
-points by rejection from the bounding box with the declared upper bound
-as envelope.
+Densities are positive evaluators on a domain with a declared upper
+bound rho <= upper; the uniform density is the affine one of slope 0.
+Sampling draws i.i.d. points by rejection from the bounding box with
+that bound as envelope.
 """
 
 from __future__ import annotations
@@ -103,13 +103,6 @@ class BoxUnion:
         lo, hi = zip(*self.boxes)
         return np.min(lo, axis=0), np.max(hi, axis=0)
 
-    def moment(self, axis: int) -> float:
-        """Integral of the coordinate x_axis over the domain."""
-        total = 0.0
-        for lo, hi in self.cells:
-            total += float(np.prod(hi - lo)) * 0.5 * (lo[axis] + hi[axis])
-        return total
-
     def quadrature(self):
         return _gauss_cells(*zip(*self.cells))
 
@@ -135,8 +128,8 @@ def Box(lo, hi) -> BoxUnion:
     return BoxUnion([(lo, hi)])
 
 
-def unit_box(d: int) -> BoxUnion:
-    return Box(np.zeros(d), np.ones(d))
+def unit_box(dimension: int = 2) -> BoxUnion:
+    return Box(np.zeros(int(dimension)), np.ones(int(dimension)))
 
 
 def _gauss_cells(lo, hi) -> Tuple[np.ndarray, np.ndarray]:
@@ -214,12 +207,6 @@ class ConvexPolygon:
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def moment(self, axis: int) -> float:
-        a = self.vertices
-        b = np.roll(a, -1, axis=0)
-        w = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
-        return float(np.sum((a[:, axis] + b[:, axis]) * w)) / 6.0
-
     def quadrature(self):
         """The edge-midpoint rule on the triangles fanned out from vertex 0."""
         a = self.vertices[0]
@@ -285,18 +272,16 @@ def dumbbell(width: float = 0.25, length: float = 0.5) -> BoxUnion:
 class Density:
     """Bounded density evaluator on a domain.
 
-    fn maps an (m, d) array of points to (m,) values.  lower and upper
-    are declared bounds 0 < lower <= rho <= upper that sampling relies
-    on.
+    fn maps an (m, d) array of points to (m,) values.  upper is the
+    declared bound rho <= upper that sampling relies on.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    lower: float
     upper: float
 
     def __post_init__(self):
-        if not (0 < self.lower <= self.upper):
-            raise ValueError("need 0 < lower <= upper")
+        if not self.upper > 0:
+            raise ValueError("need a positive upper bound")
 
     def __call__(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -311,10 +296,13 @@ def uniform_density(domain: Domain) -> Density:
 def affine_density(domain: Domain, axis: int = 0, slope: float = 1.0) -> Density:
     """Normalized density proportional to 1 + slope * x_axis.
 
-    The normalizing constant is exact: the integral of an affine function
-    over the domain is volume + slope * moment.
+    The normalizing constant is exact: it is volume + slope times the
+    integral of x_axis, which the domain's quadrature rule integrates
+    exactly.
     """
-    z = domain.volume() + slope * domain.moment(axis)
+    axis = int(axis)  # the schema's integers include 1.0
+    points, weights = domain.quadrature()
+    z = domain.volume() + slope * float(weights @ points[:, axis])
     lo, hi = domain.bounding_box()
     ends = np.array([1.0 + slope * lo[axis], 1.0 + slope * hi[axis]]) / z
     if np.min(ends) <= 0:
@@ -323,7 +311,7 @@ def affine_density(domain: Domain, axis: int = 0, slope: float = 1.0) -> Density
     def fn(points):
         return (1.0 + slope * points[:, axis]) / z
 
-    return Density(fn=fn, lower=float(np.min(ends)), upper=float(np.max(ends)))
+    return Density(fn=fn, upper=float(np.max(ends)))
 
 
 @dataclass(frozen=True)
@@ -396,27 +384,12 @@ def grid_points(k: int, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def domain_from_config(spec: dict) -> Domain:
-    """Build a domain from a config mapping."""
-    shape = spec["shape"]
-    if shape == "box":
-        return Box(spec["lo"], spec["hi"])
-    if shape == "unit-box":
-        return unit_box(int(spec.get("dimension", 2)))
-    if shape == "dumbbell":
-        return dumbbell(spec.get("width", 0.25), spec.get("length", 0.5))
-    if shape == "box-union":
-        return BoxUnion([(b["lo"], b["hi"]) for b in spec["boxes"]])
-    if shape == "polygon":
-        return ConvexPolygon(spec["vertices"])
-    raise ValueError(f"unknown domain shape: {shape!r}")
-
-
-def density_from_config(spec: dict, domain: Domain) -> Density:
-    name = spec["name"]
-    if name == "uniform":
-        return uniform_density(domain)
-    if name == "affine":
-        return affine_density(domain, int(spec.get("axis", 0)),
-                              float(spec.get("slope", 1.0)))
-    raise ValueError(f"unknown density name: {name!r}")
+# The builder of each config name; a spec's other keys are its arguments.
+SHAPES = {
+    "box": Box,
+    "unit-box": unit_box,
+    "dumbbell": dumbbell,
+    "box-union": lambda boxes: BoxUnion([(b["lo"], b["hi"]) for b in boxes]),
+    "polygon": ConvexPolygon,
+}
+DENSITIES = {"uniform": uniform_density, "affine": affine_density}

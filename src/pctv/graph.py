@@ -201,27 +201,17 @@ def critical_rate(n: int, d: int) -> float:
     return connectivity_scale(n, d)
 
 
-def eps_rule(spec: dict, d: int):
-    """Turn a named rule config into a callable eps(n).
-
-    Kinds: ``admissible`` is c * rate^gamma with gamma < 1, which decays
-    slower than the critical rate; ``borderline`` is c * rate exactly;
-    ``sub-connectivity`` is factor * (log n/n)^(1/d), below the
-    connectivity scale when factor < 1; ``fixed`` ignores n.
-    """
-    kind = spec["kind"]
-    if kind == "admissible":
-        c = float(spec.get("c", 1.0))
-        gamma = float(spec.get("gamma", 0.9))
-        return lambda n: c * critical_rate(n, d) ** gamma
-    if kind == "borderline":
-        c = float(spec.get("c", 1.0))
-        return lambda n: c * critical_rate(n, d)
-    if kind == "sub-connectivity":
-        factor = float(spec.get("factor", 0.3))
-        return lambda n: factor * connectivity_scale(n, d)
-    value = float(spec["value"])  # the fixed rule; the schema admits no other
-    return lambda n: value
+# The eps(n) rule of each config kind, built from the dimension d and the
+# spec's other keys.  ``admissible`` is c * rate^gamma with gamma < 1,
+# which decays slower than the critical rate; ``borderline`` is c * rate
+# exactly; ``sub-connectivity`` is factor * (log n/n)^(1/d), below the
+# connectivity scale when factor < 1; ``fixed`` ignores n.
+EPS_RULES = {
+    "admissible": lambda d, c=1.0, gamma=0.9: lambda n: c * critical_rate(n, d) ** gamma,
+    "borderline": lambda d, c=1.0: lambda n: c * critical_rate(n, d),
+    "sub-connectivity": lambda d, factor=0.3: lambda n: factor * connectivity_scale(n, d),
+    "fixed": lambda d, value: lambda n: value,
+}
 
 
 def connected_at(profile: kernels.KernelProfile, eps: float, distance: float,

@@ -112,22 +112,8 @@ def step_sum(radii, heights) -> KernelProfile:
                          breakpoints=tuple(radii.tolist()))
 
 
-def from_config(spec: dict) -> KernelProfile:
-    """Build a builtin profile from a config mapping.
-
-    Accepted forms:
-      {"name": "indicator", "radius": 1.0}
-      {"name": "gaussian", "width": 1.0}
-      {"name": "step-sum", "radii": [...], "heights": [...]}
-    """
-    name = spec["name"]
-    if name == "indicator":
-        return indicator(spec.get("radius", 1.0))
-    if name == "gaussian":
-        return gaussian(spec.get("width", 1.0))
-    if name == "step-sum":
-        return step_sum(spec["radii"], spec["heights"])
-    raise ValueError(f"unknown kernel name: {name!r}")
+# The builder of each config name; a spec's other keys are its arguments.
+KERNELS = {"indicator": indicator, "gaussian": gaussian, "step-sum": step_sum}
 
 
 def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
@@ -197,8 +183,11 @@ def effective_support(profile: KernelProfile, d: int) -> float:
     """Radius beyond which eta(r) * r^d stays below the truncation threshold.
 
     Profiles with finite support return their support radius unchanged.
-    Unbounded profiles are scanned on a geometric grid; the cut sits where
-    the moment integrand has decayed below TRUNCATION_THRESHOLD for good.
+    Unbounded profiles are scanned on a geometric grid from 1e-3 to 1e3;
+    the cut sits where the moment integrand has decayed below
+    TRUNCATION_THRESHOLD for good.  A profile whose integrand stays below
+    the threshold on the whole grid is too narrow to see, and is refused
+    with ValueError.
     """
     if math.isfinite(profile.support_radius):
         return profile.support_radius
@@ -206,7 +195,8 @@ def effective_support(profile: KernelProfile, d: int) -> float:
     products = np.asarray(profile(grid), dtype=float) * grid ** d
     above = np.nonzero(products >= TRUNCATION_THRESHOLD)[0]
     if above.size == 0:
-        return 1.0
+        raise ValueError(f"{profile.name!r} is below the truncation threshold "
+                         "at every radius from 1e-3 to 1e3")
     last = above[-1]
     if last == grid.size - 1:
         raise DivergentKernelError(

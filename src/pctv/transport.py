@@ -117,41 +117,32 @@ def _bipartite_candidates(x: np.ndarray, y: np.ndarray, radius: float):
     return ci[near], cj[near], dist[near]
 
 
-def _augment(n: int, ci, cj, match) -> np.ndarray:
-    """A maximum matching over the edges (ci, cj), grown from match.
+def _augment(n: int, ci, cj) -> np.ndarray:
+    """A maximum matching over the edges (ci, cj), from no matching.
 
-    match maps rows to columns, with -1 on free rows, and uses only
-    edges of the list.  One unit-capacity maximum flow on its residual
-    network (source to free rows, unmatched edges row to column, matched
-    edges column to row, free columns to sink) finds every missing
-    augmenting path at once; on bipartite unit networks this runs in
-    Hopcroft-Karp time.  A row whose flow leaves along an edge takes
-    that column; every other row keeps its own.
+    One unit-capacity maximum flow on the network source -> rows ->
+    columns -> sink finds it; on bipartite unit networks this runs in
+    Hopcroft-Karp time.  Returns each row's column, or -1 on a row left
+    free.
     """
-    matched = np.flatnonzero(match >= 0)
-    free_rows = np.flatnonzero(match < 0)
-    taken = np.zeros(n, dtype=bool)
-    taken[match[matched]] = True
-    free_cols = np.flatnonzero(~taken)
-    fwd = match[ci] != cj
     src, sink = 2 * n, 2 * n + 1
-    tails = np.concatenate([np.full(free_rows.size, src), ci[fwd],
-                            n + match[matched], n + free_cols])
-    heads = np.concatenate([free_rows, n + cj[fwd],
-                            matched, np.full(free_cols.size, sink)])
+    nodes = np.arange(n)
+    tails = np.concatenate([np.full(n, src), ci, n + nodes])
+    heads = np.concatenate([nodes, n + cj, np.full(n, sink)])
     graph = csr_matrix((np.ones(tails.size, dtype=np.int32), (tails, heads)),
                        shape=(2 * n + 2, 2 * n + 2))
     flow = maximum_flow(graph, src, sink).flow.tocoo()
     used = (flow.data > 0) & (flow.row < n) & (flow.col >= n) & (flow.col < 2 * n)
-    grown = match.copy()
-    grown[flow.row[used]] = flow.col[used] - n
-    return grown
+    match = np.full(n, -1, dtype=np.int64)
+    match[flow.row[used]] = flow.col[used] - n
+    return match
 
 
 def _grow(n: int, rows, cols, match) -> np.ndarray:
     """A maximum matching over the edges (rows, cols), grown from match.
 
-    rows is sorted, and match is as for _augment.  Each phase is one
+    rows is sorted, and match maps rows to columns, with -1 on free rows,
+    and uses only edges of the list.  Each phase is one
     breadth-first search of the residual graph collapsed onto rows, from
     a source node 2n joined to every free row.  An edge r -> c leads to
     the row that holds column c, or, when c is free, to c's own sink
@@ -242,17 +233,16 @@ def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
     diagonal = float(np.linalg.norm(np.ptp(np.vstack([x, y]), axis=0)))
     match_lo = np.full(n, -1, dtype=np.int64)
     below = -math.inf  # largest radius known to be infeasible
-    solve = _augment
     while True:
         ci, cj, dist = _bipartite_candidates(x, y, radius)
         order = np.argsort(ci, kind="stable")
         ci, cj, dist = ci[order], cj[order], dist[order]
-        best = solve(n, ci, cj, match_lo)
+        best = _augment(n, ci, cj) if below == -math.inf else _grow(n, ci, cj, match_lo)
         if best.min() >= 0:
             break
         if radius > 2.0 * max(diagonal, 1.0):
             raise RuntimeError("no perfect matching found at any radius")
-        match_lo, below, solve = best, radius, _grow
+        match_lo, below = best, radius
         radius *= 2.0
 
     levels = np.unique(dist)

@@ -18,13 +18,14 @@ from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import pctv
-from pctv import cli, continuum, experiments, geometry, kernels
+from pctv import cli, config, continuum, experiments
 from pctv.bisection import reference_partitions
-from pctv.config import EXPERIMENTS, SCHEMAS, load_config, validate_config
+from pctv.config import EXPERIMENTS, SCHEMAS, build, load_config, plan, validate_config
 from pctv.errors import ConfigError
 from pctv.experiments import run_experiment, worker_count, write_records_csv
-from pctv.geometry import domain_from_config
-from pctv.graph import connectivity_scale, critical_rate, eps_rule
+from pctv.geometry import DENSITIES, SHAPES
+from pctv.graph import EPS_RULES, connectivity_scale, critical_rate
+from pctv.kernels import KERNELS, surface_tension
 from pctv.svgplot import line_figure, scatter_figure
 
 
@@ -104,8 +105,12 @@ def test_eps_rules_evaluate_their_formulas():
     assert math.isclose(connectivity_scale(1000, 2),
                         math.sqrt(math.log(1000) / 1000))
 
+    def eps_rule(spec, d):
+        return build(EPS_RULES, "kind", spec, d)
+
     adm = eps_rule({"kind": "admissible", "c": 2.0, "gamma": 0.8}, 2)
     assert math.isclose(adm(1000), 2.0 * rate2 ** 0.8)
+    assert math.isclose(eps_rule({"kind": "admissible"}, 3)(1000), rate3 ** 0.9)
     bord = eps_rule({"kind": "borderline", "c": 1.5}, 2)
     assert math.isclose(bord(1000), 1.5 * rate2)
     sub = eps_rule({"kind": "sub-connectivity", "factor": 0.25}, 2)
@@ -371,6 +376,9 @@ BAD_CONFIGS = [
     # a volume of 1e-320 is subnormal, and a density's 1 / volume overflows
     ("gtv-convergence", dict(GTV_CFG, domain={"shape": "box", "lo": [0, 0],
                                               "hi": [1e-160, 1e-160]}), "/domain"),
+    # a gaussian this narrow is below the truncation threshold at every
+    # radius that effective_support scans, so sigma would come out 0
+    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e-5}), "/kernel"),
 ]
 
 
@@ -471,7 +479,7 @@ def _count_calls(monkeypatch, function):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return function(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -483,12 +491,21 @@ def _count_calls(monkeypatch, function):
 
 
 def test_a_run_builds_each_object_once(tmp_path, monkeypatch):
-    builders = [geometry.domain_from_config, geometry.density_from_config,
-                kernels.from_config, kernels.surface_tension, continuum.nonlocal_rule]
-    calls = [_count_calls(monkeypatch, build) for build in builders]
+    builders = [build, surface_tension, continuum.nonlocal_rule]
+    calls = [_count_calls(monkeypatch, builder) for builder in builders]
     cfg = dict({k: GTV_CFG[k] for k in ("domain", "kernel", "function")}, eps=[0.2, 0.1, 0.05])
     run_experiment("nonlocal-convergence", cfg, str(tmp_path / "out"))
-    assert [len(c) for c in calls] == [1, 1, 1, 1, 3]
+    # one build each of the domain, the density and the kernel
+    assert [args[0] for args in calls[0]] == [SHAPES, DENSITIES, KERNELS]
+    assert [len(c) for c in calls[1:]] == [1, 3]
+
+
+def test_builder_tables_name_the_schema_kinds():
+    for schema, tag, table in [(config._DOMAIN, "shape", SHAPES),
+                               (config._DENSITY, "name", DENSITIES),
+                               (config._KERNEL, "name", KERNELS),
+                               (config._EPS_RULE, "kind", EPS_RULES)]:
+        assert sorted(schema["properties"][tag]["enum"]) == sorted(table)
 
 
 def test_shipped_configs_name_and_pass_every_experiment():
@@ -515,8 +532,9 @@ def test_one_shape_gets_one_answer(tmp_path):
     points = np.random.default_rng(0).random((40, 2))
     answers = []
     for i, square in enumerate(squares):
-        validated = validate_config("tl-distance", dict(TL_CFG, domain=square))
-        cuts = reference_partitions(domain_from_config(square), points)
+        planned = plan("tl-distance", dict(TL_CFG, domain=square))
+        validated = planned.config
+        cuts = reference_partitions(planned.domain, points)
         run_experiment("gtv-convergence", dict(GTV_CFG, domain=square), str(tmp_path / str(i)))
         with open(tmp_path / str(i) / "records.csv", encoding="utf-8", newline="") as handle:
             rows = [{k: v for k, v in row.items() if k != "domain"}
@@ -529,8 +547,9 @@ def test_one_shape_gets_one_answer(tmp_path):
     # reference comes from the polygon's own quadrature and may differ in
     # the last bit, so only its validation and cuts are compared.
     polygon = {"shape": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
-    validated = validate_config("tl-distance", dict(TL_CFG, domain=polygon))
-    cuts = reference_partitions(domain_from_config(polygon), points)
+    planned = plan("tl-distance", dict(TL_CFG, domain=polygon))
+    validated = planned.config
+    cuts = reference_partitions(planned.domain, points)
     assert ({k: v for k, v in validated.items() if k != "domain"},
             [cut.tolist() for cut in cuts]) == answers[0][:2]
 

@@ -46,7 +46,7 @@ def test_weighted_tv_with_affine_weight():
     # rho(x) = 1 + x1 unnormalized: integral of (1 + x1)^2 over the unit
     # square is 7/3
     domain = unit_box(2)
-    rho = Density(lambda p: 1.0 + p[:, 0], lower=1.0, upper=2.0)
+    rho = Density(lambda p: 1.0 + p[:, 0], upper=2.0)
     value = weighted_tv_smooth(affine_function([1.0, 0.0]), rho, domain)
     assert_allclose(value, 7.0 / 3.0, rtol=1e-14)
 
@@ -109,7 +109,7 @@ def test_perimeter_with_affine_weight():
     # rho = 1 + x1 on the cut {x1 = 1/2}: integrand (1.5)^2 along a unit
     # segment
     domain = unit_box(2)
-    rho = Density(lambda p: 1.0 + p[:, 0], lower=1.0, upper=2.0)
+    rho = Density(lambda p: 1.0 + p[:, 0], upper=2.0)
     assert_allclose(weighted_perimeter(rho, domain, 0, 0.5), 2.25, rtol=1e-12)
 
 
@@ -202,6 +202,22 @@ def test_one_shape_in_two_representations_has_one_value():
     for eps in (0.04, 0.3):
         assert abs(_tv_eps(u, uniform_density(shape), shape, profile, eps)
                    - _tv_eps(u, uniform_density(union), union, profile, eps)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-5, 1e-6, 1e-7, 1e-9])
+def test_planar_nonlocal_tv_scales_as_the_inverse_square(scale):
+    # Scaling the domain and eps by s scales TV_eps of u = a.x by exactly
+    # s^-2 in the plane: 1/eps, eta_eps and |a.(x - y)| give s^-1 s^-2 s,
+    # and the normalized rho(x) rho(y) dx dy does not change.  A 2-d box
+    # has the polygon's overlap too.
+    pentagon = np.array([[0.0, 0.0], [1.0, 0.0], [1.3, 0.8], [0.5, 1.3], [-0.3, 0.8]])
+    u, profile = affine_function([1.0, 0.4]), kernels.indicator()
+    for shape in (lambda s: ConvexPolygon(s * pentagon),
+                  lambda s: BoxUnion([([0.0, 0.0], [s, 2.0 * s])])):
+        unit, small = shape(1.0), shape(scale)
+        value = _tv_eps(u, uniform_density(unit), unit, profile, 0.3)
+        scaled = _tv_eps(u, uniform_density(small), small, profile, 0.3 * scale)
+        assert_allclose(scaled * scale ** 2, value, rtol=1e-14)
 
 
 def test_a_subnormal_coefficient_computes_no_warning():

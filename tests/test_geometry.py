@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pctv import geometry
+from pctv.config import build
 from pctv.errors import EnvelopeError
 from pctv.geometry import (
+    DENSITIES,
+    SHAPES,
     Box,
     BoxUnion,
     ConvexPolygon,
@@ -23,11 +25,17 @@ from pctv.geometry import (
 from oracles import integrate_density
 
 
+def _affine_normalizer(domain, axis):
+    """The integral of 1 + x_axis over the domain, as affine_density finds it."""
+    return 1.0 / affine_density(domain, axis, 1.0)(np.zeros((1, domain.dimension)))[0]
+
+
 def test_box_volume_and_moment():
     box = Box([0.0, 0.0], [2.0, 3.0])
     assert box.volume() == 6.0
-    assert box.moment(0) == 6.0
-    assert box.moment(1) == 9.0
+    # the volume plus the moments 6 and 9 of x_1 and x_2
+    assert_allclose(_affine_normalizer(box, 0), 12.0, rtol=1e-15)
+    assert_allclose(_affine_normalizer(box, 1), 15.0, rtol=1e-15)
     assert box.dimension == 2
 
 
@@ -49,7 +57,7 @@ def test_degenerate_box_is_rejected():
 def test_dumbbell_volume_and_moment_are_exact():
     shape = dumbbell()
     assert shape.volume() == 2.125
-    assert_allclose(shape.moment(0), 2.65625, rtol=0, atol=1e-14)
+    assert_allclose(_affine_normalizer(shape, 0), 2.125 + 2.65625, rtol=0, atol=1e-14)
     inner = np.array([[1.25, 0.5], [0.5, 0.5], [2.0, 0.5]])
     outer = np.array([[1.25, 0.2], [1.25, 0.8], [2.6, 0.5]])
     assert shape.contains(inner).all()
@@ -81,8 +89,8 @@ def test_corner_contact_does_not_connect():
 def test_triangle_area_and_moment():
     tri = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert_allclose(tri.volume(), 0.5)
-    assert_allclose(tri.moment(0), 1.0 / 6.0)
-    assert_allclose(tri.moment(1), 1.0 / 6.0)
+    assert_allclose(_affine_normalizer(tri, 0), 0.5 + 1.0 / 6.0)
+    assert_allclose(_affine_normalizer(tri, 1), 0.5 + 1.0 / 6.0)
 
 
 def test_clockwise_vertices_are_normalized():
@@ -112,9 +120,9 @@ def test_polygon_tolerances_scale_with_the_polygon(scale):
 
 def test_density_bounds_are_validated():
     with pytest.raises(ValueError):
-        Density(lambda p: np.ones(len(p)), lower=0.0, upper=1.0)
+        Density(lambda p: np.ones(len(p)), upper=0.0)
     with pytest.raises(ValueError):
-        Density(lambda p: np.ones(len(p)), lower=2.0, upper=1.0)
+        Density(lambda p: np.ones(len(p)), upper=-1.0)
 
 
 def test_uniform_density_integrates_to_one():
@@ -156,7 +164,7 @@ def test_sampling_matches_affine_mean():
 def test_envelope_violation_is_detected():
     domain = unit_box(2)
     spiky = Density(
-        lambda p: np.where(p[:, 0] > 0.9, 3.0, 1.0), lower=0.5, upper=2.0
+        lambda p: np.where(p[:, 0] > 0.9, 3.0, 1.0), upper=2.0
     )
     with pytest.raises(EnvelopeError):
         sample_iid(domain, spiky, 1000, seed=0)
@@ -164,7 +172,7 @@ def test_envelope_violation_is_detected():
 
 def test_hopeless_acceptance_rate_is_detected():
     domain = unit_box(2)
-    flat = Density(lambda p: np.ones(len(p)), lower=1.0, upper=1e6)
+    flat = Density(lambda p: np.ones(len(p)), upper=1e6)
     with pytest.raises(EnvelopeError):
         sample_iid(domain, flat, 1000, seed=0)
 
@@ -184,29 +192,28 @@ def test_grid_points_are_cell_centers_in_order():
 
 
 def test_domain_from_config_shapes():
-    assert geometry.domain_from_config({"shape": "unit-box", "dimension": 3}).dimension == 3
-    assert geometry.domain_from_config({"shape": "dumbbell"}).volume() == 2.125
-    box = geometry.domain_from_config({"shape": "box", "lo": [0, 0], "hi": [2, 1]})
-    assert box.volume() == 2.0
-    union = geometry.domain_from_config(
-        {"shape": "box-union",
-         "boxes": [{"lo": [0, 0], "hi": [1, 1]}, {"lo": [1, 0], "hi": [2, 1]}]}
-    )
+    def shape(spec):
+        return build(SHAPES, "shape", spec)
+
+    assert shape({"shape": "unit-box", "dimension": 3}).dimension == 3
+    assert shape({"shape": "unit-box"}).dimension == 2
+    assert shape({"shape": "dumbbell"}).volume() == 2.125
+    assert shape({"shape": "box", "lo": [0, 0], "hi": [2, 1]}).volume() == 2.0
+    union = shape({"shape": "box-union",
+                   "boxes": [{"lo": [0, 0], "hi": [1, 1]}, {"lo": [1, 0], "hi": [2, 1]}]})
     assert union.volume() == 2.0
-    poly = geometry.domain_from_config(
-        {"shape": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}
-    )
+    poly = shape({"shape": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]})
     assert_allclose(poly.volume(), 0.5)
-    with pytest.raises(ValueError):
-        geometry.domain_from_config({"shape": "sphere"})
+    with pytest.raises(KeyError):
+        shape({"shape": "sphere"})
 
 
 def test_density_from_config_names():
     domain = unit_box(2)
-    uniform = geometry.density_from_config({"name": "uniform"}, domain)
+    uniform = build(DENSITIES, "name", {"name": "uniform"}, domain)
     assert_allclose(uniform(np.array([[0.5, 0.5]])), [1.0])
-    affine = geometry.density_from_config({"name": "affine", "slope": 1.0}, domain)
+    affine = build(DENSITIES, "name", {"name": "affine", "slope": 1.0}, domain)
     # (1 + x) / (1 + 1/2) on the unit square
     assert_allclose(affine(np.array([[1.0, 0.3]])), [4.0 / 3.0], rtol=0, atol=1e-15)
-    with pytest.raises(ValueError):
-        geometry.density_from_config({"name": "rings"}, domain)
+    with pytest.raises(KeyError):
+        build(DENSITIES, "name", {"name": "rings"}, domain)

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pctv import kernels
+from pctv.config import build
 from pctv.errors import DivergentKernelError
 
 from oracles import surface_tension_grid_2d
@@ -98,7 +99,9 @@ def test_tiny_gaussian_width_warns_of_no_overflow():
         warnings.simplefilter("error")
         assert profile.fn(np.array([0.0, 1.0]))[1] == 0.0
         assert profile(0.5) == 0.0
-        kernels.effective_support(profile, 2)
+        # the scan warns of nothing, and refuses a profile it cannot see
+        with pytest.raises(ValueError, match="truncation threshold"):
+            kernels.effective_support(profile, 2)
 
 
 def test_heavy_tail_is_divergent():
@@ -110,12 +113,16 @@ def test_heavy_tail_is_divergent():
 
 
 def test_from_config_builders():
-    assert kernels.from_config({"name": "indicator", "radius": 2.0}).support_radius == 2.0
-    assert kernels.from_config({"name": "gaussian", "width": 0.5}).name == "gaussian"
-    step = kernels.from_config({"name": "step-sum", "radii": [1.0], "heights": [1.0]})
+    def kernel(spec):
+        return build(kernels.KERNELS, "name", spec)
+
+    assert kernel({"name": "indicator", "radius": 2.0}).support_radius == 2.0
+    assert kernel({"name": "indicator"}).support_radius == 1.0
+    assert kernel({"name": "gaussian", "width": 0.5}).name == "gaussian"
+    step = kernel({"name": "step-sum", "radii": [1.0], "heights": [1.0]})
     assert step.name == "step-sum"
-    with pytest.raises(ValueError):
-        kernels.from_config({"name": "triangle"})
+    with pytest.raises(KeyError):
+        kernel({"name": "triangle"})
 
 
 def test_scaled_from_distance_values_and_shape():

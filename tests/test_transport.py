@@ -251,18 +251,19 @@ def test_grow_and_flow_reach_maximum_matchings_of_equal_size():
         allowed = np.zeros((n, n), dtype=bool)
         allowed[ci, cj] = True
         size = matching_size(allowed)
+        # the flow starts from no matching, _grow from partial ones too
         starts = [np.full(n, -1, dtype=np.int64)]
         starts += [_random_partial_matching(rng, n, ci, cj) for _ in range(3)]
-        for start in starts:
-            for solve in (_grow, _augment):
-                match = solve(n, ci, cj, start)
-                rows = np.flatnonzero(match >= 0)
-                assert rows.size == size
-                assert allowed[rows, match[rows]].all()
-                assert np.unique(match[rows]).size == rows.size
-                # augmenting paths never free a matched row
-                assert (match[start >= 0] >= 0).all()
-                assert (start >= 0).sum() <= size
+        matches = [(start, _grow(n, ci, cj, start)) for start in starts]
+        matches.append((starts[0], _augment(n, ci, cj)))
+        for start, match in matches:
+            rows = np.flatnonzero(match >= 0)
+            assert rows.size == size
+            assert allowed[rows, match[rows]].all()
+            assert np.unique(match[rows]).size == rows.size
+            # augmenting paths never free a matched row
+            assert (match[start >= 0] >= 0).all()
+            assert (start >= 0).sum() <= size
 
 
 @pytest.mark.parametrize("shift", [False, True])
