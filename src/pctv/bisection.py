@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.spatial.distance import cdist
 
 from .errors import UnsupportedConfigurationError
 from .geometry import BoxUnion, Domain, fills_bounding_box, sample_iid
@@ -354,6 +355,42 @@ def sweep_reference(domain: Domain, density, reference_size: int):
     return reference.points, partitions
 
 
+def _class_minima(dist: np.ndarray, classes: np.ndarray) -> list[np.ndarray]:
+    """Each row's smallest distance to a column of class False and of class True."""
+    return [dist[:, classes == c].min(axis=1, initial=np.inf) for c in (False, True)]
+
+
+def _cheapest(minima: list[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """Each row's smallest cost dist + |value - class|, for 0/1 row values."""
+    to_false, to_true = minima
+    return np.where(values, np.minimum(to_true, 1.0 + to_false),
+                    np.minimum(to_false, 1.0 + to_true))
+
+
+def _tl1_lower_bounds(points, labels, ref_points, ref_partitions):
+    """Lower bounds on the TL1 distance of each interface and identification.
+
+    Every atom of either cloud sends or receives all its mass at no less
+    than its cheapest cost, so the larger of the mean row minimum and
+    the mean column minimum of the cost |x - y| + |f - g| bounds TL1
+    from below.  The values are class indicators, so each minimum comes
+    from the nearest atom of each class on the other side.  Returns
+    (bound, partition, values) triples, one per reference partition and
+    label identification, by increasing bound.
+    """
+    dist = cdist(points, ref_points)
+    cloud_minima = _class_minima(dist.T, labels)
+    bounds = []
+    for part in ref_partitions:
+        ref_minima = _class_minima(dist, part)
+        # negating the labels swaps which cloud class carries value 1
+        for values, minima in ((labels, cloud_minima), (~labels, cloud_minima[::-1])):
+            rows = _cheapest(ref_minima, values)
+            cols = _cheapest(minima, part)
+            bounds.append((max(rows.mean(), cols.mean()), part, values))
+    return sorted(bounds, key=lambda bound: bound[0])
+
+
 def sweep_run(
     domain: Domain,
     density,
@@ -369,7 +406,9 @@ def sweep_run(
     Records the cut energy, graph connectivity, the best label agreement
     with a flat interface, and the smallest TL1 distance between the
     computed indicator and a reference interface indicator over all
-    interface choices and label identifications.
+    interface choices and label identifications.  Those are solved in
+    order of a lower bound, and the ones whose bound exceeds the best
+    distance found cannot hold the minimum and are skipped.
     """
     ref_points, ref_partitions = reference
     cloud = sample_iid(domain, density, n, seed=seed)
@@ -380,11 +419,15 @@ def sweep_run(
         for part in reference_partitions(domain, cloud.points)
     )
     best_tl1 = np.inf
-    for part in ref_partitions:
-        for values in (result.labels, ~result.labels):
-            dist = tlp_distance(cloud.points, values.astype(float),
-                                ref_points, part.astype(float), p=1)
-            best_tl1 = min(best_tl1, dist)
+    # the bounds hold to rounding, so a solve is skipped only when its
+    # bound clears the best distance by a relative margin
+    for bound, part, values in _tl1_lower_bounds(
+            cloud.points, result.labels, ref_points, ref_partitions):
+        if bound > best_tl1 * (1 + 1e-9):
+            break
+        dist = tlp_distance(cloud.points, values.astype(float),
+                            ref_points, part.astype(float), p=1)
+        best_tl1 = min(best_tl1, dist)
     record = SweepRecord(
         n=n,
         eps=eps,

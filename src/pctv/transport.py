@@ -15,7 +15,10 @@ Equal-count instances reduce to the assignment problem; an optimal
 vertex of the transportation polytope is a permutation, so the
 assignment solution is exact.  Unequal counts go through the
 transportation linear program.  The bottleneck distance is the smallest
-candidate distance whose threshold graph has a perfect matching: one
+candidate distance whose threshold graph has a perfect matching.  The
+candidate radius grows by 2^(1/d) per round, so each round about doubles
+the pairs in d dimensions, and a binary search over the candidate
+distances then trims the candidates at every feasible level.  One
 maximum flow matches the first candidate set from scratch, and every
 later threshold grows the last maximum matching by breadth-first
 augmenting phases on the residual graph (Hopcroft & Karp).  No entropic
@@ -209,10 +212,14 @@ def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
     Every point is matched to some point on the other side, so the larger
     of the two nearest-neighbour distances bounds t from below.
     Candidate pairs come from a kd-tree range search that starts just
-    above this bound (at 4 n^(-1/d) when the bound is 0) and doubles
-    its radius until a perfect matching exists.  The threshold is then
-    found by binary search over the candidate distances from the bound
-    up.  The first solve, with every row free, is one maximum flow.
+    above this bound (at 4 n^(-1/d) when the bound is 0) and grows its
+    radius by 2^(1/d) until a perfect matching exists.  In d dimensions
+    that about doubles the pairs per round, so the last round holds
+    about twice the pairs within the optimum, not 2^d times.  The
+    threshold is then found by binary search over the candidate
+    distances from the bound up; a feasible probe trims the candidates
+    to those within its level, so later probes mask and search only
+    those.  The first solve, with every row free, is one maximum flow.
     Feasibility only grows with the threshold, so the maximum matching
     of the last infeasible radius or probe stays valid at every higher
     one, and every later solve grows it by breadth-first augmenting
@@ -231,6 +238,7 @@ def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
              float(cKDTree(x).query(y)[0].max()))
     radius = lb * (1 + 1e-9) if lb > 0 else 4.0 * max(n, 2) ** (-1.0 / x.shape[1])
     diagonal = float(np.linalg.norm(np.ptp(np.vstack([x, y]), axis=0)))
+    growth = 2.0 ** (1.0 / x.shape[1])
     match_lo = np.full(n, -1, dtype=np.int64)
     below = -math.inf  # largest radius known to be infeasible
     while True:
@@ -243,7 +251,7 @@ def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
         if radius > 2.0 * max(diagonal, 1.0):
             raise RuntimeError("no perfect matching found at any radius")
         match_lo, below = best, radius
-        radius *= 2.0
+        radius *= growth
 
     levels = np.unique(dist)
     lo = max(int(np.searchsorted(levels, below, side="right")),
@@ -256,6 +264,7 @@ def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
         if match.min() >= 0:
             best = match
             hi = mid
+            ci, cj, dist = ci[keep], cj[keep], dist[keep]
         else:
             match_lo = match
             lo = mid + 1

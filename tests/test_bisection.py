@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.sparse import csr_matrix
 
+import pctv.bisection
 from pctv.bisection import (
     BRUTE_FORCE_LIMIT,
     Bisection,
@@ -287,3 +288,28 @@ def test_sweep_run_returns_points_and_labels():
     assert run.labels.shape == (60,)
     assert int(run.labels.sum()) == 30
     assert run.record.seed == 3
+
+
+@pytest.mark.parametrize("domain,reference_size", [(dumbbell(), 60), (unit_box(2), 40)],
+                         ids=["assignment", "lp"])
+def test_pruned_tl1_is_the_minimum_over_all_identifications(monkeypatch, domain,
+                                                            reference_size):
+    # equal counts take the assignment path, unequal ones the LP
+    density = uniform_density(domain)
+    reference = sweep_reference(domain, density, reference_size)
+    ref_points, partitions = reference
+    solve, calls = pctv.bisection.tlp_distance, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pctv.bisection, "tlp_distance", counted)
+    seeds = range(4)
+    for seed in seeds:
+        run = sweep_run(domain, density, indicator(),
+                        n=60, eps=0.45, seed=seed, reference=reference, restarts=4)
+        every = min(solve(run.points, values.astype(float), ref_points, part.astype(float), p=1)
+                    for part in partitions for values in (run.labels, ~run.labels))
+        assert run.record.tl1_distance == every
+    assert len(calls) < len(seeds) * 2 * len(partitions)

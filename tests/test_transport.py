@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 import pctv.transport
@@ -135,7 +136,8 @@ def _check_against_threshold_oracle(x, y) -> float:
     return distance
 
 
-@pytest.mark.parametrize("d,n", [(2, 36), (2, 64), (2, 100), (3, 27), (3, 64)])
+@pytest.mark.parametrize("d,n", [(2, 36), (2, 64), (2, 100), (3, 27), (3, 64),
+                                 (4, 81), (5, 32)])
 def test_bottleneck_matches_threshold_oracle_against_grids(d, n):
     domain = unit_box(d)
     grid = grid_points(round(n ** (1.0 / d)), d)
@@ -158,9 +160,22 @@ def test_bottleneck_matches_threshold_oracle_on_the_line():
                                         grid_points(n, 1))
 
 
+@pytest.mark.parametrize("jitter", [0.0, 1e-3])
+def test_bottleneck_matches_threshold_oracle_far_above_the_bound(jitter):
+    # squaring the first coordinate of a grid moves mass a quarter of the
+    # way across while every point keeps a neighbour about one spacing
+    # away, so the radius has to grow over several rounds
+    grid = grid_points(10, 2)
+    x = grid.copy()
+    x[:, 0] **= 2
+    x += np.random.default_rng(3).normal(scale=jitter, size=x.shape)
+    bound = max(cKDTree(grid).query(x)[0].max(), cKDTree(x).query(grid)[0].max())
+    assert _check_against_threshold_oracle(x, grid) >= 3 * bound
+
+
 def test_bottleneck_with_a_zero_bound_but_no_zero_cost_matching():
     # every point sits on a point of the other side, yet one must move:
-    # the search starts from the fallback radius and has to double it
+    # the search starts from the fallback radius and has to grow it
     a, b = [0.0, 0.0], [5.0, 0.0]
     x, y = np.array([a, a, b]), np.array([a, b, b])
     assert _check_against_threshold_oracle(x, y) == 5.0
@@ -176,7 +191,7 @@ def test_bottleneck_radius_guard_covers_the_bounding_box_diagonal():
 
 @st.composite
 def _integer_clouds(draw):
-    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    d, n = draw(st.integers(1, 5)), draw(st.integers(1, 12))
     coords = st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d)
     x = np.array(draw(coords), dtype=float).reshape(n, d)
     y = np.array(draw(coords), dtype=float).reshape(n, d)
@@ -215,6 +230,28 @@ def test_one_flow_solve_when_the_radius_doubles(monkeypatch):
     a, b = [0.0, 0.0], [5.0, 0.0]
     _check_against_threshold_oracle(np.array([a, a, b]), np.array([a, b, b]))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d,n,k,seeds", [(2, 1024, 32, range(5)), (3, 1000, 10, [4])],
+                         ids=["plane", "space"])
+def test_no_probe_gets_more_than_twice_the_pairs_within_the_optimum(monkeypatch, d, n, k, seeds):
+    # growing the radius by 2^(1/d) about doubles the pairs per round, and
+    # a feasible probe trims to its level; doubling the radius handed
+    # _grow 2.4-3.3 times these pairs in the plane and 5.8 times in space
+    grow, sizes = pctv.transport._grow, []
+
+    def counted(n, rows, cols, match):
+        sizes.append(rows.size)
+        return grow(n, rows, cols, match)
+
+    monkeypatch.setattr(pctv.transport, "_grow", counted)
+    domain, grid = unit_box(d), grid_points(k, d)
+    for seed in seeds:
+        sizes.clear()
+        x = sample_iid(domain, uniform_density(domain), n, seed=seed).points
+        distance, _ = bottleneck_distance(x, grid)
+        within = _bipartite_candidates(x, grid, distance)[0].size
+        assert sizes and max(sizes) <= 2 * within
 
 
 def _random_partial_matching(rng, n, ci, cj):
