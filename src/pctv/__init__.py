@@ -13,7 +13,6 @@ from .bisection import (
     Bisection,
     agreement,
     bisection_energy,
-    brute_force_bisection,
     local_search_bisection,
 )
 from .continuum import (
@@ -45,10 +44,7 @@ from .geometry import (
 from .graph import (
     WeightedGraph,
     build_graph,
-    coarea_decompose,
-    coarea_reconstruct,
     component_labels,
-    graph_perimeter,
     graph_total_variation,
     is_connected,
 )
@@ -82,15 +78,11 @@ __all__ = [
     "agreement",
     "bisection_energy",
     "bottleneck_distance",
-    "brute_force_bisection",
     "build_graph",
-    "coarea_decompose",
-    "coarea_reconstruct",
     "component_labels",
     "dumbbell",
     "effective_support",
     "gaussian",
-    "graph_perimeter",
     "graph_total_variation",
     "grid_points",
     "indicator",

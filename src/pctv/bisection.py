@@ -3,15 +3,13 @@
 A bisection splits the vertices of a weighted graph into two classes of
 equal size.  Its energy is the graph total variation of the class
 indicator, so minimizing it means cutting as little weight as possible
-while keeping the halves balanced.  This module provides an exhaustive
-solver for small graphs, a swap-based local search for realistic sizes,
-and helpers that compare computed bisections against the flat interfaces
-they approximate on simple domains.
+while keeping the halves balanced.  This module provides a swap-based
+local search, and helpers that compare computed bisections against the
+flat interfaces they approximate on simple domains.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,6 @@ from .graph import (
 )
 from .transport import tlp_distance
 
-BRUTE_FORCE_LIMIT = 24
 GAIN_TOL = 1e-12
 
 
@@ -71,56 +68,6 @@ def _canonical(labels: np.ndarray) -> np.ndarray:
 def bisection_energy(graph: WeightedGraph, labels: np.ndarray) -> float:
     """Cut energy of a labeling: the graph total variation of its indicator."""
     return graph_total_variation(graph, np.asarray(labels, dtype=float))
-
-
-def brute_force_bisection(graph: WeightedGraph) -> Bisection:
-    """Exact minimizer by enumeration of all balanced partitions.
-
-    Vertex 0 is pinned to class A, which enumerates each unordered
-    bisection exactly once.  Ties in energy resolve to the
-    lexicographically smallest label vector.  Only graphs with at most
-    24 vertices are accepted; the candidate count doubles with every
-    additional pair.
-    """
-    n = graph.n
-    if n % 2 or n == 0:
-        raise UnsupportedConfigurationError("bisection needs an even, positive vertex count")
-    if n > BRUTE_FORCE_LIMIT:
-        raise UnsupportedConfigurationError(
-            f"brute force handles at most {BRUTE_FORCE_LIMIT} vertices, got {n}"
-        )
-    half = n // 2
-    scale = 2.0 / (n * n * graph.eps)
-    ii, jj, ww = graph.ii, graph.jj, graph.ww
-
-    best_energy = np.inf
-    best_labels: tuple[bool, ...] | None = None
-    chunk = 1 << 14
-    combos = itertools.combinations(range(1, n), half - 1)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            break
-        labels = np.zeros((len(block), n), dtype=bool)
-        labels[:, 0] = True
-        rows = np.repeat(np.arange(len(block)), half - 1)
-        cols = np.fromiter(
-            itertools.chain.from_iterable(block), dtype=np.intp, count=len(block) * (half - 1)
-        )
-        labels[rows, cols] = True
-        crossing = labels[:, ii] != labels[:, jj]
-        energies = scale * (crossing @ ww)
-        order = np.argsort(energies, kind="stable")
-        low = energies[order[0]]
-        if low > best_energy:
-            continue
-        tied = [tuple(labels[k]) for k in np.flatnonzero(energies == low)]
-        candidate = min(tied)
-        if low < best_energy or (best_labels is not None and candidate < best_labels):
-            best_energy = float(low)
-            best_labels = candidate
-    assert best_labels is not None
-    return Bisection(np.array(best_labels, dtype=bool), best_energy)
 
 
 def _zero_energy_start(graph: WeightedGraph) -> np.ndarray | None:

@@ -280,6 +280,15 @@ DEFAULTS = {
 }
 
 
+# JSON Schema counts 1.0 as an integer, but counts, seeds and indices
+# must be Python ints before any work starts, so only JSON integers are.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)),
+)
+
+
 def _pointer(error: jsonschema.exceptions.ValidationError) -> str:
     return "/" + "/".join(str(part) for part in error.absolute_path)
 
@@ -313,7 +322,7 @@ def plan(experiment: str, config: dict) -> Plan:
         raise ConfigError(f"/: unknown experiment {experiment!r} (known: {known})")
     if not isinstance(config, dict):
         raise ConfigError("/: config must be a JSON object")
-    validator = jsonschema.Draft202012Validator(SCHEMAS[experiment])
+    validator = _Validator(SCHEMAS[experiment])
     error = jsonschema.exceptions.best_match(validator.iter_errors(config))
     if error is not None:
         raise ConfigError(f"{_pointer(error)}: {error.message}")

@@ -300,7 +300,6 @@ def affine_density(domain: Domain, axis: int = 0, slope: float = 1.0) -> Density
     integral of x_axis, which the domain's quadrature rule integrates
     exactly.
     """
-    axis = int(axis)  # the schema's integers include 1.0
     points, weights = domain.quadrature()
     z = domain.volume() + slope * float(weights @ points[:, axis])
     lo, hi = domain.bounding_box()

@@ -11,8 +11,14 @@ and the graph perimeter of a vertex subset A is
 
     GPer(A) = 2 * sum over i in A, j not in A of W_ij,
 
-so GTV of the indicator of A equals GPer(A) / (n^2 * eps) exactly.
-Only the scaled form is exposed; the unscaled sum is n^2 * eps times it.
+so GTV of the indicator of A equals GPer(A) / (n^2 * eps) exactly.  For
+u with levels s_1 < ... < s_m the coarea formula
+
+    GTV(u) = sum over k of (s_(k+1) - s_k) * GTV(indicator of u > s_k)
+
+is exact too: every pair contributes |u_i - u_j| to both sides.  Only
+the scaled GTV is exposed; GPer(A) and the unscaled sum are n^2 * eps
+times it.
 
 Candidate pairs come from a kd-tree range search at eps times the
 profile's effective support.  Each pair's distance is then computed
@@ -50,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -236,17 +241,6 @@ def _as_values(graph: WeightedGraph, u) -> np.ndarray:
     return u
 
 
-def _as_mask(graph: WeightedGraph, subset: Union[np.ndarray, Sequence[int]]) -> np.ndarray:
-    subset = np.asarray(subset)
-    if subset.dtype == bool:
-        if subset.shape != (graph.n,):
-            raise ValueError("boolean subset mask must have one entry per vertex")
-        return subset
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[subset] = True
-    return mask
-
-
 def graph_total_variation(graph: WeightedGraph, u) -> float:
     """Scaled graph total variation of vertex values u."""
     u = _as_values(graph, u)
@@ -258,13 +252,6 @@ def graph_total_variation(graph: WeightedGraph, u) -> float:
         np.abs(out, out=out)
         out *= graph.ww[block]
     return 2.0 * float(terms.sum()) / (graph.eps * graph.n ** 2)
-
-
-def graph_perimeter(graph: WeightedGraph, subset) -> float:
-    """GPer(A) = 2 * total weight of edges crossing the subset boundary."""
-    mask = _as_mask(graph, subset)
-    cross = mask[graph.ii] != mask[graph.jj]
-    return 2.0 * float(np.sum(graph.ww[cross]))
 
 
 def component_labels(graph: WeightedGraph) -> np.ndarray:
@@ -281,39 +268,3 @@ def component_labels(graph: WeightedGraph) -> np.ndarray:
 def is_connected(graph: WeightedGraph) -> bool:
     """Whether the positive-weight edges connect all vertices."""
     return graph.n <= 1 or int(component_labels(graph).max()) == 0
-
-
-@dataclass(frozen=True)
-class CoareaLayer:
-    """One threshold contribution to the coarea decomposition."""
-
-    threshold: float
-    gap: float
-    gtv: float
-
-
-def coarea_decompose(graph: WeightedGraph, u) -> List[CoareaLayer]:
-    """Layer cake decomposition of GTV(u) across the levels of u.
-
-    For piecewise constant u with levels s_1 < ... < s_m,
-
-        GTV(u) = sum over k of (s_{k+1} - s_k) * GTV(indicator of u > s_k),
-
-    exactly: every pair contributes |u_i - u_j| in both expressions.
-    """
-    u = _as_values(graph, u)
-    levels = np.unique(u)
-    layers = []
-    for k in range(levels.size - 1):
-        upper = (u > levels[k]).astype(float)
-        layers.append(CoareaLayer(
-            threshold=float(levels[k]),
-            gap=float(levels[k + 1] - levels[k]),
-            gtv=graph_total_variation(graph, upper),
-        ))
-    return layers
-
-
-def coarea_reconstruct(layers: Iterable[CoareaLayer]) -> float:
-    return float(sum(layer.gap * layer.gtv for layer in layers))
-

@@ -197,6 +197,25 @@ def gtv_whole_array(ii, jj, ww, values, n: int, eps: float) -> float:
     return 2.0 * float(np.sum(ww * np.abs(values[ii] - values[jj]))) / (eps * n ** 2)
 
 
+def cut_weight(ii, jj, ww, mask) -> float:
+    """Graph perimeter GPer(A) = 2 * total weight of the edges leaving A."""
+    mask = np.asarray(mask, dtype=bool)
+    return 2.0 * float(np.sum(ww[mask[ii] != mask[jj]]))
+
+
+def coarea_terms(u, gtv) -> list[float]:
+    """Layer-cake terms (s_(k+1) - s_k) * gtv(indicator of u > s_k).
+
+    s_1 < ... < s_m are the levels of u, and gtv is the total variation
+    under test.  The terms sum to gtv(u) up to rounding: every pair
+    contributes |u_i - u_j| to both.
+    """
+    u = np.asarray(u, dtype=float)
+    levels = np.unique(u)
+    return [float(hi - lo) * gtv((u > lo).astype(float))
+            for lo, hi in zip(levels[:-1], levels[1:])]
+
+
 def exhaustive_tlp(x: np.ndarray, f: np.ndarray, y: np.ndarray, g: np.ndarray,
                    p: float) -> float:
     """Optimal TL^p distance between functions on two n-point clouds, n <= 8.
@@ -261,18 +280,21 @@ def matching_size(allowed: np.ndarray) -> int:
     return sum(augment(i, [False] * len(owner)) for i in range(len(adjacency)))
 
 
-def exhaustive_bisection_energy(n: int, ii, jj, ww, eps: float) -> float:
-    """Minimum balanced cut energy by enumerating all subsets with vertex 0."""
+def exhaustive_bisection(n: int, ii, jj, ww, eps: float) -> tuple[float, np.ndarray]:
+    """Minimum balanced cut energy and its labels, by enumeration.
+
+    Vertex 0 is pinned to class A, so each bisection is enumerated once.
+    Exactly tied minima resolve to the lexicographically smallest label
+    vector, False before True.
+    """
     half = n // 2
-    best = math.inf
-    for combo in itertools.combinations(range(1, n), half - 1):
-        side = {0, *combo}
-        cut = 0.0
-        for i, j, w in zip(ii, jj, ww):
-            if (i in side) != (j in side):
-                cut += w
-        best = min(best, 2.0 * cut / (n * n * eps))
-    return best
+    combos = np.array(list(itertools.combinations(range(1, n), half - 1)), dtype=np.intp)
+    labels = np.zeros((len(combos), n), dtype=bool)
+    labels[:, 0] = True
+    np.put_along_axis(labels, combos, True, axis=1)
+    energies = 2.0 / (n * n * eps) * ((labels[:, ii] != labels[:, jj]) @ ww)
+    low = energies.min()
+    return float(low), np.array(min(labels[energies == low].tolist()))
 
 
 GAIN_TOL = 1e-12

@@ -1,4 +1,4 @@
-"""Balanced graph bisection: exact solver, local search, sweeps."""
+"""Balanced graph bisection: local search against the exhaustive oracle, sweeps."""
 
 import csv
 
@@ -9,13 +9,11 @@ from scipy.sparse import csr_matrix
 
 import pctv.bisection
 from pctv.bisection import (
-    BRUTE_FORCE_LIMIT,
     Bisection,
     _swap_descent,
     _zero_energy_start,
     agreement,
     bisection_energy,
-    brute_force_bisection,
     local_search_bisection,
     reference_partitions,
     sweep_reference,
@@ -27,7 +25,7 @@ from pctv.geometry import Box, dumbbell, sample_iid, uniform_density, unit_box
 from pctv.graph import WeightedGraph, build_graph
 from pctv.kernels import indicator
 
-from oracles import dense_swap_descent, exhaustive_bisection_energy
+from oracles import dense_swap_descent, exhaustive_bisection
 
 
 def _graph(n, edges, eps=1.0):
@@ -37,6 +35,10 @@ def _graph(n, edges, eps=1.0):
     order = np.lexsort((jj, ii))
     return WeightedGraph(n=n, eps=eps,
                          ii=ii[order], jj=jj[order], ww=ww[order])
+
+
+def _exact(graph):
+    return exhaustive_bisection(graph.n, graph.ii, graph.jj, graph.ww, graph.eps)
 
 
 def _random_graph(rng, n, density=0.6):
@@ -54,19 +56,18 @@ def test_two_heavy_pairs_cut_the_light_edges():
     graph = _graph(4, [(0, 1, 10.0), (2, 3, 10.0),
                        (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0)],
                    eps=0.5)
-    result = brute_force_bisection(graph)
-    assert result.labels.tolist() == [True, True, False, False]
-    assert_allclose(result.energy, 2.0 * 4.0 / (16 * 0.5))
+    energy, labels = _exact(graph)
+    assert labels.tolist() == [True, True, False, False]
+    assert_allclose(energy, 2.0 * 4.0 / (16 * 0.5))
     local = local_search_bisection(graph, seed=0)
-    assert local.labels.tolist() == result.labels.tolist()
-    assert_allclose(local.energy, result.energy)
+    assert local.labels.tolist() == labels.tolist()
+    assert_allclose(local.energy, energy)
 
 
 def test_cycle_tie_breaks_to_smallest_label_vector():
     graph = _graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
-    for result in (brute_force_bisection(graph),
-                   local_search_bisection(graph, seed=5)):
-        assert result.labels.tolist() == [True, False, False, True]
+    for labels in (_exact(graph)[1], local_search_bisection(graph, seed=5).labels):
+        assert labels.tolist() == [True, False, False, True]
 
 
 def test_energy_agrees_with_graph_total_variation():
@@ -78,16 +79,10 @@ def test_energy_agrees_with_graph_total_variation():
     assert_allclose(bisection_energy(graph, labels), direct, rtol=1e-14)
 
 
-def test_odd_and_oversized_inputs_are_rejected():
+def test_odd_inputs_are_rejected():
     odd = _graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(UnsupportedConfigurationError):
-        brute_force_bisection(odd)
-    with pytest.raises(UnsupportedConfigurationError):
         local_search_bisection(odd, seed=0)
-    big = _graph(BRUTE_FORCE_LIMIT + 2,
-                 [(0, 1, 1.0)], eps=1.0)
-    with pytest.raises(UnsupportedConfigurationError):
-        brute_force_bisection(big)
 
 
 def test_bisection_class_enforces_canonical_balance():
@@ -104,12 +99,10 @@ def test_local_search_matches_brute_force_on_random_graphs():
     for trial in range(25):
         n = int(rng.choice([6, 8, 10]))
         graph = _random_graph(rng, n)
-        exact = brute_force_bisection(graph)
+        exact, labels = _exact(graph)
         found = local_search_bisection(graph, seed=trial, restarts=16)
-        assert found.energy <= exact.energy * (1 + 1e-12) + 1e-15
-        oracle = exhaustive_bisection_energy(n, graph.ii, graph.jj,
-                                             graph.ww, graph.eps)
-        assert_allclose(exact.energy, oracle, rtol=1e-12)
+        assert found.energy <= exact * (1 + 1e-12) + 1e-15
+        assert_allclose(bisection_energy(graph, labels), exact, rtol=1e-12)
 
 
 def test_solutions_are_balanced_and_canonical():
@@ -220,14 +213,13 @@ def test_balanced_disconnection_reaches_zero_energy():
                            (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)])
     result = local_search_bisection(graph=triangles, seed=0, restarts=2)
     assert result.energy == 0.0
-    assert brute_force_bisection(triangles).energy == 0.0
+    assert _exact(triangles)[0] == 0.0
 
 
 def test_unbalanced_components_cannot_reach_zero():
     # component sizes 3 and 1: no subset sums to half of 4
     graph = _graph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    result = brute_force_bisection(graph)
-    assert result.energy > 0.0
+    assert _exact(graph)[0] > 0.0
 
 
 def test_agreement_scores():

@@ -379,6 +379,12 @@ BAD_CONFIGS = [
     # a gaussian this narrow is below the truncation threshold at every
     # radius that effective_support scans, so sigma would come out 0
     ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e-5}), "/kernel"),
+    # JSON Schema counts 1.0 as an integer; each of these crashed after
+    # the output directory was made
+    ("gtv-convergence", dict(GTV_CFG, seeds=[1.0]), "/seeds/0"),
+    ("gtv-convergence", dict(GTV_CFG, n=[60.0, 120]), "/n/0"),
+    ("bisect", dict(BISECT_CFG, restarts=4.0), "/restarts"),
+    ("bisect", dict(BISECT_CFG, reference_size=120.0), "/reference_size"),
 ]
 
 

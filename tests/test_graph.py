@@ -1,5 +1,7 @@
 """Geometric graph construction, total variation, and connectivity."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,18 +11,17 @@ from pctv.geometry import PointCloud, grid_points, sample_iid, uniform_density, 
 from pctv.graph import (
     WeightedGraph,
     build_graph,
-    coarea_decompose,
-    coarea_reconstruct,
     component_labels,
     connected_at,
     connection_distance,
-    graph_perimeter,
     graph_total_variation,
     is_connected,
 )
 
 from oracles import (
     bfs_component_labels,
+    coarea_terms,
+    cut_weight,
     exact_edges,
     gtv_reference,
     gtv_whole_array,
@@ -209,7 +210,7 @@ def test_indicator_identity_with_perimeter():
         built = build_graph(cloud, kernels.indicator(), 0.35)
         mask = rng.random(n) < 0.5
         lhs = graph_total_variation(built, mask.astype(float))
-        rhs = graph_perimeter(built, mask) / (n * n * built.eps)
+        rhs = cut_weight(built.ii, built.jj, built.ww, mask) / (n * n * built.eps)
         assert_allclose(lhs, rhs, rtol=1e-14)
 
 
@@ -219,23 +220,19 @@ def test_coarea_decomposition_is_exact():
     rng = np.random.default_rng(2)
     levels = np.array([-1.0, 0.25, 1.5, 4.0])
     u = levels[rng.integers(0, 4, size=built.n)]
-    layers = coarea_decompose(built, u)
-    total = sum(layer.gap * layer.gtv for layer in layers)
-    assert_allclose(total, graph_total_variation(built, u), rtol=1e-14)
-    assert_allclose(coarea_reconstruct(layers), total, rtol=0, atol=0)
+    terms = coarea_terms(u, partial(graph_total_variation, built))
+    assert len(terms) == 3
+    assert_allclose(sum(terms), graph_total_variation(built, u), rtol=1e-14)
 
 
 def test_coarea_edge_cases():
     cloud = _random_cloud(40, 2, seed=6)
     built = build_graph(cloud, kernels.indicator(), 0.3)
     binary = (np.arange(built.n) % 2).astype(float)
-    layers = coarea_decompose(built, binary)
-    assert len(layers) == 1
-    assert_allclose(coarea_reconstruct(layers), graph_total_variation(built, binary),
-                    rtol=1e-14)
-    constant = np.full(built.n, 2.5)
-    assert coarea_decompose(built, constant) == []
-    assert coarea_reconstruct([]) == 0.0
+    terms = coarea_terms(binary, partial(graph_total_variation, built))
+    assert len(terms) == 1
+    assert_allclose(sum(terms), graph_total_variation(built, binary), rtol=1e-14)
+    assert coarea_terms(np.full(built.n, 2.5), partial(graph_total_variation, built)) == []
 
 
 def test_component_labels_on_two_blocks():

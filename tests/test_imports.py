@@ -1,6 +1,6 @@
 """No module imports a name it never uses, the CLI skips slow imports,
 every function the benchmark wraps or calls exists, and every export is
-used outside its own module."""
+used outside its own module and by the package or the benchmark."""
 
 import ast
 import importlib
@@ -129,3 +129,22 @@ def test_every_export_is_used_outside_its_module():
         if not any(pattern.search(text) for path, text in texts.items() if path != own):
             unused.append(name)
     assert unused == []
+
+
+def test_every_export_is_used_by_the_package_or_the_benchmark():
+    # Tests alone do not justify public API: a name that only tests use
+    # belongs in tests/oracles.py.  A definition binds its name without
+    # a Name or Attribute node, so it does not count as a use.
+    import pctv
+
+    used = set()
+    for folder in ("src/pctv", "perfbench"):
+        for path in (ROOT / folder).glob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert [name for name in pctv.__all__ if name not in used] == []
