@@ -203,7 +203,6 @@ def local_search_bisection(graph: WeightedGraph, seed: int, restarts: int = 32) 
     half = n // 2
     upper = csr_matrix((graph.ww, (graph.ii, graph.jj)), shape=(n, n))
     weights = (upper + upper.T).tocsr()
-    scale = 2.0 / (n * n * graph.eps)
 
     starts: list[np.ndarray] = []
     packed = _zero_energy_start(graph)
@@ -229,9 +228,7 @@ def local_search_bisection(graph: WeightedGraph, seed: int, restarts: int = 32) 
             best_labels = key
     assert best_labels is not None
     final = np.array(best_labels, dtype=bool)
-    crossing = final[graph.ii] != final[graph.jj]
-    energy = scale * float(graph.ww[crossing].sum())
-    return Bisection(final, energy)
+    return Bisection(final, bisection_energy(graph, final))
 
 
 def agreement(labels: np.ndarray, reference: np.ndarray) -> float:

@@ -2,7 +2,10 @@
 
 Each experiment name owns a schema; validation failures surface as
 ConfigError with a JSON-pointer path to the offending field, so a typo
-in a nested key points at itself rather than at the whole file.  After
+in a nested key points at itself rather than at the whole file.  A
+domain shape, density, kernel or eps rule kind takes the keys of its
+builder's signature, each default sits on the schema property it fills,
+and every number must be finite.  After
 the schema, ``plan`` builds the domain, density, kernel, eps rule,
 function, surface tension and nonlocal rules the experiment uses and
 runs its own checks on them, so config errors surface before any work
@@ -13,7 +16,9 @@ twice.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,106 +47,83 @@ from .kernels import (
 )
 from .transport import check_dense_costs
 
-def _tagged(tag: str, kinds: dict, properties: dict) -> dict:
-    """Schema of an object whose ``tag`` names its kind.
+def _tagged(tag: str, table: dict, properties: dict) -> dict:
+    """Schema of an object whose ``tag`` names a builder of table.
 
-    kinds maps each kind to (required keys, optional keys); a kind must
-    have all of its required keys and takes no key of another kind.
+    A kind's keys are its builder's parameters that are not
+    positional-only (the plan passes those), and the ones without a
+    default are required; a kind takes no key of another kind.
     """
+    kinds = {kind: [param for param in inspect.signature(builder).parameters.values()
+                    if param.kind is not param.POSITIONAL_ONLY]
+             for kind, builder in table.items()}
     return {
         "type": "object",
-        "properties": {tag: {"enum": list(kinds)}, **properties},
+        "properties": {tag: {"enum": list(table)}, **properties},
         "required": [tag],
         "additionalProperties": False,
         "allOf": [
             {
                 "if": {"properties": {tag: {"const": kind}}, "required": [tag]},
                 "then": {
-                    "required": list(required),
-                    "propertyNames": {"enum": [tag, *required, *optional]},
+                    "required": [param.name for param in params if param.default is param.empty],
+                    "propertyNames": {"enum": [tag, *(param.name for param in params)]},
                 },
             }
-            for kind, (required, optional) in kinds.items()
+            for kind, params in kinds.items()
         ],
     }
 
 
-_DOMAIN = _tagged(
-    "shape",
-    {
-        "unit-box": ((), ("dimension",)),
-        "box": (("lo", "hi"), ()),
-        "dumbbell": ((), ("width", "length")),
-        "box-union": (("boxes",), ()),
-        "polygon": (("vertices",), ()),
-    },
-    {
-        "dimension": {"type": "integer", "minimum": 1, "maximum": 8},
-        "lo": {"type": "array", "items": {"type": "number"}, "minItems": 1, "maxItems": 8},
-        "hi": {"type": "array", "items": {"type": "number"}, "minItems": 1, "maxItems": 8},
-        "width": {"type": "number", "exclusiveMinimum": 0},
-        "length": {"type": "number", "exclusiveMinimum": 0},
-        "boxes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "lo": {"type": "array", "items": {"type": "number"}, "maxItems": 8},
-                    "hi": {"type": "array", "items": {"type": "number"}, "maxItems": 8},
-                },
-                "required": ["lo", "hi"],
-                "additionalProperties": False,
+_DOMAIN = _tagged("shape", SHAPES, {
+    "dimension": {"type": "integer", "minimum": 1, "maximum": 8},
+    "lo": {"type": "array", "items": {"type": "number"}, "minItems": 1, "maxItems": 8},
+    "hi": {"type": "array", "items": {"type": "number"}, "minItems": 1, "maxItems": 8},
+    "width": {"type": "number", "exclusiveMinimum": 0},
+    "length": {"type": "number", "exclusiveMinimum": 0},
+    "boxes": {
+        "type": "array",
+        "items": {
+            "type": "object",
+            "properties": {
+                "lo": {"type": "array", "items": {"type": "number"}, "maxItems": 8},
+                "hi": {"type": "array", "items": {"type": "number"}, "maxItems": 8},
             },
-            "minItems": 1,
+            "required": ["lo", "hi"],
+            "additionalProperties": False,
         },
-        "vertices": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "number"}},
-            "minItems": 3,
-        },
+        "minItems": 1,
     },
-)
+    "vertices": {
+        "type": "array",
+        "items": {"type": "array", "items": {"type": "number"}},
+        "minItems": 3,
+    },
+})
 
-_DENSITY = _tagged(
-    "name",
-    {"uniform": ((), ()), "affine": ((), ("axis", "slope"))},
-    {"axis": {"type": "integer", "minimum": 0}, "slope": {"type": "number"}},
-)
+_DENSITY = {
+    **_tagged("name", DENSITIES,
+              {"axis": {"type": "integer", "minimum": 0}, "slope": {"type": "number"}}),
+    "default": {"name": "uniform"},
+}
 
-_KERNEL = _tagged(
-    "name",
-    {
-        "indicator": ((), ("radius",)),
-        "gaussian": ((), ("width",)),
-        "step-sum": (("radii", "heights"), ()),
+_KERNEL = _tagged("name", KERNELS, {
+    "radius": {"type": "number", "exclusiveMinimum": 0},
+    "width": {"type": "number", "exclusiveMinimum": 0},
+    "radii": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+    "heights": {
+        "type": "array",
+        "items": {"type": "number", "minimum": 0},
+        "minItems": 1,
     },
-    {
-        "radius": {"type": "number", "exclusiveMinimum": 0},
-        "width": {"type": "number", "exclusiveMinimum": 0},
-        "radii": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "heights": {
-            "type": "array",
-            "items": {"type": "number", "minimum": 0},
-            "minItems": 1,
-        },
-    },
-)
+})
 
-_EPS_RULE = _tagged(
-    "kind",
-    {
-        "admissible": ((), ("c", "gamma")),
-        "borderline": ((), ("c",)),
-        "sub-connectivity": ((), ("factor",)),
-        "fixed": (("value",), ()),
-    },
-    {
-        "c": {"type": "number", "exclusiveMinimum": 0},
-        "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "factor": {"type": "number", "exclusiveMinimum": 0},
-        "value": {"type": "number", "exclusiveMinimum": 0},
-    },
-)
+_EPS_RULE = _tagged("kind", EPS_RULES, {
+    "c": {"type": "number", "exclusiveMinimum": 0},
+    "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "factor": {"type": "number", "exclusiveMinimum": 0},
+    "value": {"type": "number", "exclusiveMinimum": 0},
+})
 
 _FUNCTION = {
     "type": "object",
@@ -216,7 +198,7 @@ SCHEMAS = {
             "domain": _DOMAIN,
             "density": _DENSITY,
             "function": _FUNCTION,
-            "p": {"type": "number", "minimum": 1},
+            "p": {"type": "number", "minimum": 1, "default": 2},
             "grid": {"type": "integer", "minimum": 2},
             "n": _N_SCHEDULE,
             "seeds": _SEEDS,
@@ -233,7 +215,7 @@ SCHEMAS = {
     ),
     "connectivity": _schema(
         {
-            "domain": _DOMAIN,
+            "domain": {**_DOMAIN, "default": {"shape": "unit-box", "dimension": 2}},
             "density": _DENSITY,
             "kernel": _KERNEL,
             "n": {"type": "integer", "minimum": 2},
@@ -254,38 +236,26 @@ SCHEMAS = {
             "n": _N_SCHEDULE,
             "eps_rule": _EPS_RULE,
             "seeds": _SEEDS,
-            "restarts": {"type": "integer", "minimum": 1},
-            "reference_size": {"type": "integer", "minimum": 10},
+            "restarts": {"type": "integer", "minimum": 1, "default": 32},
+            "reference_size": {"type": "integer", "minimum": 10, "default": 2000},
         },
         ["domain", "kernel", "n", "eps_rule", "seeds"],
     ),
 }
 EXPERIMENTS = tuple(SCHEMAS)
 
-DEFAULTS = {
-    "gtv-convergence": {"density": {"name": "uniform"}},
-    "perimeter-convergence": {"density": {"name": "uniform"}},
-    "nonlocal-convergence": {"density": {"name": "uniform"}},
-    "tl-distance": {"density": {"name": "uniform"}, "p": 2},
-    "matching-scaling": {},
-    "connectivity": {
-        "domain": {"shape": "unit-box", "dimension": 2},
-        "density": {"name": "uniform"},
-    },
-    "bisect": {
-        "density": {"name": "uniform"},
-        "restarts": 32,
-        "reference_size": 2000,
-    },
-}
-
-
 # JSON Schema counts 1.0 as an integer, but counts, seeds and indices
 # must be Python ints before any work starts, so only JSON integers are.
+# Python's json reads NaN, Infinity and 1e400, so only finite floats are
+# numbers; a huge JSON integer would overflow math.isfinite.
+_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
 _Validator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)),
+    type_checker=_TYPES.redefine_many({
+        "integer": lambda _, value: isinstance(value, int) and not isinstance(value, bool),
+        "number": lambda _, value: _TYPES.is_type(value, "number") and (
+            not isinstance(value, float) or math.isfinite(value)),
+    }),
 )
 
 
@@ -322,13 +292,14 @@ def plan(experiment: str, config: dict) -> Plan:
         raise ConfigError(f"/: unknown experiment {experiment!r} (known: {known})")
     if not isinstance(config, dict):
         raise ConfigError("/: config must be a JSON object")
-    validator = _Validator(SCHEMAS[experiment])
-    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    schema = SCHEMAS[experiment]
+    error = jsonschema.exceptions.best_match(_Validator(schema).iter_errors(config))
     if error is not None:
         raise ConfigError(f"{_pointer(error)}: {error.message}")
     resolved = copy.deepcopy(config)
-    for key, value in DEFAULTS[experiment].items():
-        resolved.setdefault(key, copy.deepcopy(value))
+    for key, prop in schema["properties"].items():
+        if "default" in prop:
+            resolved.setdefault(key, copy.deepcopy(prop["default"]))
     return _preflight(experiment, resolved)
 
 
@@ -438,5 +409,5 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"/: {path} is not valid JSON ({exc})") from None

@@ -158,7 +158,7 @@ def _run_graph_tv(plan: Plan, fig_dir: str):
     """
     cfg, domain, density, profile = plan.config, plan.domain, plan.density, plan.profile
     if "set" in cfg:
-        axis, threshold = int(cfg["set"]["axis"]), float(cfg["set"]["threshold"])
+        axis, threshold = cfg["set"]["axis"], float(cfg["set"]["threshold"])
 
         def u(points):
             return (points[:, axis] < threshold).astype(float)
@@ -247,7 +247,7 @@ def _run_nonlocal(plan: Plan, fig_dir: str):
 def _run_tl_distance(plan: Plan, fig_dir: str):
     cfg, domain, density, fn = plan.config, plan.domain, plan.density, plan.function
     p = float(cfg["p"])
-    k = int(cfg["grid"])
+    k = cfg["grid"]
     ref_points = grid_points(k, domain.dimension)
     ref_values = fn(ref_points)
 
@@ -281,7 +281,7 @@ def _run_tl_distance(plan: Plan, fig_dir: str):
 
 def _run_matching(plan: Plan, fig_dir: str):
     cfg = plan.config
-    d = int(cfg["dimension"])
+    d = cfg["dimension"]
     domain = unit_box(d)
     density = uniform_density(domain)
     grids = {n: grid_points(round(n ** (1.0 / d)), d) for n in cfg["n"]}
@@ -327,7 +327,7 @@ def _run_matching(plan: Plan, fig_dir: str):
 
 def _run_connectivity(plan: Plan, fig_dir: str):
     cfg, domain, density, profile = plan.config, plan.domain, plan.density, plan.profile
-    n = int(cfg["n"])
+    n = cfg["n"]
     factors = [float(f) for f in cfg["factors"]]
     scale = connectivity_scale(n, domain.dimension)
 

@@ -288,12 +288,12 @@ class Density:
         return np.asarray(self.fn(points), dtype=float)
 
 
-def uniform_density(domain: Domain) -> Density:
+def uniform_density(domain: Domain, /) -> Density:
     """The constant 1 / volume: the affine density of slope 0."""
     return affine_density(domain, 0, 0.0)
 
 
-def affine_density(domain: Domain, axis: int = 0, slope: float = 1.0) -> Density:
+def affine_density(domain: Domain, /, axis: int = 0, slope: float = 1.0) -> Density:
     """Normalized density proportional to 1 + slope * x_axis.
 
     The normalizing constant is exact: it is volume + slope times the
@@ -385,8 +385,8 @@ def grid_points(k: int, d: int) -> np.ndarray:
 
 # The builder of each config name; a spec's other keys are its arguments.
 SHAPES = {
-    "box": Box,
     "unit-box": unit_box,
+    "box": Box,
     "dumbbell": dumbbell,
     "box-union": lambda boxes: BoxUnion([(b["lo"], b["hi"]) for b in boxes]),
     "polygon": ConvexPolygon,

@@ -212,10 +212,10 @@ def critical_rate(n: int, d: int) -> float:
 # exactly; ``sub-connectivity`` is factor * (log n/n)^(1/d), below the
 # connectivity scale when factor < 1; ``fixed`` ignores n.
 EPS_RULES = {
-    "admissible": lambda d, c=1.0, gamma=0.9: lambda n: c * critical_rate(n, d) ** gamma,
-    "borderline": lambda d, c=1.0: lambda n: c * critical_rate(n, d),
-    "sub-connectivity": lambda d, factor=0.3: lambda n: factor * connectivity_scale(n, d),
-    "fixed": lambda d, value: lambda n: value,
+    "admissible": lambda d, /, c=1.0, gamma=0.9: lambda n: c * critical_rate(n, d) ** gamma,
+    "borderline": lambda d, /, c=1.0: lambda n: c * critical_rate(n, d),
+    "sub-connectivity": lambda d, /, factor=0.3: lambda n: factor * connectivity_scale(n, d),
+    "fixed": lambda d, /, value: lambda n: value,
 }
 
 

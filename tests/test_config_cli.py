@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -40,6 +41,12 @@ def test_defaults_are_filled_in():
     })
     assert cfg["density"] == {"name": "uniform"}
     assert cfg["eps_rule"]["kind"] == "admissible"
+    assert validate_config("tl-distance", TL_CFG)["p"] == 2
+    cfg = validate_config("bisect", {k: v for k, v in BISECT_CFG.items()
+                                     if k not in ("restarts", "reference_size")})
+    assert (cfg["restarts"], cfg["reference_size"]) == (32, 2000)
+    cfg = validate_config("connectivity", RUNS["connectivity"][0])
+    assert cfg["domain"] == {"shape": "unit-box", "dimension": 2}
 
 
 def test_unknown_experiment_is_a_config_error():
@@ -230,6 +237,19 @@ def test_cli_success_and_error_paths(tmp_path, capsys):
     assert code in (1, 2)
 
 
+def test_unreadable_config_files_are_config_errors(tmp_path, capsys):
+    out = tmp_path / "out"
+    for text, pointer in [("{\"eps\": [0.1]}".encode("utf-16"), "/"),  # not UTF-8
+                          (json.dumps(dict(GTV_CFG, eps_rule={"kind": "fixed", "value": 0.125}))
+                           .replace("0.125", "1e400").encode(), "/eps_rule/value")]:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(text)
+        code = cli.main(["gtv-convergence", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {pointer}: ")
+        assert not out.exists()
+
+
 def test_bad_thread_count_is_a_config_error_before_any_work(tmp_path, capsys,
                                                             monkeypatch):
     cfg_path = tmp_path / "cfg.json"
@@ -385,6 +405,35 @@ BAD_CONFIGS = [
     ("gtv-convergence", dict(GTV_CFG, n=[60.0, 120]), "/n/0"),
     ("bisect", dict(BISECT_CFG, restarts=4.0), "/restarts"),
     ("bisect", dict(BISECT_CFG, reference_size=120.0), "/reference_size"),
+    # Python's json reads NaN, Infinity and 1e400; each of these ran, or
+    # failed at another pointer
+    ("nonlocal-convergence",
+     dict({k: GTV_CFG[k] for k in ("domain", "kernel", "function")}, eps=[math.nan]), "/eps/0"),
+    ("gtv-convergence", dict(GTV_CFG, eps_rule={"kind": "fixed", "value": math.inf}),
+     "/eps_rule/value"),
+    ("gtv-convergence", dict(GTV_CFG, eps_rule={"kind": "admissible", "c": math.nan}),
+     "/eps_rule/c"),
+    ("gtv-convergence", dict(GTV_CFG, function={"coeffs": [math.nan, 0.0]}),
+     "/function/coeffs/0"),
+    ("gtv-convergence", dict(GTV_CFG, function={"coeffs": [1.0, 0.0], "offset": math.inf}),
+     "/function/offset"),
+    ("perimeter-convergence", dict(PERIMETER_CFG, set={"axis": 0, "threshold": math.nan}),
+     "/set/threshold"),
+    ("tl-distance", dict(TL_CFG, p=math.inf), "/p"),
+    ("connectivity", {"kernel": {"name": "indicator"}, "n": 200, "factors": [math.nan],
+                      "seeds": [0]}, "/factors/0"),
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "box", "lo": [0, 0], "hi": [1, math.inf]}),
+     "/domain/hi/1"),
+    ("gtv-convergence",
+     dict(GTV_CFG, kernel={"name": "step-sum", "radii": [0.5, math.nan], "heights": [1, 1]}),
+     "/kernel/radii/1"),
+    ("gtv-convergence", dict(GTV_CFG, density={"name": "affine", "slope": math.nan}),
+     "/density/slope"),
+    ("gtv-convergence",
+     dict(GTV_CFG, domain={"shape": "polygon", "vertices": [[0, 0], [1, 0], [0, math.inf]]}),
+     "/domain/vertices/2/1"),
+    ("bisect", dict(BISECT_CFG, domain={"shape": "dumbbell", "length": float("1e400")}),
+     "/domain/length"),
 ]
 
 
@@ -506,12 +555,19 @@ def test_a_run_builds_each_object_once(tmp_path, monkeypatch):
     assert [len(c) for c in calls[1:]] == [1, 3]
 
 
-def test_builder_tables_name_the_schema_kinds():
+def test_builder_keys_are_the_typed_schema_properties():
+    # Every key a builder takes has a typed property, and every property
+    # but the tag is some builder's key.
     for schema, tag, table in [(config._DOMAIN, "shape", SHAPES),
                                (config._DENSITY, "name", DENSITIES),
                                (config._KERNEL, "name", KERNELS),
                                (config._EPS_RULE, "kind", EPS_RULES)]:
-        assert sorted(schema["properties"][tag]["enum"]) == sorted(table)
+        keys = {param.name for builder in table.values()
+                for param in inspect.signature(builder).parameters.values()
+                if param.kind is not param.POSITIONAL_ONLY}
+        properties = schema["properties"]
+        assert set(properties) - {tag} == keys
+        assert all("type" in properties[key] for key in keys)
 
 
 def test_shipped_configs_name_and_pass_every_experiment():
