@@ -126,14 +126,17 @@ def _swap_descent(
     heaviest = weights.max(axis=1).toarray().ravel()
     # Candidate b -> its position among its start's candidates, flat over (start, vertex).
     column = np.full(labels.size, -1)
+    # pen_a is 0 on A and -inf on B, pen_b the reverse: adding one to D
+    # masks the other side.  D is never -0.0, so adding +0.0 keeps its bits.
+    pen_a = np.where(labels, 0.0, -np.inf)
+    pen_b = np.where(labels, -np.inf, 0.0)
     active = np.arange(labels.shape[0])
     for _ in range(10 * n):
         if active.size == 0:
             break
-        side = labels[active]
-        twice = 2.0 * (weights @ side.T.astype(float)).T
-        diff_a = np.where(side, degrees - twice, -np.inf)
-        diff_b = np.where(side, -np.inf, twice - degrees)
+        twice = np.ascontiguousarray(2.0 * (weights @ labels[active].T.astype(float)).T)
+        diff_a = (degrees - twice) + pen_a[active]
+        diff_b = (twice - degrees) + pen_b[active]
         a0 = diff_a.argmax(axis=1)
         top_a = diff_a[np.arange(active.size), a0]
         top_b = diff_b.max(axis=1)
@@ -177,8 +180,12 @@ def _swap_descent(
         better = best > tol[live]
         pick = pick[better]
         active = active[live][better]
-        labels[active, idx_a[first_pair.searchsorted(pick, "right") - 1]] = False
-        labels[active, idx_b[pair_b[pick]]] = True
+        a = idx_a[first_pair.searchsorted(pick, "right") - 1]
+        b = idx_b[pair_b[pick]]
+        labels[active, a] = False
+        labels[active, b] = True
+        pen_a[active, a] = pen_b[active, b] = -np.inf
+        pen_a[active, b] = pen_b[active, a] = 0.0
         cuts[active] -= best[better]
     return labels, cuts
 

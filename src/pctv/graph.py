@@ -43,13 +43,15 @@ building the graph: the connection distance b, the smallest distance t
 at which the pairs with distance <= t connect the cloud.  It is the
 longest edge of the cloud's Euclidean minimum spanning tree (Penrose,
 "The longest edge of the random minimal spanning tree", Ann. Appl.
-Probab. 1997, gives its law for random clouds).  A pair is
-kept when its distance is at most the radius and its weight reaches
-WEIGHT_FLOOR.  The profile never increases (kernel condition K2), so
-at a fixed eps the kept pairs form a down-set in distance: with a pair,
-every shorter pair is kept too.  The eps-graph is therefore connected
-exactly when the pair at distance b is kept, which ``connected_at``
-tests on the same distance bits that ``build_graph`` computes.
+Probab. 1997, gives its law for random clouds), which scipy's
+minimum_spanning_tree finds over the pair distances of a kd-tree range
+search.  A pair is kept when its distance is at most the radius and its
+weight reaches WEIGHT_FLOOR.  The profile never increases (kernel
+condition K2), so at a fixed eps the kept pairs form a down-set in
+distance: with a pair, every shorter pair is kept too.  The eps-graph is
+therefore connected exactly when the pair at distance b is kept, which
+``connected_at`` tests on the same distance bits that ``build_graph``
+computes.
 """
 
 from __future__ import annotations
@@ -160,11 +162,13 @@ def connection_distance(points) -> float:
 
     The largest nearest-neighbour distance bounds t from below.  A
     kd-tree range search starts just above this bound (at 4 n^(-1/d)
-    when the bound is 0) and doubles its radius until the pairs within
-    it span the cloud.  The spanning tree is taken over the ranks 1..m
-    of the candidate distances, not the distances: a rank is never 0,
-    so coincident points keep their edge, and the tree's largest rank
-    names the exact bottleneck distance.
+    when the bound is 0) and grows its radius by 2^(1/d), which about
+    doubles the pairs it finds, until they span the cloud.  The spanning
+    tree is taken over the candidate distances themselves, each 0 raised
+    to the smallest normal float, which is below every positive pair
+    distance: the order and the ties stay as they were, coincident
+    points keep their edge, and the tree's longest edge is the exact
+    bottleneck distance.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
@@ -173,21 +177,20 @@ def connection_distance(points) -> float:
     tree = cKDTree(points)
     lb = float(tree.query(points, k=2)[0][:, 1].max())
     radius = lb * (1 + 1e-9) if lb > 0 else 4.0 * n ** (-1.0 / d)
+    tiny = np.finfo(float).tiny
     while True:
         # As in build_graph, the slack only widens the candidate set and
         # the distance test decides every pair.
         pairs = tree.query_pairs(radius * (1 + 1e-12), output_type="ndarray")
         dist = _pair_distances(points, pairs[:, 0], points, pairs[:, 1])
         within = dist <= radius
-        pairs, dist = pairs[within], dist[within]
-        order = np.argsort(dist, kind="stable")
-        ranks = np.empty(dist.size)
-        ranks[order] = np.arange(1, dist.size + 1)
+        pairs, dist = pairs[within], np.maximum(dist[within], tiny)
         spanning = minimum_spanning_tree(
-            csr_matrix((ranks, (pairs[:, 0], pairs[:, 1])), shape=(n, n)))
+            csr_matrix((dist, (pairs[:, 0], pairs[:, 1])), shape=(n, n)))
         if spanning.nnz == n - 1:
-            return float(dist[order[int(spanning.data.max()) - 1]])
-        radius *= 2.0
+            longest = float(spanning.data.max())
+            return 0.0 if longest == tiny else longest
+        radius *= 2.0 ** (1.0 / d)
 
 
 def connectivity_scale(n: int, d: int) -> float:

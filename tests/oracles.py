@@ -167,6 +167,41 @@ def bfs_component_labels(n: int, ii, jj) -> np.ndarray:
     return labels
 
 
+def exhaustive_connection_distance(points: np.ndarray) -> float:
+    """Longest edge of a minimum spanning tree over all pairs, by Kruskal.
+
+    Every pair's distance is summed one coordinate at a time in axis
+    order, the pairs are taken in sorted order, and a union-find joins
+    their ends; pairs at distance 0 are edges like any other.  A cloud
+    of at most one point reports -inf.
+    """
+    n, d = points.shape
+    ii, jj = np.triu_indices(n, k=1)
+    dist = np.zeros(ii.size)
+    for axis in range(d):
+        delta = points[ii, axis] - points[jj, axis]
+        dist += delta * delta
+    dist = np.sqrt(dist)
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    longest, joined = -math.inf, 1
+    for k in np.argsort(dist, kind="stable"):
+        a, b = root(int(ii[k])), root(int(jj[k]))
+        if a != b:
+            parent[a] = b
+            longest = float(dist[k])
+            joined += 1
+            if joined == n:
+                break
+    return longest
+
+
 def bipartite_pairs(x: np.ndarray, y: np.ndarray, radius: float):
     """Every cross pair (i, j) with |x_i - y_j| <= radius, by a dense scan.
 

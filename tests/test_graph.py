@@ -1,10 +1,12 @@
 """Geometric graph construction, total variation, and connectivity."""
 
+import itertools
 from functools import partial
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import pdist
 
 from pctv import graph, kernels
 from pctv.geometry import PointCloud, grid_points, sample_iid, uniform_density, unit_box
@@ -23,6 +25,7 @@ from oracles import (
     coarea_terms,
     cut_weight,
     exact_edges,
+    exhaustive_connection_distance,
     gtv_reference,
     gtv_whole_array,
     pairwise_edges,
@@ -294,7 +297,7 @@ def _connection_cases():
     for d in (1, 2, 3):
         yield f"coincident-{d}d", np.full((12, d), 0.25), 0.3
         # Two blobs of width 0.2 whose gap of about 1.8 is the connection
-        # distance: the search doubles its radius from the blobs'
+        # distance: the search grows its radius from the blobs'
         # nearest-neighbour distance several times before it spans.
         blobs = 0.2 * _random_cloud(60, d, seed=d + 70).points
         blobs[30:, 0] += 2.0
@@ -342,3 +345,47 @@ def test_connection_distance_is_the_longest_spanning_tree_edge():
     assert connection_distance(np.array([[0.0], [1.0], [3.0], [6.0]])) == 3.0
     tripled = np.repeat(np.array([[0.0, 0.0], [0.0, 2.0], [1.5, 2.0]]), 3, axis=0)
     assert connection_distance(tripled) == 2.0
+
+
+def _spanning_cases():
+    """Clouds whose spanning trees meet ties, zero distances and wide gaps."""
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        lattice = np.array(list(itertools.product(range(6 if d < 3 else 4), repeat=d)), float)
+        yield f"lattice-{d}d", lattice
+        # Every distance is the root of an integer, so many pairs tie.
+        yield f"sparse-lattice-{d}d", lattice[rng.random(len(lattice)) < 0.4]
+    for d in (1, 2, 3, 4):
+        points = _random_cloud(120, d, seed=d + 90).points
+        yield f"random-{d}d", points
+        yield f"repeats-{d}d", np.concatenate([points[:80], points[10:30]])
+    for case, points, _ in CONNECTION_CASES:
+        if case.startswith("dumbbell"):
+            yield case, points
+
+
+SPANNING_CASES = list(_spanning_cases())
+
+
+@pytest.mark.parametrize("case,points", SPANNING_CASES, ids=[c[0] for c in SPANNING_CASES])
+def test_connection_distance_matches_the_kruskal_oracle(case, points):
+    assert connection_distance(points) == exhaustive_connection_distance(points)
+
+
+def test_a_second_round_takes_about_twice_the_pairs(monkeypatch):
+    # This cloud does not connect at its nearest-neighbour bound, which
+    # its connection distance exceeds by under 1%.
+    points = _random_cloud(2000, 2, seed=7).points
+    handed = []
+    spanning_tree = graph.minimum_spanning_tree
+
+    def recording(matrix):
+        handed.append(matrix.nnz)
+        return spanning_tree(matrix)
+
+    monkeypatch.setattr(graph, "minimum_spanning_tree", recording)
+    distance = connection_distance(points)
+    assert len(handed) == 2
+    # A radius grown by 2^(1/d) finds about twice the pairs; doubling it
+    # would find about four times as many.
+    assert handed[-1] <= 2.2 * np.count_nonzero(pdist(points) <= distance)
