@@ -115,11 +115,13 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
     jj = np.empty(key.size, dtype=np.int32)
     ww = np.empty(key.size)
     kept = 0
+    # Column-major, so that no block copies a coordinate column.
+    columns = np.asfortranarray(points)
     # At least one block, so that an eps the kernel cannot scale raises
     # even when the graph has no candidate pairs.
     for start in range(0, max(key.size, 1), BLOCK):
         bi, bj = np.divmod(key[start:start + BLOCK], n)
-        dist = _pair_distances(points, bi, points, bj)
+        dist = _pair_distances(columns, bi, columns, bj)
         weights = kernels.scaled_from_distance(profile, eps, dist, d)
         keep = _kept(dist, weights, radius)
         end = kept + int(np.count_nonzero(keep))
@@ -135,7 +137,9 @@ def _pair_distances(x: np.ndarray, ii: np.ndarray, y: np.ndarray,
     """Distance of each pair (x[ii[k]], y[jj[k]]), summed in axis order.
 
     One coordinate column at a time, so every temporary is one (m,)
-    array; the axis order fixes the bits of each distance.
+    array; the axis order fixes the bits of each distance.  Each column
+    of a row-major cloud is copied once per call; a column-major
+    (Fortran-ordered) cloud is read in place.
     """
     dist = np.zeros(ii.size)
     for axis in range(x.shape[1]):

@@ -216,20 +216,20 @@ def _count_flow_solves(monkeypatch):
     return calls
 
 
-def test_one_flow_solve_when_the_first_radius_is_feasible(monkeypatch):
+def test_no_flow_solve_when_the_first_radius_is_feasible(monkeypatch):
     # every point sits 1/k above a grid point, which is the bound, so the
-    # first radius already matches all and the binary search grows from empty
+    # first radius already matches all, from the empty matching
     calls = _count_flow_solves(monkeypatch)
     grid = grid_points(6, 2)
     assert _check_against_threshold_oracle(grid + [0.0, 1.0 / 6], grid) > 0
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
-def test_one_flow_solve_when_the_radius_doubles(monkeypatch):
+def test_no_flow_solve_when_the_radius_doubles(monkeypatch):
     calls = _count_flow_solves(monkeypatch)
     a, b = [0.0, 0.0], [5.0, 0.0]
     _check_against_threshold_oracle(np.array([a, a, b]), np.array([a, b, b]))
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("d,n,k,seeds", [(2, 1024, 32, range(5)), (3, 1000, 10, [4])],
@@ -301,6 +301,23 @@ def test_grow_and_flow_reach_maximum_matchings_of_equal_size():
             # augmenting paths never free a matched row
             assert (match[start >= 0] >= 0).all()
             assert (start >= 0).sum() <= size
+
+
+def test_grow_from_empty_matches_the_flow_at_the_benchmark_shape():
+    # the first candidate set of a matching-scaling instance: n = 4096 in
+    # the plane, the radius just above the nearest-neighbour bound
+    domain, grid = unit_box(2), grid_points(64, 2)
+    x = sample_iid(domain, uniform_density(domain), 4096, seed=0).points
+    bound = max(cKDTree(grid).query(x)[0].max(), cKDTree(x).query(grid)[0].max())
+    ci, cj, _ = _bipartite_candidates(x, grid, bound * (1 + 1e-9))
+    order = np.argsort(ci, kind="stable")
+    ci, cj = ci[order], cj[order]
+    n = len(x)
+    match, flow = _grow(n, ci, cj, np.full(n, -1, dtype=np.int64)), _augment(n, ci, cj)
+    rows = np.flatnonzero(match >= 0)
+    assert rows.size == np.count_nonzero(flow >= 0) < n
+    assert np.unique(match[rows]).size == rows.size
+    assert np.isin(rows * n + match[rows], ci * n + cj).all()
 
 
 @pytest.mark.parametrize("shift", [False, True])
