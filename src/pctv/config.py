@@ -20,7 +20,6 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -37,7 +36,7 @@ from .geometry import (
     acceptance_rate,
     fills_bounding_box,
 )
-from .graph import EPS_RULES, connectivity_scale
+from .graph import EPS_RULES, EpsRule, connectivity_scale
 from .kernels import (
     KERNELS,
     KernelProfile,
@@ -96,7 +95,7 @@ _DOMAIN = _tagged("shape", SHAPES, {
     },
     "vertices": {
         "type": "array",
-        "items": {"type": "array", "items": {"type": "number"}},
+        "items": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
         "minItems": 3,
     },
 })
@@ -266,9 +265,9 @@ def _pointer(error: jsonschema.exceptions.ValidationError) -> str:
 @dataclass(frozen=True)
 class Plan:
     """A validated run: the config with its defaults, as summary.json prints
-    it, and the objects built from it: the eps(n) rule in ``eps``, one
-    nonlocal rule per eps in ``rules``.  A field that the experiment does
-    not use is None."""
+    it, and the objects built from it, which pickle: the profile, density
+    and eps(n) rule ``eps`` compare by value, and ``rules`` holds one
+    nonlocal rule per eps.  A field that the experiment does not use is None."""
 
     config: dict
     label: str | None = None
@@ -277,7 +276,7 @@ class Plan:
     profile: KernelProfile | None = None
     function: AffineFunction | None = None
     sigma: float | None = None
-    eps: Callable[[int], float] | None = None
+    eps: EpsRule | None = None
     rules: tuple | None = None
 
 

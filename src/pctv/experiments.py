@@ -370,16 +370,8 @@ def _run_bisect(plan: Plan, fig_dir: str):
 
     def one(task):
         n, seed = task
-        return sweep_run(
-            domain,
-            density,
-            profile,
-            n,
-            float(plan.eps(n)),
-            seed,
-            reference,
-            restarts=cfg["restarts"],
-        )
+        return sweep_run(domain, density, profile, n, float(plan.eps(n)), seed, reference,
+                         restarts=cfg["restarts"])
 
     rows = []
     for run in _sweep(cfg, one):

@@ -9,8 +9,8 @@ exact for quadratic polynomials: the 2-point Gauss-Legendre rule per axis
 on each box cell, and the edge-midpoint rule on each triangle of a
 polygon.
 
-Densities are positive evaluators on a domain with a declared upper
-bound rho <= upper; the uniform density is the affine one of slope 0.
+Densities are affine, (1 + slope * x_axis) / z, with a declared upper
+bound rho <= upper; the uniform density is the one of slope 0.
 Sampling draws i.i.d. points by rejection from the bounding box with
 that bound as envelope.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -268,15 +268,14 @@ def dumbbell(width: float = 0.25, length: float = 0.5) -> BoxUnion:
     ])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Density:
-    """Bounded density evaluator on a domain.
+    """The density (1 + slope * x_axis) / z on a domain, with the declared
+    bound rho <= upper that sampling relies on."""
 
-    fn maps an (m, d) array of points to (m,) values.  upper is the
-    declared bound rho <= upper that sampling relies on.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
+    axis: int
+    slope: float
+    z: float
     upper: float
 
     def __post_init__(self):
@@ -285,7 +284,7 @@ class Density:
 
     def __call__(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.asarray(self.fn(points), dtype=float)
+        return (1.0 + self.slope * points[:, self.axis]) / self.z
 
 
 def uniform_density(domain: Domain, /) -> Density:
@@ -306,11 +305,7 @@ def affine_density(domain: Domain, /, axis: int = 0, slope: float = 1.0) -> Dens
     ends = np.array([1.0 + slope * lo[axis], 1.0 + slope * hi[axis]]) / z
     if np.min(ends) <= 0:
         raise ValueError("density is not positive on the domain")
-
-    def fn(points):
-        return (1.0 + slope * points[:, axis]) / z
-
-    return Density(fn=fn, upper=float(np.max(ends)))
+    return Density(axis, slope, z, float(np.max(ends)))
 
 
 @dataclass(frozen=True)

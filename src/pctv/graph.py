@@ -213,16 +213,33 @@ def critical_rate(n: int, d: int) -> float:
     return connectivity_scale(n, d)
 
 
-# The eps(n) rule of each config kind, built from the dimension d and the
-# spec's other keys.  ``admissible`` is c * rate^gamma with gamma < 1,
-# which decays slower than the critical rate; ``borderline`` is c * rate
-# exactly; ``sub-connectivity`` is factor * (log n/n)^(1/d), below the
-# connectivity scale when factor < 1; ``fixed`` ignores n.
+@dataclass(frozen=True)
+class EpsRule:
+    """The eps(n) rule of a config kind in dimension d, with coefficient c,
+    factor or value; EPS_RULES builds it from d and the spec's other keys.
+    ``admissible`` is c * rate^gamma with gamma < 1, which decays slower
+    than the critical rate; ``borderline`` is c * rate exactly;
+    ``sub-connectivity`` is factor * (log n/n)^(1/d), below the
+    connectivity scale when factor < 1; ``fixed`` ignores n."""
+
+    kind: str
+    d: int
+    coefficient: float
+    gamma: float | None = None
+
+    def __call__(self, n: int) -> float:
+        if self.kind == "fixed":
+            return self.coefficient
+        formula = connectivity_scale if self.kind == "sub-connectivity" else critical_rate
+        rate = formula(n, self.d)
+        return self.coefficient * (rate if self.gamma is None else rate ** self.gamma)
+
+
 EPS_RULES = {
-    "admissible": lambda d, /, c=1.0, gamma=0.9: lambda n: c * critical_rate(n, d) ** gamma,
-    "borderline": lambda d, /, c=1.0: lambda n: c * critical_rate(n, d),
-    "sub-connectivity": lambda d, /, factor=0.3: lambda n: factor * connectivity_scale(n, d),
-    "fixed": lambda d, /, value: lambda n: value,
+    "admissible": lambda d, /, c=1.0, gamma=0.9: EpsRule("admissible", d, c, gamma),
+    "borderline": lambda d, /, c=1.0: EpsRule("borderline", d, c),
+    "sub-connectivity": lambda d, /, factor=0.3: EpsRule("sub-connectivity", d, factor),
+    "fixed": lambda d, /, value: EpsRule("fixed", d, value),
 }
 
 
@@ -241,16 +258,11 @@ def connected_at(profile: kernels.KernelProfile, eps: float, distance: float,
     return bool(_kept(dist, weight, eps * kernels.effective_support(profile, d))[0])
 
 
-def _as_values(graph: WeightedGraph, u) -> np.ndarray:
+def graph_total_variation(graph: WeightedGraph, u) -> float:
+    """Scaled graph total variation of vertex values u."""
     u = np.asarray(u, dtype=float)
     if u.shape != (graph.n,):
         raise ValueError(f"expected {graph.n} vertex values, got shape {u.shape}")
-    return u
-
-
-def graph_total_variation(graph: WeightedGraph, u) -> float:
-    """Scaled graph total variation of vertex values u."""
-    u = _as_values(graph, u)
     terms = np.empty(graph.edge_count)
     for start in range(0, terms.size, BLOCK):
         block = slice(start, start + BLOCK)

@@ -1,8 +1,8 @@
 """Radial kernel profiles and their surface tension constants.
 
-A kernel profile is a one dimensional function eta: [0, inf) -> [0, inf).
-The induced interaction kernel on R^d is eta(|z|), and its rescaling at
-length scale eps is
+A kernel profile is a one dimensional function eta: [0, inf) -> [0, inf),
+held as a frozen dataclass of its parameters.  The induced interaction
+kernel on R^d is eta(|z|), and its rescaling at length scale eps is
 
     eta_eps(z) = eps^(-d) * eta(|z| / eps).
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -41,25 +41,56 @@ TRUNCATION_THRESHOLD = 1e-12
 QUADRATURE_REL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class KernelProfile:
-    """Radial profile eta with its support radius and jump locations.
+    """Radial profile eta: each kind is a frozen dataclass of its parameters
+    and name, and calling it evaluates eta elementwise on an array of radii.
+    support_radius is math.inf for profiles with unbounded support;
+    breakpoints lists radii where eta jumps, and quadrature splits there."""
 
-    fn must accept numpy arrays of radii and evaluate elementwise.
-    support_radius is math.inf for profiles with unbounded support.
-    breakpoints lists radii where fn jumps; quadrature splits there.
-    """
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
     support_radius: float = math.inf
     breakpoints: Tuple[float, ...] = ()
 
+
+@dataclass(frozen=True)
+class Gaussian(KernelProfile):
+    """exp(-(r/width)^2), with unbounded support."""
+
+    width: float
+    name = "gaussian"
+
     def __call__(self, r):
-        return self.fn(np.asarray(r, dtype=float))
+        # Past sqrt(max float) widths the square overflows to inf, and
+        # exp(-inf) is the right 0.
+        with np.errstate(over="ignore"):
+            return np.exp(-((np.asarray(r, dtype=float) / self.width) ** 2))
 
 
-def indicator(radius: float = 1.0) -> KernelProfile:
+@dataclass(frozen=True)
+class StepSum(KernelProfile):
+    """heights[k] on [radii[k-1], radii[k]); step_sum checks K1 and K2."""
+
+    radii: Tuple[float, ...]
+    heights: Tuple[float, ...]
+    name: str = "step-sum"
+
+    @property
+    def support_radius(self) -> float:
+        return self.radii[-1]
+
+    @property
+    def breakpoints(self) -> Tuple[float, ...]:
+        return self.radii
+
+    def __call__(self, r):
+        # From the outermost step in: a radius below radii[k] takes heights[k].
+        r = np.asarray(r, dtype=float)
+        value = 0.0
+        for radius, height in zip(self.radii[::-1], self.heights[::-1]):
+            value = np.where(r < radius, height, value)
+        return value
+
+
+def indicator(radius: float = 1.0) -> StepSum:
     """Indicator profile: 1 on [0, radius), 0 from radius on; the step sum
     of one step.
 
@@ -70,21 +101,12 @@ def indicator(radius: float = 1.0) -> KernelProfile:
     return replace(step_sum([radius], [1.0]), name="indicator")
 
 
-def gaussian(width: float = 1.0) -> KernelProfile:
+def gaussian(width: float = 1.0) -> Gaussian:
     """Gaussian profile exp(-(r/width)^2) with unbounded support."""
-    width = float(width)
-
-    def fn(r):
-        r = np.asarray(r, dtype=float)
-        # Past sqrt(max float) widths the square overflows to inf, and
-        # exp(-inf) is the right 0.
-        with np.errstate(over="ignore"):
-            return np.exp(-((r / width) ** 2))
-
-    return KernelProfile(name="gaussian", fn=fn, support_radius=math.inf)
+    return Gaussian(float(width))
 
 
-def step_sum(radii, heights) -> KernelProfile:
+def step_sum(radii, heights) -> StepSum:
     """Piecewise constant profile: value heights[k] on [radii[k-1], radii[k]).
 
     radii must be strictly increasing and heights non-increasing with a
@@ -99,17 +121,7 @@ def step_sum(radii, heights) -> KernelProfile:
         raise ValueError("radii must be positive and strictly increasing")
     if heights[0] <= 0 or np.any(np.diff(heights) > 0):
         raise ValueError("heights must start positive and never increase")
-
-    def fn(r):
-        # From the outermost step in: a radius below radii[k] takes heights[k].
-        r = np.asarray(r, dtype=float)
-        value = 0.0
-        for radius, height in zip(radii[::-1], heights[::-1]):
-            value = np.where(r < radius, height, value)
-        return value
-
-    return KernelProfile(name="step-sum", fn=fn, support_radius=float(radii[-1]),
-                         breakpoints=tuple(radii.tolist()))
+    return StepSum(tuple(radii.tolist()), tuple(heights.tolist()))
 
 
 # The builder of each config name; a spec's other keys are its arguments.
@@ -133,19 +145,14 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
     panels = 32
     xs = np.linspace(a, b, 2 * panels + 1)
     fs = [float(f(x)) for x in xs]
-    coarse = sum(simpson(xs[2 * k], xs[2 * k + 2],
-                         fs[2 * k], fs[2 * k + 1], fs[2 * k + 2])
-                 for k in range(panels))
-    scale = max(abs(coarse), 1e-30)
+    opening = [(xs[2 * k], xs[2 * k + 2], fs[2 * k], fs[2 * k + 1], fs[2 * k + 2])
+              for k in range(panels)]
+    coarse = [simpson(*panel) for panel in opening]
+    share = rel_tol * max(abs(sum(coarse)), 1e-30) / panels
 
     total = 0.0
     budget = 400000
-    stack = [
-        (xs[2 * k], xs[2 * k + 2], fs[2 * k], fs[2 * k + 1], fs[2 * k + 2],
-         simpson(xs[2 * k], xs[2 * k + 2], fs[2 * k], fs[2 * k + 1], fs[2 * k + 2]),
-         rel_tol * scale / panels, 0)
-        for k in range(panels)
-    ]
+    stack = [(*panel, s, share, 0) for panel, s in zip(opening, coarse)]
     while stack:
         x0, x2, f0, f1, f2, s, tol, depth = stack.pop()
         xm = 0.5 * (x0 + x2)
@@ -168,15 +175,12 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
 def _moment_integral(profile: KernelProfile, d: int, upper: float) -> float:
     """Integral of eta(r) * r^d over [0, upper], split at jump radii."""
     cuts = [0.0] + [b for b in profile.breakpoints if 0.0 < b < upper] + [upper]
-    fn = profile.fn
 
     def integrand(r):
-        return float(fn(np.asarray(r))) * r ** d
+        return float(profile(r)) * r ** d
 
-    value = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        value += _adaptive_simpson(integrand, lo, hi, QUADRATURE_REL_TOL)
-    return value
+    return sum(_adaptive_simpson(integrand, lo, hi, QUADRATURE_REL_TOL)
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
 def effective_support(profile: KernelProfile, d: int) -> float:
@@ -192,7 +196,7 @@ def effective_support(profile: KernelProfile, d: int) -> float:
     if math.isfinite(profile.support_radius):
         return profile.support_radius
     grid = np.geomspace(1e-3, 1e3, 1200)
-    products = np.asarray(profile(grid), dtype=float) * grid ** d
+    products = profile(grid) * grid ** d
     above = np.nonzero(products >= TRUNCATION_THRESHOLD)[0]
     if above.size == 0:
         raise ValueError(f"{profile.name!r} is below the truncation threshold "
@@ -253,5 +257,4 @@ def scaled_from_distance(profile: KernelProfile, eps: float, r, d: int):
         height = eps ** (-d)
     except OverflowError:
         raise ValueError(f"eps = {eps:.3g} is too small: eps^-{d} overflows") from None
-    r = np.asarray(r, dtype=float)
-    return height * np.asarray(profile(r / eps), dtype=float)
+    return height * profile(np.asarray(r, dtype=float) / eps)

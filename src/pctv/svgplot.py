@@ -1,7 +1,7 @@
 """Small self-contained SVG writers for experiment output.
 
 Two figure kinds cover everything the experiment driver emits: a
-scatter of (optionally two-class labeled) points, and a line chart of
+scatter of two-class labeled points, and a line chart of
 one curve with linear or logarithmic axes.  Output is plain
 SVG text with no external dependencies and no volatile content, so a
 rerun produces identical bytes.
@@ -93,8 +93,8 @@ def _tick_text(x: float, y: float, label: str, anchor: str) -> str:
     )
 
 
-def scatter_figure(path, points, labels=None, title: str = "") -> None:
-    """Write a scatter plot of 2-d points, colored by optional binary labels."""
+def scatter_figure(path, points, labels, title: str = "") -> None:
+    """Write a scatter plot of 2-d points, colored by binary labels."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("scatter figures need an (n, 2) point array")
@@ -104,8 +104,6 @@ def scatter_figure(path, points, labels=None, title: str = "") -> None:
     )
     parts = _header(title)
     parts.append(_frame_rect())
-    if labels is None:
-        labels = np.zeros(len(points), dtype=bool)
     labels = np.asarray(labels, dtype=bool)
     for cls, color in ((True, PALETTE[0]), (False, PALETTE[1])):
         for p in points[labels == cls]:

@@ -2,22 +2,45 @@
 
 Everything here is deliberately written from first principles: plain
 quadrature, Monte Carlo, full pairwise loops, and exhaustive
-enumeration.  The one import from the package under test is the
+enumeration.  The imports from the package under test are the
 sampler and the scaled kernel that the Monte Carlo nonlocal TV draws
-its pairs with.  Slow is fine; these only run at test time on small
-instances.
+its pairs with, and the profile base that two test-only kinds extend.
+Slow is fine; these only run at test time on small instances.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from pctv.geometry import sample_iid
-from pctv.kernels import scaled_from_distance
+from pctv.kernels import KernelProfile, scaled_from_distance
+
+
+@dataclass(frozen=True)
+class ClosedIndicator(KernelProfile):
+    """1 on [0, 1] and 0 past it: closed at its radius, unlike the indicator."""
+
+    name = "closed"
+    support_radius = 1.0
+    breakpoints = (1.0,)
+
+    def __call__(self, r):
+        return np.where(np.asarray(r, dtype=float) <= 1.0, 1.0, 0.0)
+
+
+@dataclass(frozen=True)
+class HeavyTail(KernelProfile):
+    """1 / (1 + r): its moment integrand eta(r) r^d never decays (no K3)."""
+
+    name = "slow"
+
+    def __call__(self, r):
+        return 1.0 / (1.0 + np.asarray(r, dtype=float))
 
 
 def surface_tension_grid_2d(profile_fn, support: float, cells: int = 2048) -> float:

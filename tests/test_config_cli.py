@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
 import sys
 import tempfile
@@ -19,12 +20,20 @@ from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import pctv
-from pctv import cli, config, continuum, experiments
+from pctv import cli, config, continuum, experiments, kernels
 from pctv.bisection import reference_partitions
 from pctv.config import EXPERIMENTS, SCHEMAS, build, load_config, plan, validate_config
 from pctv.errors import ConfigError
 from pctv.experiments import run_experiment, worker_count, write_records_csv
-from pctv.geometry import DENSITIES, SHAPES
+from pctv.geometry import (
+    DENSITIES,
+    SHAPES,
+    ConvexPolygon,
+    affine_density,
+    dumbbell,
+    uniform_density,
+    unit_box,
+)
 from pctv.graph import EPS_RULES, connectivity_scale, critical_rate
 from pctv.kernels import KERNELS, surface_tension
 from pctv.svgplot import line_figure, scatter_figure
@@ -434,6 +443,10 @@ BAD_CONFIGS = [
      "/domain/vertices/2/1"),
     ("bisect", dict(BISECT_CFG, domain={"shape": "dumbbell", "length": float("1e400")}),
      "/domain/length"),
+    # a ragged vertex list fails at its vertex, not inside numpy
+    ("gtv-convergence",
+     dict(GTV_CFG, domain={"shape": "polygon", "vertices": [[0, 0], [1, 0, 3], [0, 1]]}),
+     "/domain/vertices/1"),
 ]
 
 
@@ -576,6 +589,106 @@ def test_shipped_configs_name_and_pass_every_experiment():
     assert names == sorted(EXPERIMENTS)
     for name in names:
         validate_config(name, load_config(os.path.join(config_dir, f"{name}.json")))
+
+
+def test_shipped_plans_are_data():
+    # A plan pickles, as a process pool would send it, and its kernel,
+    # density and eps rule compare and hash by value: after the round trip
+    # and against a second plan of the same config.
+    config_dir = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    for name in EXPERIMENTS:
+        cfg = load_config(os.path.join(config_dir, f"{name}.json"))
+        planned, again = plan(name, cfg), plan(name, cfg)
+        loaded = pickle.loads(pickle.dumps(planned))
+        for field in ("profile", "density", "eps"):
+            value = getattr(planned, field)
+            for other in (getattr(loaded, field), getattr(again, field)):
+                assert other == value and hash(other) == hash(value), (name, field)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+
+def _kind_digests() -> dict:
+    """sha256 of the float64 values of every kernel, density and eps rule kind,
+    and of each kernel's surface tension at d = 2 and 3, on fixed probes."""
+    base = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 400), np.linspace(0.0, 3.0, 301)])
+    profiles = {  # each with a length scale that the probe radii also take
+        "gaussian-0.05": (kernels.gaussian(0.05), 0.05),
+        "gaussian-1": (kernels.gaussian(1), 1.0),
+        "gaussian-1e-200": (kernels.gaussian(1e-200), 1e-200),
+        "step-sum": (kernels.step_sum([0.5, 1.0, 1.5], [2.0, 1.0, 0.25]), 0.5),
+        "indicator": (kernels.indicator(0.7), 0.7),
+    }
+    out = {}
+    for key, (profile, scale) in profiles.items():
+        radii = [base, scale * base]
+        radii += [[np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)] for b in profile.breakpoints]
+        out[f"kernel/{key}"] = _digest(profile(np.concatenate(radii)))
+        if key != "gaussian-1e-200":  # too narrow for the truncation scan
+            out[f"sigma/{key}"] = _digest([surface_tension(profile, d) for d in (2, 3)])
+    domains = {"square": unit_box(2), "dumbbell": dumbbell(),
+               "polygon": ConvexPolygon([[0.0, 0.0], [2.0, 0.5], [1.5, 1.75], [0.25, 1.0]])}
+    for key, domain in domains.items():
+        lo, hi = domain.bounding_box()
+        points = np.concatenate([domain.quadrature()[0],
+                                 lo + (hi - lo) * np.random.default_rng(7).random((500, 2))])
+        for name, density in (("uniform", uniform_density(domain)),
+                              ("affine-0", affine_density(domain, 0, 1.0)),
+                              ("affine-1", affine_density(domain, 1, -0.3))):
+            out[f"density/{key}/{name}"] = _digest([*density(points), density.upper])
+    ns = np.unique(np.concatenate([np.arange(2, 1001), np.geomspace(2, 10 ** 6, 3000).round()]))
+    for kind, args in (("admissible", {}), ("admissible", {"c": 0.7, "gamma": 0.6}),
+                       ("borderline", {}), ("borderline", {"c": 2.5}),
+                       ("sub-connectivity", {}), ("sub-connectivity", {"factor": 0.8}),
+                       ("fixed", {"value": 0.125})):
+        for d in (2, 3):
+            rule = EPS_RULES[kind](d, **args)
+            key = "-".join([kind, *map(str, args.values())])
+            out[f"eps/{key}/d{d}"] = _digest([rule(int(n)) for n in ns])
+    return out
+
+
+# What _kind_digests() returns; an evaluation whose bits move changes one.
+KIND_DIGESTS = {
+    "kernel/gaussian-0.05": "f06f171bcf8cce3e",
+    "sigma/gaussian-0.05": "b12169aeb3572922",
+    "kernel/gaussian-1": "7fda4f54701665fa",
+    "sigma/gaussian-1": "8cf39997693bb4ad",
+    "kernel/gaussian-1e-200": "dc1bda27503dbed0",
+    "kernel/step-sum": "4ebf66b9e70ee429",
+    "sigma/step-sum": "d584bb118626f1ad",
+    "kernel/indicator": "4c6d0e630daab076",
+    "sigma/indicator": "34808a28929338eb",
+    "density/square/uniform": "8ea8d22d11020dfd",
+    "density/square/affine-0": "f1958a605643a9c8",
+    "density/square/affine-1": "7ad698d2676ad9e3",
+    "density/dumbbell/uniform": "d22e5d5e15223b8f",
+    "density/dumbbell/affine-0": "6e70a4dbb8c772af",
+    "density/dumbbell/affine-1": "4649013b237be764",
+    "density/polygon/uniform": "674cfc2ee83705ee",
+    "density/polygon/affine-0": "f8ef228a145cf0fc",
+    "density/polygon/affine-1": "424819243c25ffdc",
+    "eps/admissible/d2": "0d35da609037a3e3",
+    "eps/admissible/d3": "b2a08cb9f2981f8d",
+    "eps/admissible-0.7-0.6/d2": "de96f4c244a82c1f",
+    "eps/admissible-0.7-0.6/d3": "dd65858578ac234a",
+    "eps/borderline/d2": "85be3862740cb14f",
+    "eps/borderline/d3": "5f5915130d70edbd",
+    "eps/borderline-2.5/d2": "87c1bfc2b727dd00",
+    "eps/borderline-2.5/d3": "2e5cba97f6c4c4aa",
+    "eps/sub-connectivity/d2": "06baaa02710640b0",
+    "eps/sub-connectivity/d3": "ff23d9801a3e63a5",
+    "eps/sub-connectivity-0.8/d2": "951ded0b0729eddc",
+    "eps/sub-connectivity-0.8/d3": "8df98d32d37da70d",
+    "eps/fixed-0.125/d2": "9c0b57a67b611fb8",
+    "eps/fixed-0.125/d3": "9c0b57a67b611fb8",
+}
+
+
+def test_every_kind_keeps_its_bits():
+    assert _kind_digests() == KIND_DIGESTS
 
 
 def test_bisect_accepts_any_even_n():

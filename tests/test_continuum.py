@@ -46,7 +46,7 @@ def test_weighted_tv_with_affine_weight():
     # rho(x) = 1 + x1 unnormalized: integral of (1 + x1)^2 over the unit
     # square is 7/3
     domain = unit_box(2)
-    rho = Density(lambda p: 1.0 + p[:, 0], upper=2.0)
+    rho = Density(0, 1.0, 1.0, upper=2.0)
     value = weighted_tv_smooth(affine_function([1.0, 0.0]), rho, domain)
     assert_allclose(value, 7.0 / 3.0, rtol=1e-14)
 
@@ -109,7 +109,7 @@ def test_perimeter_with_affine_weight():
     # rho = 1 + x1 on the cut {x1 = 1/2}: integrand (1.5)^2 along a unit
     # segment
     domain = unit_box(2)
-    rho = Density(lambda p: 1.0 + p[:, 0], upper=2.0)
+    rho = Density(0, 1.0, 1.0, upper=2.0)
     assert_allclose(weighted_perimeter(rho, domain, 0, 0.5), 2.25, rtol=1e-12)
 
 

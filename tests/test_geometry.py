@@ -120,9 +120,9 @@ def test_polygon_tolerances_scale_with_the_polygon(scale):
 
 def test_density_bounds_are_validated():
     with pytest.raises(ValueError):
-        Density(lambda p: np.ones(len(p)), upper=0.0)
+        Density(0, 0.0, 1.0, upper=0.0)
     with pytest.raises(ValueError):
-        Density(lambda p: np.ones(len(p)), upper=-1.0)
+        Density(0, 0.0, 1.0, upper=-1.0)
 
 
 def test_uniform_density_integrates_to_one():
@@ -163,16 +163,15 @@ def test_sampling_matches_affine_mean():
 
 def test_envelope_violation_is_detected():
     domain = unit_box(2)
-    spiky = Density(
-        lambda p: np.where(p[:, 0] > 0.9, 3.0, 1.0), upper=2.0
-    )
+    # 1 + 4 x_1 reaches 5 on the unit square, past its declared bound of 2
+    spiky = Density(0, 4.0, 1.0, upper=2.0)
     with pytest.raises(EnvelopeError):
         sample_iid(domain, spiky, 1000, seed=0)
 
 
 def test_hopeless_acceptance_rate_is_detected():
     domain = unit_box(2)
-    flat = Density(lambda p: np.ones(len(p)), upper=1e6)
+    flat = Density(0, 0.0, 1.0, upper=1e6)
     with pytest.raises(EnvelopeError):
         sample_iid(domain, flat, 1000, seed=0)
 

@@ -21,6 +21,7 @@ from pctv.graph import (
 )
 
 from oracles import (
+    ClosedIndicator,
     bfs_component_labels,
     coarea_terms,
     cut_weight,
@@ -48,7 +49,7 @@ def test_build_graph_matches_pairwise_oracle(d, profile, eps):
     cloud = _random_cloud(70, d, seed=d * 13 + 1)
     built = build_graph(cloud, profile, eps)
     cutoff = eps * kernels.effective_support(profile, d)
-    ii, jj, ww = pairwise_edges(cloud.points, profile.fn, eps, d, cutoff)
+    ii, jj, ww = pairwise_edges(cloud.points, profile, eps, d, cutoff)
     assert np.array_equal(built.ii, ii)
     assert np.array_equal(built.jj, jj)
     assert_allclose(built.ww, ww, rtol=1e-12)
@@ -85,7 +86,7 @@ def _assert_exact_edges(points, profile, eps):
     d = points.shape[1]
     built = build_graph(PointCloud(points=points), profile, eps)
     radius = eps * kernels.effective_support(profile, d)
-    ii, jj, ww = exact_edges(points, profile.fn, eps, d, radius)
+    ii, jj, ww = exact_edges(points, profile, eps, d, radius)
     assert np.array_equal(built.ii, ii)
     assert np.array_equal(built.jj, jj)
     assert np.array_equal(built.ww, ww)
@@ -308,7 +309,7 @@ CONNECTION_CASES = list(_connection_cases())
 CONNECTION_PROFILES = dict(
     PROFILES,
     # Closed at its radius, so a pair at exactly eps * support is an edge.
-    closed=kernels.KernelProfile("closed", lambda r: np.where(r <= 1.0, 1.0, 0.0), 1.0, (1.0,)),
+    closed=ClosedIndicator(),
     # Its outer step weighs eps^-d * 1e-16, under the floor once eps^d > 0.1.
     floor=kernels.step_sum([0.5, 1.0], [1.0, 1e-16]),
 )
@@ -330,7 +331,7 @@ def test_connected_at_the_connection_distance_matches_built_graphs(case, points,
         scales += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), 3.0 * edge]
     for scale in scales:
         radius = scale * kernels.effective_support(profile, d)
-        ii, jj, _ = exact_edges(points, profile.fn, scale, d, radius)
+        ii, jj, _ = exact_edges(points, profile, scale, d, radius)
         oracle = bool(np.all(bfs_component_labels(n, ii, jj) == 0))
         assert is_connected(build_graph(cloud, profile, scale)) == oracle, scale
         assert connected_at(profile, scale, distance, d) == oracle, scale

@@ -11,7 +11,7 @@ from pctv import kernels
 from pctv.config import build
 from pctv.errors import DivergentKernelError
 
-from oracles import surface_tension_grid_2d
+from oracles import HeavyTail, surface_tension_grid_2d
 
 
 def test_builtin_profiles_are_admissible():
@@ -38,9 +38,9 @@ def test_builtin_profiles_are_admissible():
 
 def test_indicator_takes_the_lower_value_at_the_jump():
     profile = kernels.indicator(1.0)
-    assert profile.fn(np.array([1.0]))[0] == 0.0
-    assert profile.fn(np.array([1.0 - 1e-9]))[0] == 1.0
-    assert profile.fn(np.array([0.0]))[0] == 1.0
+    assert profile(np.array([1.0]))[0] == 0.0
+    assert profile(np.array([1.0 - 1e-9]))[0] == 1.0
+    assert profile(np.array([0.0]))[0] == 1.0
 
 
 def test_surface_tension_indicator_2d():
@@ -75,7 +75,7 @@ def test_surface_tension_step_profile_by_hand():
 def test_surface_tension_matches_grid_oracle():
     profile = kernels.indicator()
     sigma = kernels.surface_tension(profile, 2)
-    oracle = surface_tension_grid_2d(profile.fn, 1.0, cells=2048)
+    oracle = surface_tension_grid_2d(profile, 1.0, cells=2048)
     assert abs(sigma - oracle) < 2e-3
 
 
@@ -88,7 +88,7 @@ def test_effective_support_gaussian_decay():
     profile = kernels.gaussian()
     radius = kernels.effective_support(profile, 2)
     assert 4.0 < radius < 8.0
-    tail = profile.fn(np.array([radius]))[0] * radius ** 2
+    tail = profile(np.array([radius]))[0] * radius ** 2
     assert tail <= 10.0 * kernels.TRUNCATION_THRESHOLD
 
 
@@ -97,7 +97,7 @@ def test_tiny_gaussian_width_warns_of_no_overflow():
     profile = kernels.gaussian(1e-200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert profile.fn(np.array([0.0, 1.0]))[1] == 0.0
+        assert profile(np.array([0.0, 1.0]))[1] == 0.0
         assert profile(0.5) == 0.0
         # the scan warns of nothing, and refuses a profile it cannot see
         with pytest.raises(ValueError, match="truncation threshold"):
@@ -105,11 +105,8 @@ def test_tiny_gaussian_width_warns_of_no_overflow():
 
 
 def test_heavy_tail_is_divergent():
-    slow = kernels.KernelProfile(
-        "slow", lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float)), math.inf, ()
-    )
     with pytest.raises(DivergentKernelError):
-        kernels.effective_support(slow, 2)
+        kernels.effective_support(HeavyTail(), 2)
 
 
 def test_from_config_builders():
