@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import inspect
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 import jsonschema
@@ -35,6 +35,8 @@ from .geometry import (
     Domain,
     acceptance_rate,
     fills_bounding_box,
+    uniform_density,
+    unit_box,
 )
 from .graph import EPS_RULES, EpsRule, connectivity_scale
 from .kernels import (
@@ -245,15 +247,17 @@ EXPERIMENTS = tuple(SCHEMAS)
 
 # JSON Schema counts 1.0 as an integer, but counts, seeds and indices
 # must be Python ints before any work starts, so only JSON integers are.
-# Python's json reads NaN, Infinity and 1e400, so only finite floats are
-# numbers; a huge JSON integer would overflow math.isfinite.
+# Python's json reads NaN, Infinity, 1e400 and integers of any size, and
+# the runs take numbers and counts into float arithmetic, so an integer or
+# number must lie within the finite float range.
 _TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
 _Validator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
     type_checker=_TYPES.redefine_many({
-        "integer": lambda _, value: isinstance(value, int) and not isinstance(value, bool),
-        "number": lambda _, value: _TYPES.is_type(value, "number") and (
-            not isinstance(value, float) or math.isfinite(value)),
+        "integer": lambda _, value: (isinstance(value, int) and not isinstance(value, bool)
+                                     and abs(value) <= sys.float_info.max),
+        "number": lambda _, value: (_TYPES.is_type(value, "number")
+                                    and abs(value) <= sys.float_info.max),
     }),
 )
 
@@ -381,6 +385,8 @@ def _preflight(experiment: str, cfg: dict) -> Plan:
         for i, n in enumerate(cfg["n"]):
             _built(f"/n/{i}", check_dense_costs, n, cfg["grid"] ** d)
     if experiment == "matching-scaling":
+        domain = unit_box(d)
+        built.update(domain=domain, density=uniform_density(domain))
         for i, n in enumerate(cfg["n"]):
             if round(n ** (1.0 / d)) ** d != n:
                 raise ConfigError(f"/n/{i}: {n} is not a perfect {d}-th power")
@@ -408,5 +414,5 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer of over 4300 digits
         raise ConfigError(f"/: {path} is not valid JSON ({exc})") from None

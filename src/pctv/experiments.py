@@ -2,10 +2,12 @@
 
 Every experiment runs the plan that ``config.plan`` made of its config:
 the checked config with the domain, density, kernel, eps rule, function,
-surface tension and nonlocal rules already built.  It maps its tasks over
-a thread pool and reduces the rows to a summary.  The output goes into one
-directory: ``records.csv`` with one self-describing row per run (a
-row's keys, in order, are its CSV columns), ``summary.json`` with the
+surface tension and nonlocal rules already built.  Each sweep task is a
+top-level function of the plan, of constants computed once per run and of
+one sweep item, so it pickles; the runner maps it over the worker pool and
+reduces the rows to a summary.  The output goes into one directory:
+``records.csv`` with one self-describing row per run (a row's keys, in
+order, are its CSV columns), ``summary.json`` with the
 resolved config, package version, and aggregate statistics, and (where
 a picture makes sense) small SVG figures.  Reruns with the same config
 produce byte-identical CSV, and a run that fails leaves none of these
@@ -22,6 +24,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .bisection import sweep_reference, sweep_run
 from .config import Plan, build, plan
 from .continuum import nonlocal_tv, weighted_perimeter, weighted_tv_smooth
 from .errors import ConfigError
-from .geometry import grid_points, sample_iid, uniform_density, unit_box
+from .geometry import grid_points, sample_iid
 from .graph import (
     build_graph,
     connected_at,
@@ -46,7 +49,7 @@ from .transport import bottleneck_distance, scaling_ratio, tlp_distance
 
 
 def worker_count() -> int:
-    """Bounded worker pool size; the PCTV_THREADS variable caps it."""
+    """Worker pool size: PCTV_THREADS when it is set, else the CPU count up to 4."""
     env = os.environ.get("PCTV_THREADS", "").strip()
     if env:
         try:
@@ -104,9 +107,9 @@ def kernel_from_config(spec: dict):
     return build(KERNELS, "name", spec)
 
 
-def _sweep(cfg: dict, one):
-    """Run one((n, seed)) over the schedule, n-major, in the worker pool."""
-    return _parallel_map(one, [(n, s) for n in cfg["n"] for s in cfg["seeds"]])
+def _sweep(cfg: dict, task):
+    """Run task((n, seed)) over the schedule, n-major, in the worker pool."""
+    return _parallel_map(task, [(n, s) for n in cfg["n"] for s in cfg["seeds"]])
 
 
 def _per_n(rows, *keys, extra=None):
@@ -131,22 +134,35 @@ def _per_n(rows, *keys, extra=None):
     return per_n
 
 
-def _curve(path, xs, ys, label, title, xlabel, ylabel, log=True) -> None:
-    """One labelled line figure.
-
-    None is drawn below two points, nor on log axes at a non-positive value.
-    """
-    if len(xs) < 2 or (log and any(y <= 0 for y in ys)):
-        return
-    scale = "log" if log else "linear"
-    svgplot.line_figure(path, xs, ys, label, title=title, xlabel=xlabel,
-                        ylabel=ylabel, xscale=scale, yscale=scale)
-
-
 # ---------------------------------------------------------------------------
 # experiment runners: each takes the plan of a validated config, maps its
-# tasks over the pool, and returns (rows, summary); a row's keys, in
-# order, are its CSV columns
+# task over the pool, and returns (rows, summary); a row's keys, in order,
+# are its CSV columns
+
+
+def _below(axis: int, threshold: float, points):
+    """The indicator of {x_axis < threshold} at the points."""
+    return (points[:, axis] < threshold).astype(float)
+
+
+def _graph_tv_task(plan: Plan, u, constants: dict, reference: float, item):
+    n, seed = item
+    eps = float(plan.eps(n))
+    cloud = sample_iid(plan.domain, plan.density, n, seed=seed)
+    graph = build_graph(cloud, plan.profile, eps)
+    value = graph_total_variation(graph, u(cloud.points))
+    row = {
+        "n": n,
+        "eps": eps,
+        "seed": seed,
+        "kernel": plan.profile.name,
+        "domain": plan.label,
+        **constants,
+        "gtv": value,
+        "reference": reference,
+        "rel_error": abs(value - reference) / (abs(reference) if reference else 1.0),
+    }
+    return row, graph.edge_count == 0
 
 
 def _run_graph_tv(plan: Plan, fig_dir: str):
@@ -156,13 +172,10 @@ def _run_graph_tv(plan: Plan, fig_dir: str):
     limit its weighted perimeter; otherwise u is the config's function and
     the limit its weighted TV.
     """
-    cfg, domain, density, profile = plan.config, plan.domain, plan.density, plan.profile
+    cfg, domain, density = plan.config, plan.domain, plan.density
     if "set" in cfg:
         axis, threshold = cfg["set"]["axis"], float(cfg["set"]["threshold"])
-
-        def u(points):
-            return (points[:, axis] < threshold).astype(float)
-
+        u = partial(_below, axis, threshold)
         limit = weighted_perimeter(density, domain, axis, threshold)
         title, constants, extra = "graph perimeter", {"axis": axis, "threshold": threshold}, {}
     else:
@@ -170,28 +183,7 @@ def _run_graph_tv(plan: Plan, fig_dir: str):
         limit = weighted_tv_smooth(u, density, domain)
         title, constants, extra = "graph TV", {}, {"weighted_tv": limit}
     reference = plan.sigma * limit
-    denom = abs(reference) if reference else 1.0
-
-    def one(task):
-        n, seed = task
-        eps = float(plan.eps(n))
-        cloud = sample_iid(domain, density, n, seed=seed)
-        graph = build_graph(cloud, profile, eps)
-        value = graph_total_variation(graph, u(cloud.points))
-        row = {
-            "n": n,
-            "eps": eps,
-            "seed": seed,
-            "kernel": profile.name,
-            "domain": plan.label,
-            **constants,
-            "gtv": value,
-            "reference": reference,
-            "rel_error": abs(value - reference) / denom,
-        }
-        return row, graph.edge_count == 0
-
-    results = _sweep(cfg, one)
+    results = _sweep(cfg, partial(_graph_tv_task, plan, u, constants, reference))
     rows = [row for row, _ in results]
     edgeless = {}
     for row, empty in results:
@@ -210,95 +202,94 @@ def _run_graph_tv(plan: Plan, fig_dir: str):
         "final_median_rel_error": medians[-1],
         **extra,
     }
-    _curve(os.path.join(fig_dir, "convergence.svg"), [entry["n"] for entry in per_n],
-           medians, "median", f"{title} vs continuum limit", "n", "median relative error")
+    svgplot.line_figure(os.path.join(fig_dir, "convergence.svg"),
+                        [entry["n"] for entry in per_n], medians, "median",
+                        f"{title} vs continuum limit", "n", "median relative error")
     return rows, summary
+
+
+def _nonlocal_task(plan: Plan, reference: float, item):
+    eps, rule = item
+    value = nonlocal_tv(rule, plan.density)
+    return {
+        "eps": eps,
+        "kernel": plan.profile.name,
+        "domain": plan.label,
+        "value": value,
+        "reference": reference,
+        "rel_error": abs(value - reference) / (abs(reference) if reference else 1.0),
+    }
 
 
 def _run_nonlocal(plan: Plan, fig_dir: str):
     reference = plan.sigma * weighted_tv_smooth(plan.function, plan.density, plan.domain)
-    denom = abs(reference) if reference else 1.0
-
-    def one(task):
-        eps, rule = task
-        value = nonlocal_tv(rule, plan.density)
-        return {
-            "eps": eps,
-            "kernel": plan.profile.name,
-            "domain": plan.label,
-            "value": value,
-            "reference": reference,
-            "rel_error": abs(value - reference) / denom,
-        }
-
-    rows = _parallel_map(one, zip([float(e) for e in plan.config["eps"]], plan.rules))
+    rows = _parallel_map(partial(_nonlocal_task, plan, reference),
+                         zip([float(e) for e in plan.config["eps"]], plan.rules))
     errors = [row["rel_error"] for row in rows]
     summary = {
         "reference": reference,
         "monotone_approach": _strictly_decreasing(errors),
         "final_rel_error": errors[-1],
     }
-    _curve(os.path.join(fig_dir, "convergence.svg"), [row["eps"] for row in rows],
-           errors, "relative error", "nonlocal TV vs weighted TV limit",
-           "eps", "relative error")
+    svgplot.line_figure(os.path.join(fig_dir, "convergence.svg"), [row["eps"] for row in rows],
+                        errors, "relative error", "nonlocal TV vs weighted TV limit",
+                        "eps", "relative error")
     return rows, summary
+
+
+def _tl_distance_task(plan: Plan, ref_points, ref_values, item):
+    n, seed = item
+    p = float(plan.config["p"])
+    cloud = sample_iid(plan.domain, plan.density, n, seed=seed)
+    distance = tlp_distance(cloud.points, plan.function(cloud.points), ref_points, ref_values,
+                            p=p)
+    return {
+        "n": n,
+        "seed": seed,
+        "p": p,
+        "grid": plan.config["grid"],
+        "domain": plan.label,
+        "distance": distance,
+    }
 
 
 def _run_tl_distance(plan: Plan, fig_dir: str):
-    cfg, domain, density, fn = plan.config, plan.domain, plan.density, plan.function
-    p = float(cfg["p"])
-    k = cfg["grid"]
-    ref_points = grid_points(k, domain.dimension)
-    ref_values = fn(ref_points)
-
-    def one(task):
-        n, seed = task
-        cloud = sample_iid(domain, density, n, seed=seed)
-        distance = tlp_distance(cloud.points, fn(cloud.points), ref_points, ref_values, p=p)
-        return {
-            "n": n,
-            "seed": seed,
-            "p": p,
-            "grid": k,
-            "domain": plan.label,
-            "distance": distance,
-        }
-
-    rows = _sweep(cfg, one)
+    cfg = plan.config
+    ref_points = grid_points(cfg["grid"], plan.domain.dimension)
+    rows = _sweep(cfg, partial(_tl_distance_task, plan, ref_points, plan.function(ref_points)))
     per_n = _per_n(rows, "distance")
     medians = [entry["median_distance"] for entry in per_n]
     summary = {
-        "grid": k,
-        "p": p,
+        "grid": cfg["grid"],
+        "p": float(cfg["p"]),
         "per_n": per_n,
         "median_distance_decreasing": _strictly_decreasing(medians),
     }
-    _curve(os.path.join(fig_dir, "distance.svg"), [entry["n"] for entry in per_n],
-           medians, "median", "TL distance to the grid discretization",
-           "n", "median distance")
+    svgplot.line_figure(os.path.join(fig_dir, "distance.svg"), [entry["n"] for entry in per_n],
+                        medians, "median", "TL distance to the grid discretization",
+                        "n", "median distance")
     return rows, summary
+
+
+def _matching_task(plan: Plan, grids: dict, item):
+    n, seed = item
+    d = plan.config["dimension"]
+    cloud = sample_iid(plan.domain, plan.density, n, seed=seed)
+    distance, _ = bottleneck_distance(cloud.points, grids[n])
+    return {
+        "n": n,
+        "d": d,
+        "seed": seed,
+        "dist": distance,
+        "ratio": scaling_ratio(n, d, distance),
+    }
 
 
 def _run_matching(plan: Plan, fig_dir: str):
     cfg = plan.config
     d = cfg["dimension"]
-    domain = unit_box(d)
-    density = uniform_density(domain)
     grids = {n: grid_points(round(n ** (1.0 / d)), d) for n in cfg["n"]}
-
-    def one(task):
-        n, seed = task
-        cloud = sample_iid(domain, density, n, seed=seed)
-        distance, _ = bottleneck_distance(cloud.points, grids[n])
-        return {
-            "n": n,
-            "d": d,
-            "seed": seed,
-            "dist": distance,
-            "ratio": scaling_ratio(n, d, distance),
-        }
-
-    rows = _sweep(cfg, one)
+    rows = _sweep(cfg, partial(_matching_task, plan, grids))
     if len({row["n"] for row in rows}) >= 2:
         from scipy.stats import kendalltau  # a slow import, needed only here
 
@@ -319,31 +310,34 @@ def _run_matching(plan: Plan, fig_dir: str):
         "pvalue_increasing": one_sided,
         "increasing_trend_significant": increasing,
     }
-    _curve(os.path.join(fig_dir, "ratios.svg"), [entry["n"] for entry in per_n],
-           [entry["median_ratio"] for entry in per_n], "median",
-           "bottleneck distance over the matching rate", "n", "median ratio")
+    svgplot.line_figure(os.path.join(fig_dir, "ratios.svg"), [entry["n"] for entry in per_n],
+                        [entry["median_ratio"] for entry in per_n], "median",
+                        "bottleneck distance over the matching rate", "n", "median ratio")
     return rows, summary
 
 
+def _connectivity_task(plan: Plan, scale: float, seed):
+    """Whether the cloud of this seed is connected at each factor times scale."""
+    d = plan.domain.dimension
+    distance = connection_distance(
+        sample_iid(plan.domain, plan.density, plan.config["n"], seed=seed).points)
+    return [connected_at(plan.profile, float(factor) * scale, distance, d)
+            for factor in plan.config["factors"]]
+
+
 def _run_connectivity(plan: Plan, fig_dir: str):
-    cfg, domain, density, profile = plan.config, plan.domain, plan.density, plan.profile
+    cfg = plan.config
     n = cfg["n"]
     factors = [float(f) for f in cfg["factors"]]
-    scale = connectivity_scale(n, domain.dimension)
-
-    def one(seed):
-        distance = connection_distance(sample_iid(domain, density, n, seed=seed).points)
-        return [connected_at(profile, factor * scale, distance, domain.dimension)
-                for factor in factors]
-
-    per_seed = _parallel_map(one, list(cfg["seeds"]))
+    scale = connectivity_scale(n, plan.domain.dimension)
+    per_seed = _parallel_map(partial(_connectivity_task, plan, scale), list(cfg["seeds"]))
     rows = [
         {
             "n": n,
             "factor": factor,
             "eps": factor * scale,
             "seed": seed,
-            "kernel": profile.name,
+            "kernel": plan.profile.name,
             "domain": plan.label,
             "connected": flags[fi],
         }
@@ -358,26 +352,26 @@ def _run_connectivity(plan: Plan, fig_dir: str):
         "connected_fraction": fractions,
         "fraction_non_decreasing": all(b >= a for a, b in zip(fractions, fractions[1:])),
     }
-    _curve(os.path.join(fig_dir, "transition.svg"), factors, fractions,
-           "connected fraction", "connectivity transition",
-           "eps over (log n / n)^(1/d)", "connected fraction", log=False)
+    svgplot.line_figure(os.path.join(fig_dir, "transition.svg"), factors, fractions,
+                        "connected fraction", "connectivity transition",
+                        "eps over (log n / n)^(1/d)", "connected fraction", log=False)
     return rows, summary
 
 
+def _bisect_task(plan: Plan, reference, item):
+    n, seed = item
+    return sweep_run(plan.domain, plan.density, plan.profile, n, float(plan.eps(n)), seed,
+                     reference, restarts=plan.config["restarts"])
+
+
 def _run_bisect(plan: Plan, fig_dir: str):
-    cfg, domain, density, profile = plan.config, plan.domain, plan.density, plan.profile
+    cfg, domain, density = plan.config, plan.domain, plan.density
     reference = sweep_reference(domain, density, cfg["reference_size"])
-
-    def one(task):
-        n, seed = task
-        return sweep_run(domain, density, profile, n, float(plan.eps(n)), seed, reference,
-                         restarts=cfg["restarts"])
-
     rows = []
-    for run in _sweep(cfg, one):
+    for run in _sweep(cfg, partial(_bisect_task, plan, reference)):
         rec = run.record
         rows.append({"n": rec.n, "eps": rec.eps, "seed": rec.seed,
-                     "kernel": profile.name, "domain": plan.label, **asdict(rec)})
+                     "kernel": plan.profile.name, "domain": plan.label, **asdict(rec)})
         if domain.dimension == 2:
             svgplot.scatter_figure(
                 os.path.join(fig_dir, f"partition-n{rec.n}-seed{rec.seed}.svg"),

@@ -447,6 +447,13 @@ BAD_CONFIGS = [
     ("gtv-convergence",
      dict(GTV_CFG, domain={"shape": "polygon", "vertices": [[0, 0], [1, 0, 3], [0, 1]]}),
      "/domain/vertices/1"),
+    # Python's json refuses an integer literal of over 4300 digits, so this
+    # row is the file's text; each integer beyond the float range crashed
+    # in float(...)
+    ("gtv-convergence", json.dumps(GTV_CFG).replace("[60, 120]", "[1" + "0" * 5000 + "]"), "/"),
+    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 10**400}),
+     "/kernel/width"),
+    ("matching-scaling", {"dimension": 2, "n": [10**400], "seeds": [0]}, "/n/0"),
 ]
 
 
@@ -455,13 +462,18 @@ BAD_CONFIGS = [
                          ids=[f"{i:02d}-{case[2]}" for i, case in enumerate(BAD_CONFIGS)])
 def test_bad_configs_fail_before_any_work(tmp_path, capsys, name, cfg, pointer):
     out = tmp_path / "out"
-    with pytest.raises(ConfigError, match=f"^{re.escape(pointer)}: "):
-        validate_config(name, cfg)
-    with pytest.raises(ConfigError, match=f"^{re.escape(pointer)}: "):
-        run_experiment(name, cfg, str(out))
-    assert not out.exists()
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    if isinstance(cfg, str):  # JSON text that no Python config stands for
+        cfg_path.write_text(cfg)
+        with pytest.raises(ConfigError, match=f"^{re.escape(pointer)}: "):
+            load_config(str(cfg_path))
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(pointer)}: "):
+            validate_config(name, cfg)
+        with pytest.raises(ConfigError, match=f"^{re.escape(pointer)}: "):
+            run_experiment(name, cfg, str(out))
+        assert not out.exists()
+        cfg_path.write_text(json.dumps(cfg))
     code = cli.main([name, "--config", str(cfg_path), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {pointer}: ")
@@ -539,6 +551,23 @@ def test_experiment_artifacts(tmp_path, monkeypatch, name):
     tables = [(out1 / artifact).read_bytes() for artifact in ("records.csv", "summary.json")]
     assert tables == [(out2 / artifact).read_bytes()
                       for artifact in ("records.csv", "summary.json")]
+    assert tuple(hashlib.sha256(table).hexdigest() for table in tables) == PINNED[name]
+
+
+def _pickled_map(fn, items):
+    """The map of a process pool, in this process: fn, each item and each
+    result cross a pickle round trip."""
+    fn = pickle.loads(pickle.dumps(fn))
+    return [pickle.loads(pickle.dumps(fn(pickle.loads(pickle.dumps(item))))) for item in items]
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_every_task_pickles(tmp_path, monkeypatch, name):
+    # each sweep task is a top-level function of its plan, so a process
+    # pool can run it, and gives the same bytes
+    monkeypatch.setattr(experiments, "_parallel_map", _pickled_map)
+    run_experiment(name, RUNS[name][0], str(tmp_path))
+    tables = [(tmp_path / artifact).read_bytes() for artifact in ("records.csv", "summary.json")]
     assert tuple(hashlib.sha256(table).hexdigest() for table in tables) == PINNED[name]
 
 
@@ -1029,8 +1058,19 @@ def test_scatter_figures_are_valid_and_deterministic(tmp_path):
 def test_line_figures_support_log_axes(tmp_path):
     path = tmp_path / "curve.svg"
     line_figure(path, [100, 1000, 10000], [0.3, 0.1, 0.03], "median",
-                title="error", xlabel="n", ylabel="err",
-                xscale="log", yscale="log")
+                title="error", xlabel="n", ylabel="err", log=True)
     root = ET.parse(path).getroot()
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert polylines
+
+
+@pytest.mark.parametrize("xs,ys,log", [([100], [0.3], True), ([0.5], [0.3], False),
+                                       ([100, 1000], [0.3, 0.0], True),
+                                       ([100, 1000], [0.3, -0.1], True)])
+def test_line_figures_skip_what_they_cannot_draw(tmp_path, xs, ys, log):
+    # one point makes no line, and log axes have no place for a value <= 0
+    path = tmp_path / "curve.svg"
+    line_figure(path, xs, ys, "median", "error", "n", "err", log=log)
+    assert not path.exists()
+    line_figure(path, xs + [2000], [0.2] * (len(ys) + 1), "median", "error", "n", "err", log=log)
+    assert path.exists()
