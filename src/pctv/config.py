@@ -1,16 +1,16 @@
 """Experiment configuration: JSON schemas, validation, defaults, plans.
 
-Each experiment name owns a schema; validation failures surface as
-ConfigError with a JSON-pointer path to the offending field, so a typo
-in a nested key points at itself rather than at the whole file.  A
-domain shape, density, kernel or eps rule kind takes the keys of its
-builder's signature, each default sits on the schema property it fills,
-and every number must be finite.  After
-the schema, ``plan`` builds the domain, density, kernel, eps rule,
-function, surface tension and nonlocal rules the experiment uses and
-runs its own checks on them, so config errors surface before any work
-starts.  The run then uses the objects of that plan; nothing is built
-twice.
+Each experiment name owns a schema, built from the one schema of each
+key it takes, and its keys without a default are required.  Validation
+failures surface as ConfigError with a JSON-pointer path to the
+offending field, so a typo in a nested key points at itself rather than
+at the whole file.  A domain shape, density, kernel or eps rule kind
+takes the keys of its builder's signature, each default sits on the
+schema property it fills, and every number must be finite.  After the
+schema, ``plan`` builds the domain, density, kernel, eps rule, function,
+surface tension and nonlocal rules the experiment uses and runs its own
+checks on them, so config errors surface before any work starts.  The
+run then uses the objects of that plan; nothing is built twice.
 """
 
 from __future__ import annotations
@@ -48,6 +48,20 @@ from .kernels import (
 )
 from .transport import check_dense_costs
 
+
+def _schema(properties: dict, required: list | None = None) -> dict:
+    """Schema of an object of these properties and no other; by default the
+    ones without a default are required."""
+    if required is None:
+        required = [key for key, prop in properties.items() if "default" not in prop]
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": required,
+        "additionalProperties": False,
+    }
+
+
 def _tagged(tag: str, table: dict, properties: dict) -> dict:
     """Schema of an object whose ``tag`` names a builder of table.
 
@@ -59,10 +73,7 @@ def _tagged(tag: str, table: dict, properties: dict) -> dict:
                     if param.kind is not param.POSITIONAL_ONLY]
              for kind, builder in table.items()}
     return {
-        "type": "object",
-        "properties": {tag: {"enum": list(table)}, **properties},
-        "required": [tag],
-        "additionalProperties": False,
+        **_schema({tag: {"enum": list(table)}, **properties}, [tag]),
         "allOf": [
             {
                 "if": {"properties": {tag: {"const": kind}}, "required": [tag]},
@@ -126,122 +137,50 @@ _EPS_RULE = _tagged("kind", EPS_RULES, {
     "value": {"type": "number", "exclusiveMinimum": 0},
 })
 
-_FUNCTION = {
-    "type": "object",
-    "properties": {
+_POSITIVE = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1}
+
+# The schema of every experiment key; an experiment takes some of them.
+_KEYS = {
+    "domain": _DOMAIN,
+    "density": _DENSITY,
+    "kernel": _KERNEL,
+    "function": _schema({
         "coeffs": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "offset": {"type": "number"},
-    },
-    "required": ["coeffs"],
-    "additionalProperties": False,
+    }, ["coeffs"]),
+    "set": _schema({"axis": {"type": "integer", "minimum": 0}, "threshold": {"type": "number"}}),
+    "dimension": _DOMAIN["properties"]["dimension"],
+    "n": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
+    "eps_rule": _EPS_RULE,
+    "eps": _POSITIVE,
+    "p": {"type": "number", "minimum": 1, "default": 2},
+    "grid": {"type": "integer", "minimum": 2},
+    "factors": _POSITIVE,
+    "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
+    "restarts": {"type": "integer", "minimum": 1, "default": 32},
+    "reference_size": {"type": "integer", "minimum": 10, "default": 2000},
 }
 
-_SEEDS = {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1}
-_N_SCHEDULE = {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1}
 
-
-def _schema(properties: dict, required: list) -> dict:
-    return {
-        "type": "object",
-        "properties": properties,
-        "required": required,
-        "additionalProperties": False,
-    }
+def _experiment(*keys: str, **own: dict) -> dict:
+    """Schema of an experiment of these keys, each from _KEYS unless own
+    gives it; the keys without a default are required."""
+    return _schema({key: own.get(key, _KEYS[key]) for key in keys})
 
 
 SCHEMAS = {
-    "gtv-convergence": _schema(
-        {
-            "domain": _DOMAIN,
-            "density": _DENSITY,
-            "kernel": _KERNEL,
-            "function": _FUNCTION,
-            "n": _N_SCHEDULE,
-            "eps_rule": _EPS_RULE,
-            "seeds": _SEEDS,
-        },
-        ["domain", "kernel", "function", "n", "eps_rule", "seeds"],
-    ),
-    "perimeter-convergence": _schema(
-        {
-            "domain": _DOMAIN,
-            "density": _DENSITY,
-            "kernel": _KERNEL,
-            "set": _schema(
-                {
-                    "axis": {"type": "integer", "minimum": 0},
-                    "threshold": {"type": "number"},
-                },
-                ["axis", "threshold"],
-            ),
-            "n": _N_SCHEDULE,
-            "eps_rule": _EPS_RULE,
-            "seeds": _SEEDS,
-        },
-        ["domain", "kernel", "set", "n", "eps_rule", "seeds"],
-    ),
-    "nonlocal-convergence": _schema(
-        {
-            "domain": _DOMAIN,
-            "density": _DENSITY,
-            "kernel": _KERNEL,
-            "function": _FUNCTION,
-            "eps": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 1,
-            },
-        },
-        ["domain", "kernel", "function", "eps"],
-    ),
-    "tl-distance": _schema(
-        {
-            "domain": _DOMAIN,
-            "density": _DENSITY,
-            "function": _FUNCTION,
-            "p": {"type": "number", "minimum": 1, "default": 2},
-            "grid": {"type": "integer", "minimum": 2},
-            "n": _N_SCHEDULE,
-            "seeds": _SEEDS,
-        },
-        ["domain", "function", "grid", "n", "seeds"],
-    ),
-    "matching-scaling": _schema(
-        {
-            "dimension": {"type": "integer", "minimum": 1, "maximum": 8},
-            "n": _N_SCHEDULE,
-            "seeds": _SEEDS,
-        },
-        ["dimension", "n", "seeds"],
-    ),
-    "connectivity": _schema(
-        {
-            "domain": {**_DOMAIN, "default": {"shape": "unit-box", "dimension": 2}},
-            "density": _DENSITY,
-            "kernel": _KERNEL,
-            "n": {"type": "integer", "minimum": 2},
-            "factors": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 1,
-            },
-            "seeds": _SEEDS,
-        },
-        ["kernel", "n", "factors", "seeds"],
-    ),
-    "bisect": _schema(
-        {
-            "domain": _DOMAIN,
-            "density": _DENSITY,
-            "kernel": _KERNEL,
-            "n": _N_SCHEDULE,
-            "eps_rule": _EPS_RULE,
-            "seeds": _SEEDS,
-            "restarts": {"type": "integer", "minimum": 1, "default": 32},
-            "reference_size": {"type": "integer", "minimum": 10, "default": 2000},
-        },
-        ["domain", "kernel", "n", "eps_rule", "seeds"],
-    ),
+    "gtv-convergence": _experiment("domain", "density", "kernel", "function", "n", "eps_rule",
+                                   "seeds"),
+    "perimeter-convergence": _experiment("domain", "density", "kernel", "set", "n", "eps_rule",
+                                         "seeds"),
+    "nonlocal-convergence": _experiment("domain", "density", "kernel", "function", "eps"),
+    "tl-distance": _experiment("domain", "density", "function", "p", "grid", "n", "seeds"),
+    "matching-scaling": _experiment("dimension", "n", "seeds"),
+    "connectivity": _experiment("domain", "density", "kernel", "n", "factors", "seeds",
+                                domain={**_DOMAIN, "default": {"shape": "unit-box"}},
+                                n={"type": "integer", "minimum": 2}),
+    "bisect": _experiment("domain", "density", "kernel", "n", "eps_rule", "seeds", "restarts",
+                          "reference_size"),
 }
 EXPERIMENTS = tuple(SCHEMAS)
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
+from scipy.special import lambertw
 
 from .errors import DivergentKernelError
 
@@ -50,6 +51,11 @@ class KernelProfile:
     support_radius: float = math.inf
     breakpoints: Tuple[float, ...] = ()
 
+    def cutoff(self, d: int) -> float:
+        """Radius past which eta(r) * r^d stays below TRUNCATION_THRESHOLD;
+        math.inf when no radius is known to do so."""
+        return self.support_radius
+
 
 @dataclass(frozen=True)
 class Gaussian(KernelProfile):
@@ -63,6 +69,22 @@ class Gaussian(KernelProfile):
         # exp(-inf) is the right 0.
         with np.errstate(over="ignore"):
             return np.exp(-((np.asarray(r, dtype=float) / self.width) ** 2))
+
+    def cutoff(self, d: int) -> float:
+        """The outer root of r^d exp(-(r/width)^2) = TRUNCATION_THRESHOLD.
+
+        With s = (r/width)^2 the equation reads (-2s/d) e^(-2s/d) = x, where
+        x = -(2/d) T^(2/d) / width^2, so s = -(d/2) W_-1(x) on the lower
+        branch of Lambert's W.  Below x = -1/e the integrand's peak is
+        under T and no radius is kept.  x is formed from logarithms, as
+        width^2 underflows at tiny widths; at huge ones x underflows to 0
+        and the cutoff is math.inf.
+        """
+        log_x = (math.log(2.0 / d) + (2.0 / d) * math.log(TRUNCATION_THRESHOLD)
+                 - 2.0 * math.log(self.width))
+        if log_x >= -1.0:
+            raise ValueError(f"{self.name!r} is below the truncation threshold at every radius")
+        return self.width * math.sqrt(-(d / 2.0) * lambertw(-math.exp(log_x), -1).real)
 
 
 @dataclass(frozen=True)
@@ -186,33 +208,16 @@ def _moment_integral(profile: KernelProfile, d: int, upper: float) -> float:
 def effective_support(profile: KernelProfile, d: int) -> float:
     """Radius beyond which eta(r) * r^d stays below the truncation threshold.
 
-    Profiles with finite support return their support radius unchanged.
-    Unbounded profiles are scanned on a geometric grid from 1e-3 to 1e3;
-    the cut sits where the moment integrand has decayed below
-    TRUNCATION_THRESHOLD for good.  A profile whose integrand stays below
-    the threshold on the whole grid is too narrow to see, and is refused
-    with ValueError.
+    This is the profile's cutoff: its support radius when that is
+    finite, and for a gaussian the closed-form root of eta(r) * r^d =
+    TRUNCATION_THRESHOLD.  A profile with no finite cutoff is taken to
+    never decay, and is refused with DivergentKernelError.
     """
-    if math.isfinite(profile.support_radius):
-        return profile.support_radius
-    grid = np.geomspace(1e-3, 1e3, 1200)
-    products = profile(grid) * grid ** d
-    above = np.nonzero(products >= TRUNCATION_THRESHOLD)[0]
-    if above.size == 0:
-        raise ValueError(f"{profile.name!r} is below the truncation threshold "
-                         "at every radius from 1e-3 to 1e3")
-    last = above[-1]
-    if last == grid.size - 1:
+    radius = profile.cutoff(d)
+    if not math.isfinite(radius):
         raise DivergentKernelError(
             "moment integrand never decays below the truncation threshold")
-    lo, hi = grid[last], grid[last + 1]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if float(profile(mid)) * mid ** d >= TRUNCATION_THRESHOLD:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return radius
 
 
 def _angular_constant(d: int) -> float:
@@ -241,7 +246,8 @@ def surface_tension(profile: KernelProfile, d: int) -> float:
     not finite.
     """
     support = effective_support(profile, d)
-    value = _moment_integral(profile, d, support)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without warnings
+        value = _moment_integral(profile, d, support)
     if not math.isfinite(value):
         raise DivergentKernelError(
             f"moment integral of {profile.name!r} is not finite")

@@ -14,15 +14,15 @@ points.  Distances:
 Equal-count instances reduce to the assignment problem; an optimal
 vertex of the transportation polytope is a permutation, so the
 assignment solution is exact.  Unequal counts go through the
-transportation linear program.  The bottleneck distance is the smallest
-candidate distance whose threshold graph has a perfect matching.  The
-candidate radius grows by 2^(1/d) per round, so each round about doubles
-the pairs in d dimensions, and a binary search over the candidate
-distances then trims the candidates at every feasible level.  Every
-solve, the first from the empty matching, grows the last maximum
-matching by breadth-first augmenting phases on the residual graph
-(Hopcroft & Karp).  No entropic or other approximate solvers are used
-anywhere.
+transportation linear program, whose duals certify its answer.  The
+bottleneck distance is the smallest candidate distance whose threshold
+graph has a perfect matching.  The candidate radius grows by 2^(1/d)
+per round, so each round about doubles the pairs in d dimensions, and a
+binary search over the candidate distances then trims the candidates at
+every feasible level.  Every solve, the first from the empty matching,
+grows the last maximum matching by breadth-first augmenting phases on
+the residual graph (Hopcroft & Karp).  No entropic or other approximate
+solvers are used anywhere.
 """
 
 from __future__ import annotations
@@ -67,8 +67,25 @@ def _clamp(distance: float) -> float:
 
 
 def _transport_lp(cost: np.ndarray) -> float:
-    """Optimal cost between uniform measures of the cost's row and column counts."""
+    """Optimal cost between uniform measures of the cost's row and column
+    counts, certified by its duals.
+
+    HiGHS stops at an absolute tolerance of about 1e-7, which costs of
+    |x - y|^p fall under, so the costs are scaled by 2^k, the power of
+    two nearest the inverse mean row minimum, an exact scaling that the
+    objective undoes.  The row and column duals u, v certify the
+    optimum: every reduced cost c - u_i - v_j is at least -1e-9 times
+    the objective, and the dual objective meets the primal within 1e-9
+    of it.  A failed solve or certificate, or a cost that is not finite
+    once scaled, raises UnsupportedConfigurationError.
+    """
     ns, nt = cost.shape
+    floor = cost.min(axis=1).mean()
+    k = round(-math.log2(floor)) if 0 < floor < math.inf else 0
+    with np.errstate(over="ignore"):
+        cost = np.ldexp(cost, k)
+    if not np.isfinite(cost).all():
+        raise UnsupportedConfigurationError("transportation costs are not finite")
     row_idx = np.repeat(np.arange(ns), nt)
     col_idx = np.tile(np.arange(nt), ns)
     var = np.arange(ns * nt)
@@ -79,8 +96,14 @@ def _transport_lp(cost: np.ndarray) -> float:
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs")
     if not res.success:
-        raise RuntimeError(f"transportation solve failed: {res.message}")
-    return float(res.fun)
+        raise UnsupportedConfigurationError(f"transportation solve failed: {res.message}")
+    u, v = res.eqlin.marginals[:ns], res.eqlin.marginals[ns:]
+    slack = 1e-9 * abs(res.fun)
+    if ((cost - u[:, None] - v[None, :]).min() < -slack
+            or abs(u.sum() / ns + v.sum() / nt - res.fun) > slack):
+        raise UnsupportedConfigurationError(
+            "transportation solve is not certified optimal")
+    return math.ldexp(float(res.fun), -k)
 
 
 def tlp_distance(x, f, y, g, p: float = 1.0) -> float:
@@ -90,14 +113,18 @@ def tlp_distance(x, f, y, g, p: float = 1.0) -> float:
     transport distance between the empirical measures pushed onto the
     function graphs in R^(d+1) under the p-product metric.  Equal point
     counts go to the assignment solver, unequal ones to the
-    transportation LP.
+    transportation LP.  Costs that overflow raise
+    UnsupportedConfigurationError.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     x, y = _points(x), _points(y)
     f, g = _values(f, x.shape[0]), _values(g, y.shape[0])
     check_dense_costs(x.shape[0], y.shape[0])
-    cost = cdist(x, y) ** p + np.abs(f[:, None] - g[None, :]) ** p
+    with np.errstate(over="ignore"):
+        cost = cdist(x, y) ** p + np.abs(f[:, None] - g[None, :]) ** p
+    if not np.isfinite(cost).all():
+        raise UnsupportedConfigurationError(f"transport costs overflow at p = {p:g}")
     if x.shape[0] == y.shape[0]:
         rows, cols = linear_sum_assignment(cost)
         total = float(cost[rows, cols].sum()) / x.shape[0]

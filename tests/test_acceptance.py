@@ -227,7 +227,7 @@ def test_criterion_08_connectivity_transition(tmp_path):
     factors = (0.3, 1.0, 3.0)
     assert cfg["n"] == n and cfg["seeds"] == list(range(50))
     assert set(factors) <= set(cfg["factors"])
-    assert cfg["domain"] == {"shape": "unit-box", "dimension": 2}
+    assert cfg["domain"] == {"shape": "unit-box"}  # unit_box defaults to the plane
     assert cfg["density"] == {"name": "uniform"} and cfg["kernel"] == {"name": "indicator"}
     connected = {f: [] for f in factors}
     for row in rows:

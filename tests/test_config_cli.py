@@ -55,7 +55,19 @@ def test_defaults_are_filled_in():
                                      if k not in ("restarts", "reference_size")})
     assert (cfg["restarts"], cfg["reference_size"]) == (32, 2000)
     cfg = validate_config("connectivity", RUNS["connectivity"][0])
-    assert cfg["domain"] == {"shape": "unit-box", "dimension": 2}
+    assert cfg["domain"] == {"shape": "unit-box"}
+
+
+def test_gaussian_cutoff_takes_every_width_that_peaks_above_the_threshold():
+    # r^d e^(-r^2/w^2) peaks at 3.7e-9 for w = 1e-4 (d = 2), and decays
+    # past r = 1e3 for w = 200 (d = 2) and w = 150 (d = 3); at w = 1e-200
+    # it peaks below the truncation threshold
+    cube = {"domain": {"shape": "unit-box", "dimension": 3}, "function": {"coeffs": [1.0] * 3}}
+    for width, cfg in ((1e-4, GTV_CFG), (200, GTV_CFG), (150, dict(GTV_CFG, **cube))):
+        validate_config("gtv-convergence", dict(cfg, kernel={"name": "gaussian", "width": width}))
+    with pytest.raises(ConfigError, match="^/kernel: .*below the truncation threshold"):
+        validate_config("gtv-convergence",
+                        dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e-200}))
 
 
 def test_unknown_experiment_is_a_config_error():
@@ -275,6 +287,17 @@ def test_bad_thread_count_is_a_config_error_before_any_work(tmp_path, capsys,
         assert not out.exists()
 
 
+def test_overflowing_transport_costs_are_one_error_line(tmp_path, capsys):
+    # at p = 1e6 the costs of 36 points against the 16-point grid overflow
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TL_CFG, p=1e6, n=[36])))
+    out = tmp_path / "out"
+    code = cli.main(["tl-distance", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: transport costs overflow at p = 1e+06\n"
+    assert os.listdir(out) == []
+
+
 BISECT_CFG = {
     "domain": {"shape": "dumbbell"},
     "kernel": {"name": "indicator"},
@@ -339,7 +362,7 @@ BAD_CONFIGS = [
     ("nonlocal-convergence",
      {"domain": {"shape": "unit-box", "dimension": 1}, "kernel": {"name": "indicator"},
       "function": {"coeffs": [1.0]}, "eps": [0.2]}, "/domain"),
-    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e6}), "/kernel"),
+    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e200}), "/kernel"),
     ("tl-distance", dict(TL_CFG, grid=32, n=[250, 30000]), "/n/1"),
     # box corners of different lengths
     ("gtv-convergence", dict(GTV_CFG, domain={"shape": "box", "lo": [0, 0], "hi": [1, 1, 1]}),
@@ -405,9 +428,9 @@ BAD_CONFIGS = [
     # a volume of 1e-320 is subnormal, and a density's 1 / volume overflows
     ("gtv-convergence", dict(GTV_CFG, domain={"shape": "box", "lo": [0, 0],
                                               "hi": [1e-160, 1e-160]}), "/domain"),
-    # a gaussian this narrow is below the truncation threshold at every
-    # radius that effective_support scans, so sigma would come out 0
-    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e-5}), "/kernel"),
+    # a gaussian this narrow peaks at 3.7e-15 r^2 e^(-r^2/w^2), below the
+    # truncation threshold, so sigma would come out 0
+    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e-7}), "/kernel"),
     # JSON Schema counts 1.0 as an integer; each of these crashed after
     # the output directory was made
     ("gtv-convergence", dict(GTV_CFG, seeds=[1.0]), "/seeds/0"),
@@ -454,6 +477,8 @@ BAD_CONFIGS = [
     ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 10**400}),
      "/kernel/width"),
     ("matching-scaling", {"dimension": 2, "n": [10**400], "seeds": [0]}, "/n/0"),
+    # this gaussian has a cut radius, but its sigma, about w^3, overflows
+    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e110}), "/kernel"),
 ]
 
 
@@ -523,7 +548,7 @@ PINNED = {
         "a8571ff3c55c0c14f16b6696680277b50789c14f95e07b7e8e7366b9fe526e47"),
     "connectivity": (
         "8a4d090c2ffb9416e2394f8cced35fe045f7310370ff64445d1382620b9ab576",
-        "9ed49e75753fdd1b10a1549f31fddf40fffdb81a58b85ffe0793efb5ada63107"),
+        "f3047f7dcc47fc1cc0948733bc6f659dc2177c89c162a13a3c50b87f6a06bbfc"),
     "nonlocal-convergence": (
         "6a2ccdc6254b29e1790c33893eaab77b8328bf5492e2dbf80769e8dbcf7f64a2",
         "f3f26d8c0c46ef2d0d3d3cf61812ec3753b5736469075fe0ab061f9e0c2f5cfe"),
@@ -655,7 +680,7 @@ def _kind_digests() -> dict:
         radii = [base, scale * base]
         radii += [[np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)] for b in profile.breakpoints]
         out[f"kernel/{key}"] = _digest(profile(np.concatenate(radii)))
-        if key != "gaussian-1e-200":  # too narrow for the truncation scan
+        if key != "gaussian-1e-200":  # peaks below the truncation threshold
             out[f"sigma/{key}"] = _digest([surface_tension(profile, d) for d in (2, 3)])
     domains = {"square": unit_box(2), "dumbbell": dumbbell(),
                "polygon": ConvexPolygon([[0.0, 0.0], [2.0, 0.5], [1.5, 1.75], [0.25, 1.0]])}
@@ -682,9 +707,9 @@ def _kind_digests() -> dict:
 # What _kind_digests() returns; an evaluation whose bits move changes one.
 KIND_DIGESTS = {
     "kernel/gaussian-0.05": "f06f171bcf8cce3e",
-    "sigma/gaussian-0.05": "b12169aeb3572922",
+    "sigma/gaussian-0.05": "6f7e25f63e07a354",
     "kernel/gaussian-1": "7fda4f54701665fa",
-    "sigma/gaussian-1": "8cf39997693bb4ad",
+    "sigma/gaussian-1": "19fcd1d79f9fb920",
     "kernel/gaussian-1e-200": "dc1bda27503dbed0",
     "kernel/step-sum": "4ebf66b9e70ee429",
     "sigma/step-sum": "d584bb118626f1ad",

@@ -1,5 +1,6 @@
 """Kernel profile builders and surface tension quadrature."""
 
+import itertools
 import math
 import warnings
 
@@ -90,6 +91,13 @@ def test_effective_support_gaussian_decay():
     assert 4.0 < radius < 8.0
     tail = profile(np.array([radius]))[0] * radius ** 2
     assert tail <= 10.0 * kernels.TRUNCATION_THRESHOLD
+    # the cut is the root of eta(r) r^d = threshold past the peak at
+    # r = width sqrt(d/2), for widths that a scan over [1e-3, 1e3] missed
+    for width, d in itertools.product((1e-4, 0.05, 1.0, 200.0), (1, 2)):
+        profile = kernels.gaussian(width)
+        radius = kernels.effective_support(profile, d)
+        assert radius > width * math.sqrt(d / 2)
+        assert abs(profile(radius) * radius ** d / kernels.TRUNCATION_THRESHOLD - 1) < 1e-12
 
 
 def test_tiny_gaussian_width_warns_of_no_overflow():
@@ -99,7 +107,8 @@ def test_tiny_gaussian_width_warns_of_no_overflow():
         warnings.simplefilter("error")
         assert profile(np.array([0.0, 1.0]))[1] == 0.0
         assert profile(0.5) == 0.0
-        # the scan warns of nothing, and refuses a profile it cannot see
+        # the cutoff warns of nothing, and refuses a profile that peaks
+        # below the truncation threshold
         with pytest.raises(ValueError, match="truncation threshold"):
             kernels.effective_support(profile, 2)
 

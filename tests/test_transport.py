@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 import pctv.transport
-from pctv.errors import ConfigError, UnsupportedConfigurationError
+from pctv.errors import ConfigError, PCTVError, UnsupportedConfigurationError
 from pctv.experiments import run_experiment
 from pctv.geometry import grid_points, sample_iid, uniform_density, unit_box
 from pctv.transport import (
@@ -85,6 +86,42 @@ def test_lp_and_assignment_paths_agree():
         p = float(rng.choice([1.0, 2.0]))
         doubled = tlp_distance(x, f, np.vstack([y, y]), np.concatenate([g, g]), p=p)
         assert abs(doubled - tlp_distance(x, f, y, g, p=p)) < 1e-12
+
+
+def _lp_instance(p):
+    """Costs of 64 uniform points against the 8 x 8 grid, f = x_0 on both."""
+    x, y = np.random.default_rng(0).random((64, 2)), grid_points(8, 2)
+    with np.errstate(over="ignore"):
+        return cdist(x, y) ** p + np.abs(x[:, :1] - y[:, 0]) ** p
+
+
+@pytest.mark.parametrize("p", [2, 4, 8, 16, 32])
+def test_transport_lp_is_exact_at_small_costs(p):
+    # Costs of |x - y|^p fall under the solver's absolute tolerance; the
+    # LP must still reach the optimum that the assignment solver finds.
+    cost = _lp_instance(p)
+    rows, cols = linear_sum_assignment(cost)
+    assert_allclose(pctv.transport._transport_lp(cost), cost[rows, cols].mean(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [64, 1e6])
+def test_transport_lp_refuses_what_it_cannot_certify(p):
+    # at p = 64 the solver fails on the scaled costs, at 1e6 they overflow
+    with pytest.raises(PCTVError):
+        pctv.transport._transport_lp(_lp_instance(p))
+
+
+def test_transport_lp_refuses_a_perturbed_dual(monkeypatch):
+    solve = pctv.transport.linprog
+
+    def perturbed(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.eqlin.marginals[0] += 1e-6 * res.fun
+        return res
+
+    monkeypatch.setattr(pctv.transport, "linprog", perturbed)
+    with pytest.raises(UnsupportedConfigurationError, match="not certified optimal"):
+        pctv.transport._transport_lp(_lp_instance(2))
 
 
 def test_tlp_matches_exhaustive_oracle():
