@@ -306,39 +306,22 @@ def sweep_reference(domain: Domain, density, reference_size: int):
     return reference.points, partitions
 
 
-def _class_minima(dist: np.ndarray, classes: np.ndarray) -> list[np.ndarray]:
-    """Each row's smallest distance to a column of class False and of class True."""
-    return [dist[:, classes == c].min(axis=1, initial=np.inf) for c in (False, True)]
-
-
-def _cheapest(minima: list[np.ndarray], values: np.ndarray) -> np.ndarray:
-    """Each row's smallest cost dist + |value - class|, for 0/1 row values."""
-    to_false, to_true = minima
-    return np.where(values, np.minimum(to_true, 1.0 + to_false),
-                    np.minimum(to_false, 1.0 + to_true))
-
-
 def _tl1_lower_bounds(points, labels, ref_points, ref_partitions):
     """Lower bounds on the TL1 distance of each interface and identification.
 
     Every atom of either cloud sends or receives all its mass at no less
     than its cheapest cost, so the larger of the mean row minimum and
     the mean column minimum of the cost |x - y| + |f - g| bounds TL1
-    from below.  The values are class indicators, so each minimum comes
-    from the nearest atom of each class on the other side.  Returns
-    (bound, partition, values) triples, one per reference partition and
-    label identification, by increasing bound.
+    from below.  Returns (bound, partition, values) triples, one per
+    reference partition and label identification, by increasing bound.
     """
     dist = cdist(points, ref_points)
-    cloud_minima = _class_minima(dist.T, labels)
     bounds = []
     for part in ref_partitions:
-        ref_minima = _class_minima(dist, part)
         # negating the labels swaps which cloud class carries value 1
-        for values, minima in ((labels, cloud_minima), (~labels, cloud_minima[::-1])):
-            rows = _cheapest(ref_minima, values)
-            cols = _cheapest(minima, part)
-            bounds.append((max(rows.mean(), cols.mean()), part, values))
+        for values in (labels, ~labels):
+            cost = dist + (values[:, None] != part[None, :])
+            bounds.append((max(cost.min(axis=1).mean(), cost.min(axis=0).mean()), part, values))
     return sorted(bounds, key=lambda bound: bound[0])
 
 

@@ -156,7 +156,8 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
     Starts from 32 equal panels so the tolerance scale survives integrands
     concentrated on a small part of the interval, then subdivides panels
     until the Richardson estimate of the local error is below the panel's
-    tolerance share.
+    tolerance share.  A non-finite opening sum is returned at once: for
+    a non-negative integrand no subdivision can make it finite.
     """
     if b <= a:
         return 0.0
@@ -170,7 +171,10 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
     opening = [(xs[2 * k], xs[2 * k + 2], fs[2 * k], fs[2 * k + 1], fs[2 * k + 2])
               for k in range(panels)]
     coarse = [simpson(*panel) for panel in opening]
-    share = rel_tol * max(abs(sum(coarse)), 1e-30) / panels
+    coarse_sum = sum(coarse)
+    if not math.isfinite(coarse_sum):
+        return coarse_sum
+    share = rel_tol * max(abs(coarse_sum), 1e-30) / panels
 
     total = 0.0
     budget = 400000
@@ -242,20 +246,23 @@ def surface_tension(profile: KernelProfile, d: int) -> float:
     Unbounded profiles are cut at their effective support; the constant is
     computed for the truncated profile, matching the kernel actually used
     in graph construction.  Raises DivergentKernelError when the moment
-    integrand never decays (from effective_support) or the integral is
-    not finite.
+    integrand never decays (from effective_support) or the integral, or
+    sigma, is not finite.
     """
     support = effective_support(profile, d)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without warnings
-        value = _moment_integral(profile, d, support)
-    if not math.isfinite(value):
-        raise DivergentKernelError(
-            f"moment integral of {profile.name!r} is not finite")
-    return float(_angular_constant(d) * value)
+        sigma = _angular_constant(d) * _moment_integral(profile, d, support)
+    if not math.isfinite(sigma):
+        raise DivergentKernelError(f"moment integral of {profile.name!r} is not finite")
+    return float(sigma)
 
 
 def scaled_from_distance(profile: KernelProfile, eps: float, r, d: int):
-    """eta_eps as a function of the distance |z| alone."""
+    """eta_eps as a function of the distance |z| alone.
+
+    Raises ValueError when eps^-d times the peak eta(0) overflows; eta
+    never increases (K2), so then no weight overflows.
+    """
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -263,4 +270,6 @@ def scaled_from_distance(profile: KernelProfile, eps: float, r, d: int):
         height = eps ** (-d)
     except OverflowError:
         raise ValueError(f"eps = {eps:.3g} is too small: eps^-{d} overflows") from None
+    if not math.isfinite(height * float(profile(0.0))):
+        raise ValueError(f"eps = {eps:.3g} is too small: eps^-{d} times eta(0) overflows")
     return height * profile(np.asarray(r, dtype=float) / eps)

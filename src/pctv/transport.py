@@ -32,7 +32,7 @@ from typing import Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix, csr_matrix, vstack
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -86,12 +86,10 @@ def _transport_lp(cost: np.ndarray) -> float:
         cost = np.ldexp(cost, k)
     if not np.isfinite(cost).all():
         raise UnsupportedConfigurationError("transportation costs are not finite")
-    row_idx = np.repeat(np.arange(ns), nt)
-    col_idx = np.tile(np.arange(nt), ns)
+    # variable i * nt + j has a 1 in constraint i and one in constraint ns + j
     var = np.arange(ns * nt)
-    a_rows = coo_matrix((np.ones(ns * nt), (row_idx, var)), shape=(ns, ns * nt))
-    a_cols = coo_matrix((np.ones(ns * nt), (col_idx, var)), shape=(nt, ns * nt))
-    a_eq = vstack([a_rows, a_cols]).tocsr()
+    a_eq = csr_matrix((np.ones(2 * var.size), (np.concatenate([var // nt, ns + var % nt]),
+                                               np.tile(var, 2))), shape=(ns + nt, ns * nt))
     b_eq = np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, 1.0 / nt)])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs")

@@ -16,6 +16,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pctv.bisection import local_search_bisection
 from pctv.config import load_config
@@ -43,6 +44,9 @@ from oracles import (
     surface_tension_grid_2d,
     surface_tension_mc_3d,
 )
+
+# an overflow anywhere in a shipped run fails its criterion
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 LIMIT = 4.0 / 3.0
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

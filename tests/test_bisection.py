@@ -11,6 +11,7 @@ import pctv.bisection
 from pctv.bisection import (
     Bisection,
     _swap_descent,
+    _tl1_lower_bounds,
     _zero_energy_start,
     agreement,
     bisection_energy,
@@ -24,6 +25,7 @@ from pctv.experiments import run_experiment
 from pctv.geometry import Box, dumbbell, sample_iid, uniform_density, unit_box
 from pctv.graph import WeightedGraph, build_graph
 from pctv.kernels import indicator
+from pctv.transport import tlp_distance
 
 from oracles import dense_swap_descent, exhaustive_bisection
 
@@ -305,3 +307,28 @@ def test_pruned_tl1_is_the_minimum_over_all_identifications(monkeypatch, domain,
                     for part in partitions for values in (run.labels, ~run.labels))
         assert run.record.tl1_distance == every
     assert len(calls) < len(seeds) * 2 * len(partitions)
+
+
+@pytest.mark.parametrize("n,m", [(30, 30), (24, 40)], ids=["assignment", "lp"])
+def test_tl1_lower_bounds_come_from_the_cost_they_bound(n, m):
+    # a dense |x - y| + |f - g| cost built here, with a one-class labeling
+    # and a reference partition with an empty class among the cases
+    rng = np.random.default_rng(n + m)
+    points, ref_points = rng.random((n, 2)), rng.random((m, 2))
+    partitions = [ref_points[:, 0] < 0.5, np.zeros(m, dtype=bool), ref_points[:, 1] < 0.3]
+    for labels in (rng.random(n) < 0.5, np.ones(n, dtype=bool)):
+        bounds = _tl1_lower_bounds(points, labels, ref_points, partitions)
+        assert [bound for bound, _, _ in bounds] == sorted(bound for bound, _, _ in bounds)
+        expected = {(k, flip) for k in range(len(partitions)) for flip in (False, True)}
+        for bound, part, values in bounds:
+            k = next(k for k, other in enumerate(partitions) if other is part)
+            flip = not np.array_equal(values, labels)
+            assert np.array_equal(values, ~labels if flip else labels)
+            expected.remove((k, flip))
+            f, g = values.astype(float), part.astype(float)
+            cost = (np.linalg.norm(points[:, None, :] - ref_points[None, :, :], axis=2)
+                    + np.abs(f[:, None] - g[None, :]))
+            assert bound == pytest.approx(
+                max(cost.min(axis=1).mean(), cost.min(axis=0).mean()), rel=1e-12)
+            assert bound <= tlp_distance(points, f, ref_points, g, p=1) * (1 + 1e-9)
+        assert not expected

@@ -479,6 +479,15 @@ BAD_CONFIGS = [
     ("matching-scaling", {"dimension": 2, "n": [10**400], "seeds": [0]}, "/n/0"),
     # this gaussian has a cut radius, but its sigma, about w^3, overflows
     ("gtv-convergence", dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e110}), "/kernel"),
+    # this one's moment integral is finite, but c_3 times it overflows
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "unit-box", "dimension": 3},
+                             function={"coeffs": [1.0, 0.0, 0.0]},
+                             kernel={"name": "gaussian", "width": 1e77}), "/kernel"),
+    # 0.05^-3 times the peak height 1e305 overflows, so every weight would
+    ("gtv-convergence", dict(GTV_CFG, domain={"shape": "unit-box", "dimension": 3},
+                             function={"coeffs": [1.0, 0.0, 0.0]},
+                             kernel={"name": "step-sum", "radii": [1.0], "heights": [1e305]},
+                             eps_rule={"kind": "fixed", "value": 0.05}), "/eps_rule"),
 ]
 
 
@@ -561,6 +570,7 @@ PINNED = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_experiment_artifacts(tmp_path, monkeypatch, name):
     cfg, header, rows, figures = RUNS[name]
@@ -586,6 +596,7 @@ def _pickled_map(fn, items):
     return [pickle.loads(pickle.dumps(fn(pickle.loads(pickle.dumps(item))))) for item in items]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_every_task_pickles(tmp_path, monkeypatch, name):
     # each sweep task is a top-level function of its plan, so a process

@@ -113,6 +113,18 @@ def test_tiny_gaussian_width_warns_of_no_overflow():
             kernels.effective_support(profile, 2)
 
 
+def test_overflowing_moment_is_refused_from_the_opening_panels(monkeypatch):
+    # the 32 opening panels evaluate the profile 65 times, and their sum
+    # already overflows: no subdivision can make it finite
+    calls = []
+    evaluate = kernels.Gaussian.__call__
+    monkeypatch.setattr(kernels.Gaussian, "__call__",
+                        lambda self, r: calls.append(r) or evaluate(self, r))
+    with pytest.raises(DivergentKernelError, match="not finite"):
+        kernels.surface_tension(kernels.gaussian(1e110), 2)
+    assert 0 < len(calls) <= 65
+
+
 def test_heavy_tail_is_divergent():
     with pytest.raises(DivergentKernelError):
         kernels.effective_support(HeavyTail(), 2)
