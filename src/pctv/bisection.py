@@ -60,11 +60,6 @@ class Bisection:
         return self.labels.size
 
 
-def _canonical(labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels, dtype=bool)
-    return labels if labels[0] else ~labels
-
-
 def bisection_energy(graph: WeightedGraph, labels: np.ndarray) -> float:
     """Cut energy of a labeling: the graph total variation of its indicator."""
     return graph_total_variation(graph, np.asarray(labels, dtype=float))
@@ -198,9 +193,11 @@ def local_search_bisection(graph: WeightedGraph, seed: int, restarts: int = 32) 
     lowest-energy result.  Starts are: a cut-free union of whole
     components when the graph is disconnected in a balanced way, and
     ``restarts`` random balanced splits drawn from independent streams
-    spawned off ``seed``.  Ties resolve to the lexicographically smallest
-    canonical label vector.  Memory grows with the edge count plus n
-    times the number of starts, so any even n is accepted.
+    spawned off ``seed``.  Every cut within GAIN_TOL * max(low, 1) of the
+    lowest cut low counts as a tie, whatever the order of the starts,
+    and ties go to the lexicographically smallest canonical label
+    vector.  Memory grows with the edge count plus n times the number of
+    starts, so any even n is accepted.
     """
     n = graph.n
     if n % 2 or n == 0:
@@ -223,18 +220,10 @@ def local_search_bisection(graph: WeightedGraph, seed: int, restarts: int = 32) 
     cuts = [float(graph.ww[start[graph.ii] != start[graph.jj]].sum()) for start in starts]
     found, found_cuts = _swap_descent(weights, np.array(starts), np.array(cuts))
 
-    best_labels: tuple[bool, ...] | None = None
-    best_cut = np.inf
-    for labels, cut in zip(found, found_cuts.tolist()):
-        key = tuple(_canonical(labels))
-        if cut < best_cut - GAIN_TOL * max(best_cut, 1.0) or (
-            cut <= best_cut + GAIN_TOL * max(best_cut, 1.0)
-            and (best_labels is None or key < best_labels)
-        ):
-            best_cut = cut
-            best_labels = key
-    assert best_labels is not None
-    final = np.array(best_labels, dtype=bool)
+    # Flip each row so that vertex 0 lies in class A; near-lowest cuts tie.
+    found ^= ~found[:, :1]
+    low = float(found_cuts.min())
+    final = min(found[found_cuts <= low + GAIN_TOL * max(low, 1.0)], key=tuple)
     return Bisection(final, bisection_energy(graph, final))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import inspect
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -336,8 +337,21 @@ def _preflight(experiment: str, cfg: dict) -> Plan:
             _built(f"/factors/{i}", scaled_from_distance, profile, factor * scale, 0.0, d)
     if "eps_rule" in cfg:
         rule = built["eps"] = build(EPS_RULES, "kind", cfg["eps_rule"], d)
+        # The graph TV and the bisection cut sums add at most n^2 terms, each
+        # at most the peak weight times the range of u: 1 for a set or label
+        # indicator, sum |a_k| (hi_k - lo_k) for an affine u on the bounding box.
+        spread = 1.0
+        if "function" in cfg:
+            lo, hi = domain.bounding_box()
+            spread = sum(abs(a) * (h - l) for a, l, h
+                         in zip(built["function"].coeffs.tolist(), lo.tolist(), hi.tolist()))
         for n in cfg["n"]:
-            _built("/eps_rule", scaled_from_distance, profile, rule(n), 0.0, d)
+            peak = float(_built("/eps_rule", scaled_from_distance, profile, rule(n), 0.0, d))
+            # a product of Python floats overflows to inf, with no warning
+            if not math.isfinite(float(n) * float(n) * peak * spread):
+                raise ConfigError(f"/eps_rule: at n = {n} the graph TV sum can reach n^2 x "
+                                  f"{peak:.3g} (peak weight) x {spread:.3g} (range of values), "
+                                  "which overflows")
     if experiment == "bisect":
         for i, n in enumerate(cfg["n"]):
             if n % 2:

@@ -72,15 +72,18 @@ def _transport_lp(cost: np.ndarray) -> float:
 
     HiGHS stops at an absolute tolerance of about 1e-7, which costs of
     |x - y|^p fall under, so the costs are scaled by 2^k, the power of
-    two nearest the inverse mean row minimum, an exact scaling that the
-    objective undoes.  The row and column duals u, v certify the
-    optimum: every reduced cost c - u_i - v_j is at least -1e-9 times
-    the objective, and the dual objective meets the primal within 1e-9
-    of it.  A failed solve or certificate, or a cost that is not finite
-    once scaled, raises UnsupportedConfigurationError.
+    two nearest the inverse mean of each row's smallest positive cost
+    (rows of zeros left out), an exact scaling that the objective
+    undoes.  The row and column duals u, v certify the optimum: every
+    reduced cost c - u_i - v_j is at least -1e-9 times the objective,
+    and the dual objective meets the primal within 1e-9 of it.  A failed
+    solve or certificate, or a cost that is not finite once scaled,
+    raises UnsupportedConfigurationError.
     """
     ns, nt = cost.shape
-    floor = cost.min(axis=1).mean()
+    smallest = np.where(cost > 0, cost, np.inf).min(axis=1)
+    positive = smallest[smallest < np.inf]
+    floor = positive.mean() if positive.size else 0.0
     k = round(-math.log2(floor)) if 0 < floor < math.inf else 0
     with np.errstate(over="ignore"):
         cost = np.ldexp(cost, k)

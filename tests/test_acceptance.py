@@ -5,11 +5,14 @@ or "... FAIL", before asserting, so `pytest -s tests/test_acceptance.py`
 gives a one-line verdict per criterion.  Criteria 04-08 and the first
 part of 09 run the shipped `configs/*.json` through `run_experiment` and
 judge the artifacts it writes; each asserts the schedule it is defined
-on, so an edit under `configs/` cannot weaken it unnoticed.  The heavier
-checks take seconds to tens of seconds, each within its stated budget.
+on, so an edit under `configs/` cannot weaken it unnoticed, and every
+file such a run writes must keep its recorded sha256, so no shipped
+artifact moves a byte unnoticed.  The heavier checks take seconds to
+tens of seconds, each within its stated budget.
 """
 
 import csv
+import hashlib
 import math
 import time
 from functools import partial
@@ -44,6 +47,7 @@ from oracles import (
     surface_tension_grid_2d,
     surface_tension_mc_3d,
 )
+from test_config_cli import SHIPPED
 
 # an overflow anywhere in a shipped run fails its criterion
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -155,14 +159,19 @@ def test_criterion_03_tlp_against_exhaustive():
             f"500 optima within {worst:.1e}, 1000 triples, {elapsed:.1f}s")
 
 
-def _shipped(name, tmp_path, **changes):
+def _shipped(name, tmp_path, entry=None, **changes):
     """Run configs/<name>.json, with ``changes`` applied, into tmp_path.
 
-    Returns the resolved config, the records.csv rows and the summary.
+    Every file the run writes must have the sha256 that SHIPPED records
+    under entry, by default the config's name.  Returns the resolved
+    config, the records.csv rows and the summary.
     """
     cfg = dict(load_config(str(CONFIG_DIR / f"{name}.json")), **changes)
     out = tmp_path / name
     payload = run_experiment(name, cfg, str(out))
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.iterdir())}
+    assert digests == SHIPPED[entry or name]
     with open(out / "records.csv", encoding="utf-8", newline="") as handle:
         rows = list(csv.DictReader(handle))
     return payload["config"], rows, payload["summary"]
@@ -209,7 +218,7 @@ def test_criterion_06_perimeter_consistency(tmp_path):
 def test_criterion_07_matching_scaling(tmp_path):
     t0 = time.perf_counter()
     cfg2, _, plane = _shipped("matching-scaling", tmp_path / "d2")
-    cfg3, _, space = _shipped("matching-scaling", tmp_path / "d3",
+    cfg3, _, space = _shipped("matching-scaling", tmp_path / "d3", "matching-scaling-d3",
                               dimension=3, n=[512, 1728, 4096])
     elapsed = time.perf_counter() - t0
     assert cfg2["dimension"] == 2 and cfg2["n"] == [256, 1024, 4096, 16384]

@@ -9,6 +9,7 @@ from scipy.sparse import csr_matrix
 
 import pctv.bisection
 from pctv.bisection import (
+    GAIN_TOL,
     Bisection,
     _swap_descent,
     _tl1_lower_bounds,
@@ -70,6 +71,36 @@ def test_cycle_tie_breaks_to_smallest_label_vector():
     graph = _graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
     for labels in (_exact(graph)[1], local_search_bisection(graph, seed=5).labels):
         assert labels.tolist() == [True, False, False, True]
+
+
+def _pick(monkeypatch, rows, cuts):
+    """The labels local_search_bisection keeps when the descent ends at
+    these rows with these cuts."""
+    found = np.array(rows, dtype=bool), np.array(cuts)
+    monkeypatch.setattr(pctv.bisection, "_swap_descent", lambda *args: found)
+    cycle = _graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+    return local_search_bisection(cycle, seed=0, restarts=1).labels.tolist()
+
+
+# Canonical labels in decreasing order, with cuts that climb by 0.9 tol:
+# each is within tol of the one before, the last 1.8 tol above the lowest.
+CHAIN = [[True, True, False, False], [True, False, True, False], [True, False, False, True]]
+CHAIN_CUTS = [5.0 + k * 0.9 * GAIN_TOL * 5.0 for k in range(3)]
+
+
+def test_near_ties_do_not_chain_above_the_lowest_cut(monkeypatch):
+    assert _pick(monkeypatch, CHAIN, CHAIN_CUTS) == CHAIN[1]
+
+
+def test_the_order_of_the_starts_does_not_change_the_pick(monkeypatch):
+    assert _pick(monkeypatch, CHAIN[::-1], CHAIN_CUTS[::-1]) == CHAIN[1]
+
+
+def test_exact_ties_go_to_the_smallest_canonical_labels(monkeypatch):
+    # the second row is [T, F, T, F] once vertex 0 is in class A, and the
+    # third, smaller still, cuts more
+    rows = [[True, True, False, False], [False, True, False, True], [True, False, False, True]]
+    assert _pick(monkeypatch, rows, [2.0, 2.0, 3.0]) == [True, False, True, False]
 
 
 def test_energy_agrees_with_graph_total_variation():

@@ -488,6 +488,11 @@ BAD_CONFIGS = [
                              function={"coeffs": [1.0, 0.0, 0.0]},
                              kernel={"name": "step-sum", "radii": [1.0], "heights": [1e305]},
                              eps_rule={"kind": "fixed", "value": 0.05}), "/eps_rule"),
+    # each weight, 0.05^-2 times 1e305, is finite, but the graph TV sum of
+    # 2000^2 of them overflows: this run wrote gtv = inf and exited 0
+    ("gtv-convergence", dict(GTV_CFG, kernel={"name": "step-sum", "radii": [1.0],
+                                              "heights": [1e305]},
+                             eps_rule={"kind": "fixed", "value": 0.05}, n=[2000]), "/eps_rule"),
 ]
 
 
@@ -567,6 +572,74 @@ PINNED = {
     "bisect": (
         "e56c42e62ef9ffe353f819d58f2db3ba77b3d49bd568639171bfc3b67275fdaa",
         "e754982f73a6519128dd770b57025019992fe1d0616bb5a01025793348ef99fa"),
+}
+
+
+# sha256 of every file that each shipped configs/*.json run writes, as
+# the acceptance criteria run them; "matching-scaling-d3" is criterion
+# 07's d = 3 run.  The CLI writes the same bytes at PCTV_THREADS=1 and 2.
+# tl-distance, which the acceptance criteria do not run, is left out.
+SHIPPED = {
+    "nonlocal-convergence": {
+        "convergence.svg":
+            "d7bba480e1a1e4ba292961bc8a2cc72597ca95aa2b68f414da936c8f86a458ff",
+        "records.csv":
+            "bdc876025d60dbef01f82b9b485241ad0d7b25acc1bd44547edf956922e14dbe",
+        "summary.json":
+            "aad2ca17cdd4ff17ca6edd3877958b7f7ed0dc86a282ab8f17c36ce5fa478ed4",
+    },
+    "gtv-convergence": {
+        "convergence.svg":
+            "ae4c82299131ecd501b17ab11753cdc23b3fe3b226e433d865983061c71b79c8",
+        "records.csv":
+            "8856c0c3ea864e0be6deb8947767e0bb2537d2551cbc81fc0f3ddbe14eaed7bb",
+        "summary.json":
+            "2f21b0b18b848bb594a5412ff947364be5319d18941d871e4ed4ba4455e751d8",
+    },
+    "perimeter-convergence": {
+        "convergence.svg":
+            "9b0ef94534fdcce3f6db87fc3d54112892ae34a18ae3cf800d6f5f43abacf6d5",
+        "records.csv":
+            "66b3597719fa1321f300ed6531836b024148b24bde040545f4cfb3f8c8b2e15d",
+        "summary.json":
+            "b444184fc4a47b4989b8b4b089176e3fd0dfa681b5b2327fe7e63428ec169aae",
+    },
+    "matching-scaling": {
+        "ratios.svg":
+            "2e4c3fabbfa26f7742eb4b8b0e30ed48389fe9c59fa6670b540fb6a8e9923095",
+        "records.csv":
+            "171c9773be33a573c964eefa9544d1ea0e39bc1647bbf6d0b02790f3da6392eb",
+        "summary.json":
+            "ba1f42e24fda33cc4e3b09076e1fc5f39a8523036aecedd285f416aace3aa6c7",
+    },
+    "matching-scaling-d3": {
+        "ratios.svg":
+            "d9cc7bc9f0e593252be0d9606d1a0e7e6298a08644beef456f09fa58d42ab73d",
+        "records.csv":
+            "c6dfccc4676bf5492a2a651d683ca8dde8e3f20424fda7a3884b7edf69d58b82",
+        "summary.json":
+            "4ed1b16426486dc9fffab0e39b238627a4cef9aeeccfffbc6446f64be2dc9f46",
+    },
+    "connectivity": {
+        "records.csv":
+            "c17d3144fdf195a4d1dfbb937bd6f352334d0494ea03bf71311c00583dbddfb5",
+        "summary.json":
+            "ba1ef920755e40f031c608660fbfb2b563f59414f595a1b04e7e7d9fcdbdabc6",
+        "transition.svg":
+            "e003aa68a4aaee04bc99abebbb005d3370d097b41bc71a767f8994916967231f",
+    },
+    "bisect": {
+        "partition-n500-seed16.svg":
+            "3a63cbd22dfb13af9652820545c58c8a6e2521381268ae8a777b42cd45f5ece0",
+        "partition-n500-seed36.svg":
+            "a31db60b76694fb97b26f73cdabee98cc68050eb92cb323a636ad309a2d69073",
+        "partition-n500-seed7.svg":
+            "f33139252f2b06d096583b7a6475ce5165e3df4b28ff68ea0c11163c877ef595",
+        "records.csv":
+            "e6cc15b1b3f27a631790431d3be5a3aa9656ced328fb9cb1b9309418a4b16364",
+        "summary.json":
+            "8046597101341542d7dd0cd238f7194b6c88a5a6eaed35ad33a0a21b22960ca5",
+    },
 }
 
 

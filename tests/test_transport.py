@@ -111,6 +111,14 @@ def test_transport_lp_refuses_what_it_cannot_certify(p):
         pctv.transport._transport_lp(_lp_instance(p))
 
 
+def test_transport_lp_scales_by_the_positive_costs_when_every_row_holds_a_zero():
+    # every point of x also lies in y, so each row minimum is 0; the
+    # optimum sends half of each x_i to its copy x_i + 1e-9 at cost 3e-18
+    x = np.random.default_rng(0).random((30, 2))
+    y = np.vstack([x, x + 1e-9])
+    assert_allclose(tlp_distance(x, x[:, 0], y, y[:, 0], p=2), np.sqrt(1.5e-18), rtol=1e-6)
+
+
 def test_transport_lp_refuses_a_perturbed_dual(monkeypatch):
     solve = pctv.transport.linprog
 
