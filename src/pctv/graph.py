@@ -132,6 +132,14 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
     return WeightedGraph(n=n, eps=eps, ii=ii[:kept], jj=jj[:kept], ww=ww[:kept])
 
 
+def _as_points(points) -> np.ndarray:
+    """points as a float (n, d) array; any other shape is refused."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"expected an (n, d) array of points, got shape {points.shape}")
+    return points
+
+
 def _pair_distances(x: np.ndarray, ii: np.ndarray, y: np.ndarray,
                     jj: np.ndarray) -> np.ndarray:
     """Distance of each pair (x[ii[k]], y[jj[k]]), summed in axis order.
@@ -157,6 +165,31 @@ def _kept(dist: np.ndarray, weights: np.ndarray, radius: float) -> np.ndarray:
     return (dist <= radius) & (weights >= WEIGHT_FLOOR)
 
 
+def _radii(lb: float, n: int, d: int):
+    """Radii of a threshold search over n points in d dimensions, whose
+    caller proposes kd-tree pairs within radius (1 + 1e-12), keeps those
+    _within the radius, and stops when they pass its test.
+
+    The first radius is just above the lower bound lb, at lb (1 + 1e-9),
+    or 4 n^(-1/d) when lb is 0; each next one is 2^(1/d) times larger,
+    which about doubles the pairs in d dimensions, so the last round
+    holds about twice the pairs within the threshold, not 2^d times.
+    """
+    radius = lb * (1 + 1e-9) if lb > 0 else 4.0 * n ** (-1.0 / d)
+    while True:
+        yield radius
+        radius *= 2.0 ** (1.0 / d)
+
+
+def _within(x: np.ndarray, ii: np.ndarray, y: np.ndarray, jj: np.ndarray,
+            radius: float):
+    """The proposed pairs (x[ii[k]], y[jj[k]]) within the radius, and
+    their distances: as in build_graph, the distance test decides."""
+    dist = _pair_distances(x, ii, y, jj)
+    near = dist <= radius
+    return ii[near], jj[near], dist[near]
+
+
 def connection_distance(points) -> float:
     """Smallest distance t at which the pairs with distance <= t connect the cloud.
 
@@ -164,37 +197,28 @@ def connection_distance(points) -> float:
     the distance bits of ``build_graph``.  A cloud of at most one point
     is connected by no pair at all; it reports -inf.
 
-    The largest nearest-neighbour distance bounds t from below.  A
-    kd-tree range search starts just above this bound (at 4 n^(-1/d)
-    when the bound is 0) and grows its radius by 2^(1/d), which about
-    doubles the pairs it finds, until they span the cloud.  The spanning
-    tree is taken over the candidate distances themselves, each 0 raised
-    to the smallest normal float, which is below every positive pair
-    distance: the order and the ties stay as they were, coincident
-    points keep their edge, and the tree's longest edge is the exact
-    bottleneck distance.
+    The largest nearest-neighbour distance bounds t from below for the
+    search of _radii.  The spanning tree is taken over the candidate
+    distances themselves, each 0 raised to the smallest normal float,
+    which is below every positive pair distance: the order and the ties
+    stay as they were, coincident points keep their edge, and the tree's
+    longest edge is the exact bottleneck distance.
     """
-    points = np.asarray(points, dtype=float)
+    points = _as_points(points)
     n, d = points.shape
     if n <= 1:
         return -math.inf
     tree = cKDTree(points)
     lb = float(tree.query(points, k=2)[0][:, 1].max())
-    radius = lb * (1 + 1e-9) if lb > 0 else 4.0 * n ** (-1.0 / d)
     tiny = np.finfo(float).tiny
-    while True:
-        # As in build_graph, the slack only widens the candidate set and
-        # the distance test decides every pair.
+    for radius in _radii(lb, n, d):
         pairs = tree.query_pairs(radius * (1 + 1e-12), output_type="ndarray")
-        dist = _pair_distances(points, pairs[:, 0], points, pairs[:, 1])
-        within = dist <= radius
-        pairs, dist = pairs[within], np.maximum(dist[within], tiny)
+        ii, jj, dist = _within(points, pairs[:, 0], points, pairs[:, 1], radius)
         spanning = minimum_spanning_tree(
-            csr_matrix((dist, (pairs[:, 0], pairs[:, 1])), shape=(n, n)))
+            csr_matrix((np.maximum(dist, tiny), (ii, jj)), shape=(n, n)))
         if spanning.nnz == n - 1:
             longest = float(spanning.data.max())
             return 0.0 if longest == tiny else longest
-        radius *= 2.0 ** (1.0 / d)
 
 
 def connectivity_scale(n: int, d: int) -> float:

@@ -77,14 +77,21 @@ class Gaussian(KernelProfile):
         x = -(2/d) T^(2/d) / width^2, so s = -(d/2) W_-1(x) on the lower
         branch of Lambert's W.  Below x = -1/e the integrand's peak is
         under T and no radius is kept.  x is formed from logarithms, as
-        width^2 underflows at tiny widths; at huge ones x underflows to 0
-        and the cutoff is math.inf.
+        width^2 underflows at tiny widths.  At huge ones x is not a normal
+        float, so w = W_-1(x) solves w + log(-w) = log(-x) instead, by
+        Newton steps from its asymptote log(-x) - log(-log(-x)).
         """
         log_x = (math.log(2.0 / d) + (2.0 / d) * math.log(TRUNCATION_THRESHOLD)
                  - 2.0 * math.log(self.width))
         if log_x >= -1.0:
             raise ValueError(f"{self.name!r} is below the truncation threshold at every radius")
-        return self.width * math.sqrt(-(d / 2.0) * lambertw(-math.exp(log_x), -1).real)
+        if log_x > math.log(np.finfo(float).tiny):
+            w = lambertw(-math.exp(log_x), -1).real
+        else:
+            w = log_x - math.log(-log_x)
+            for _ in range(4):
+                w -= (w + math.log(-w) - log_x) / (1.0 + 1.0 / w)
+        return self.width * math.sqrt(-(d / 2.0) * w)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,11 @@ vertex of the transportation polytope is a permutation, so the
 assignment solution is exact.  Unequal counts go through the
 transportation linear program, whose duals certify its answer.  The
 bottleneck distance is the smallest candidate distance whose threshold
-graph has a perfect matching.  The candidate radius grows by 2^(1/d)
-per round, so each round about doubles the pairs in d dimensions, and a
-binary search over the candidate distances then trims the candidates at
-every feasible level.  Every solve, the first from the empty matching,
-grows the last maximum matching by breadth-first augmenting phases on
-the residual graph (Hopcroft & Karp).  No entropic or other approximate
-solvers are used anywhere.
+graph has a perfect matching, found by the search of graph._radii and
+then a binary search over the candidate distances.  Every solve, the
+first from the empty matching, grows the last maximum matching by
+breadth-first augmenting phases on the residual graph (Hopcroft &
+Karp).  No entropic or other approximate solvers are used anywhere.
 """
 
 from __future__ import annotations
@@ -38,9 +36,8 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import UnsupportedConfigurationError
-from .graph import _pair_distances
+from .graph import _as_points, _radii, _within
 
-DISTANCE_FLOOR = 1e-14
 MAX_DENSE_COSTS = 20_000_000
 
 
@@ -51,19 +48,11 @@ def check_dense_costs(ns: int, nt: int) -> None:
             f"cost matrix {ns} x {nt} exceeds the dense limit")
 
 
-def _points(points) -> np.ndarray:
-    return np.atleast_2d(np.asarray(points, dtype=float))
-
-
 def _values(values, n: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"expected {n} point values, got shape {values.shape}")
     return values
-
-
-def _clamp(distance: float) -> float:
-    return 0.0 if distance <= DISTANCE_FLOOR else distance
 
 
 def _transport_lp(cost: np.ndarray) -> float:
@@ -104,7 +93,9 @@ def _transport_lp(cost: np.ndarray) -> float:
             or abs(u.sum() / ns + v.sum() / nt - res.fun) > slack):
         raise UnsupportedConfigurationError(
             "transportation solve is not certified optimal")
-    return math.ldexp(float(res.fun), -k)
+    # The costs are non-negative, so the optimum is too; clipping what the
+    # solver may report at about -1e-20 keeps the p-th root of it real.
+    return math.ldexp(max(float(res.fun), 0.0), -k)
 
 
 def tlp_distance(x, f, y, g, p: float = 1.0) -> float:
@@ -119,7 +110,7 @@ def tlp_distance(x, f, y, g, p: float = 1.0) -> float:
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    x, y = _points(x), _points(y)
+    x, y = _as_points(x), _as_points(y)
     f, g = _values(f, x.shape[0]), _values(g, y.shape[0])
     check_dense_costs(x.shape[0], y.shape[0])
     with np.errstate(over="ignore"):
@@ -131,24 +122,17 @@ def tlp_distance(x, f, y, g, p: float = 1.0) -> float:
         total = float(cost[rows, cols].sum()) / x.shape[0]
     else:
         total = _transport_lp(cost)
-    return _clamp(total ** (1.0 / p))
+    return total ** (1.0 / p)
 
 
 def _bipartite_candidates(x: np.ndarray, y: np.ndarray, radius: float,
                           trees=None):
-    """Cross-set pairs (i, j) with |x_i - y_j| <= radius, and their distances.
-
-    The kd-tree search runs with a little slack and only proposes pairs;
-    each distance is recomputed from its two points and tested here.
-    trees, when given, are the kd-trees of x and y.
-    """
+    """Cross-set pairs (i, j) with |x_i - y_j| <= radius, and their
+    distances; trees, when given, are the kd-trees of x and y."""
     xtree, ytree = trees or (cKDTree(x), cKDTree(y))
     pairs = xtree.sparse_distance_matrix(
         ytree, radius * (1 + 1e-12), output_type="ndarray")
-    ci, cj = pairs["i"], pairs["j"]
-    dist = _pair_distances(x, ci, y, cj)
-    near = dist <= radius
-    return ci[near], cj[near], dist[near]
+    return _within(x, pairs["i"], y, pairs["j"], radius)
 
 
 def _augment(n: int, ci, cj) -> np.ndarray:
@@ -242,25 +226,18 @@ def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
     several bottleneck-optimal ones).
 
     Every point is matched to some point on the other side, so the larger
-    of the two nearest-neighbour distances bounds t from below.
-    Candidate pairs come from a kd-tree range search that starts just
-    above this bound (at 4 n^(-1/d) when the bound is 0) and grows its
-    radius by 2^(1/d) until a perfect matching exists.  In d dimensions
-    that about doubles the pairs per round, so the last round holds
-    about twice the pairs within the optimum, not 2^d times.  The
-    threshold is then found by binary search over the candidate
-    distances from the bound up; a feasible probe trims the candidates
-    to those within its level, so later probes mask and search only
-    those.  Feasibility only grows with the threshold, so the maximum
-    matching of the last infeasible radius or probe stays valid at every
-    higher one, and every solve grows it, the first from the empty
-    matching, by breadth-first augmenting phases (Hopcroft & Karp) over
-    the candidates within the threshold.  Near the optimum that matching
-    misses only a few rows, which one or two phases match or prove
-    unmatchable.  Both kd-trees are built once and serve the bound and
-    every radius round.
+    of the two nearest-neighbour distances bounds t from below for the
+    search of graph._radii, whose test is a perfect matching.  A binary
+    search over the candidate distances from the bound up then finds t;
+    a feasible probe trims the candidates to those within its level, so
+    later probes mask and search only those.  Feasibility only grows
+    with the threshold, so the maximum matching of the last infeasible
+    radius or probe stays valid at every higher one, and every solve
+    grows it by _grow.  Near the optimum that matching misses only a few
+    rows, which one or two phases match or prove unmatchable.  Both
+    kd-trees are built once and serve the bound and every radius round.
     """
-    x, y = _points(x), _points(y)
+    x, y = _as_points(x), _as_points(y)
     n = x.shape[0]
     if y.shape[0] != n:
         raise UnsupportedConfigurationError(
@@ -269,12 +246,10 @@ def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
         raise ValueError("empty point clouds")
     xtree, ytree = cKDTree(x), cKDTree(y)
     lb = max(float(ytree.query(x)[0].max()), float(xtree.query(y)[0].max()))
-    radius = lb * (1 + 1e-9) if lb > 0 else 4.0 * max(n, 2) ** (-1.0 / x.shape[1])
     diagonal = float(np.linalg.norm(np.ptp(np.vstack([x, y]), axis=0)))
-    growth = 2.0 ** (1.0 / x.shape[1])
     match_lo = np.full(n, -1, dtype=np.int64)
     below = -math.inf  # largest radius known to be infeasible
-    while True:
+    for radius in _radii(lb, n, x.shape[1]):
         ci, cj, dist = _bipartite_candidates(x, y, radius, (xtree, ytree))
         order = np.argsort(ci, kind="stable")
         ci, cj, dist = ci[order], cj[order], dist[order]
@@ -284,7 +259,6 @@ def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
         if radius > 2.0 * max(diagonal, 1.0):
             raise RuntimeError("no perfect matching found at any radius")
         match_lo, below = best, radius
-        radius *= growth
 
     levels = np.unique(dist)
     lo = max(int(np.searchsorted(levels, below, side="right")),
@@ -301,7 +275,7 @@ def bottleneck_distance(x, y) -> Tuple[float, np.ndarray]:
         else:
             match_lo = match
             lo = mid + 1
-    return _clamp(float(levels[lo])), best
+    return float(levels[lo]), best
 
 
 def scaling_ratio(n: int, d: int, distance: float) -> float:

@@ -31,12 +31,14 @@ from pctv.geometry import (
     ConvexPolygon,
     affine_density,
     dumbbell,
+    grid_points,
     uniform_density,
     unit_box,
 )
-from pctv.graph import EPS_RULES, connectivity_scale, critical_rate
+from pctv.graph import EPS_RULES, connection_distance, connectivity_scale, critical_rate
 from pctv.kernels import KERNELS, surface_tension
 from pctv.svgplot import line_figure, scatter_figure
+from pctv.transport import bottleneck_distance
 
 
 def test_defaults_are_filled_in():
@@ -68,6 +70,10 @@ def test_gaussian_cutoff_takes_every_width_that_peaks_above_the_threshold():
     with pytest.raises(ConfigError, match="^/kernel: .*below the truncation threshold"):
         validate_config("gtv-convergence",
                         dict(GTV_CFG, kernel={"name": "gaussian", "width": 1e-200}))
+    # runs that use only the cut radius take any width that has one
+    huge = {"name": "gaussian", "width": 1e200}
+    validate_config("connectivity", {"kernel": huge, "n": 100, "factors": [1.0], "seeds": [0]})
+    validate_config("bisect", dict(BISECT_CFG, kernel=huge))
 
 
 def test_unknown_experiment_is_a_config_error():
@@ -750,7 +756,8 @@ def _digest(values) -> str:
 
 def _kind_digests() -> dict:
     """sha256 of the float64 values of every kernel, density and eps rule kind,
-    and of each kernel's surface tension at d = 2 and 3, on fixed probes."""
+    of each kernel's surface tension at d = 2 and 3, and of the connection
+    and bottleneck distances (with the assignments), on fixed probes."""
     base = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 400), np.linspace(0.0, 3.0, 301)])
     profiles = {  # each with a length scale that the probe radii also take
         "gaussian-0.05": (kernels.gaussian(0.05), 0.05),
@@ -785,6 +792,21 @@ def _kind_digests() -> dict:
             rule = EPS_RULES[kind](d, **args)
             key = "-".join([kind, *map(str, args.values())])
             out[f"eps/{key}/d{d}"] = _digest([rule(int(n)) for n in ns])
+    # both threshold searches, on lattices whose distances tie, integer
+    # points that coincide, and uniform random clouds
+    rng = np.random.default_rng(11)
+    clouds = {"lattice": [], "coincident": [], "random": []}
+    for d, k in ((1, 40), (2, 8), (3, 4)):
+        grid = grid_points(k, d)
+        clouds["lattice"] += [(grid, grid + np.eye(d)[0] / k), (grid, grid[::-1] ** 2)]
+        clouds["coincident"] += [tuple(rng.integers(0, 3, (2, 30, d)).astype(float))]
+        clouds["random"] += [tuple(rng.random((2, n, d))) for n in (5, 64, 300)]
+    for key, pairs in clouds.items():
+        out[f"threshold/connection/{key}"] = _digest(
+            [connection_distance(cloud) for pair in pairs for cloud in pair])
+        matched = [bottleneck_distance(x, y) for x, y in pairs]
+        out[f"threshold/bottleneck/{key}"] = _digest(
+            np.concatenate([[distance, *assignment] for distance, assignment in matched]))
     return out
 
 
@@ -822,6 +844,12 @@ KIND_DIGESTS = {
     "eps/sub-connectivity-0.8/d3": "8df98d32d37da70d",
     "eps/fixed-0.125/d2": "9c0b57a67b611fb8",
     "eps/fixed-0.125/d3": "9c0b57a67b611fb8",
+    "threshold/connection/lattice": "893a0fdde3e15f5f",
+    "threshold/bottleneck/lattice": "05a8b66cb1c1b6f3",
+    "threshold/connection/coincident": "961e76f1c44f5ce8",
+    "threshold/bottleneck/coincident": "98a123718da114e6",
+    "threshold/connection/random": "f1c992eb1a733ecd",
+    "threshold/bottleneck/random": "b28f24fe1717f6be",
 }
 
 

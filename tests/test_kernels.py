@@ -100,6 +100,16 @@ def test_effective_support_gaussian_decay():
         assert abs(profile(radius) * radius ** d / kernels.TRUNCATION_THRESHOLD - 1) < 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_huge_gaussian_widths_have_a_cut_radius(d):
+    # past a width of about 1e147 (d = 2) the Lambert W argument is no
+    # normal float; the cut must still solve d log r - (r/w)^2 = log T
+    for width in (1e100, 1e150, 2e155, 1e200, 1e300):
+        radius = kernels.gaussian(width).cutoff(d)
+        residual = d * math.log(radius) - (radius / width) ** 2
+        assert abs(residual - math.log(kernels.TRUNCATION_THRESHOLD)) < 1e-11
+
+
 def test_tiny_gaussian_width_warns_of_no_overflow():
     # (r / width)^2 overflows to inf here; exp(-inf) = 0 is the right value.
     profile = kernels.gaussian(1e-200)

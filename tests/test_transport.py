@@ -13,6 +13,7 @@ import pctv.transport
 from pctv.errors import ConfigError, PCTVError, UnsupportedConfigurationError
 from pctv.experiments import run_experiment
 from pctv.geometry import grid_points, sample_iid, uniform_density, unit_box
+from pctv.graph import connection_distance
 from pctv.transport import (
     bottleneck_distance,
     scaling_ratio,
@@ -250,31 +251,35 @@ def test_bottleneck_matches_threshold_oracle_on_integer_clouds(clouds):
     _check_against_threshold_oracle(*clouds)
 
 
-def _count_flow_solves(monkeypatch):
-    solve, calls = pctv.transport.maximum_flow, []
+def _count_radii(monkeypatch):
+    """The radii that bottleneck_distance draws from the shared schedule."""
+    radii, drawn = pctv.transport._radii, []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(*args):
+        for radius in radii(*args):
+            drawn.append(radius)
+            yield radius
 
-    monkeypatch.setattr(pctv.transport, "maximum_flow", counted)
-    return calls
+    monkeypatch.setattr(pctv.transport, "_radii", counted)
+    return drawn
 
 
-def test_no_flow_solve_when_the_first_radius_is_feasible(monkeypatch):
+def test_one_radius_round_when_the_first_radius_is_feasible(monkeypatch):
     # every point sits 1/k above a grid point, which is the bound, so the
-    # first radius already matches all, from the empty matching
-    calls = _count_flow_solves(monkeypatch)
+    # first radius, just above it, already matches all
+    drawn = _count_radii(monkeypatch)
     grid = grid_points(6, 2)
     assert _check_against_threshold_oracle(grid + [0.0, 1.0 / 6], grid) > 0
-    assert len(calls) == 0
+    assert_allclose(drawn, [(1 + 1e-9) / 6], rtol=1e-12)
 
 
-def test_no_flow_solve_when_the_radius_doubles(monkeypatch):
-    calls = _count_flow_solves(monkeypatch)
+def test_the_radius_grows_by_the_square_root_of_two_in_the_plane(monkeypatch):
+    # the bound is 0, so the search starts at 4 n^(-1/2) with n = 3, and
+    # the optimum 5 takes four rounds of growth by 2^(1/2)
+    drawn = _count_radii(monkeypatch)
     a, b = [0.0, 0.0], [5.0, 0.0]
     _check_against_threshold_oracle(np.array([a, a, b]), np.array([a, b, b]))
-    assert len(calls) == 0
+    assert_allclose(drawn, [4 * 3 ** -0.5 * 2 ** (k / 2) for k in range(4)], rtol=1e-15)
 
 
 @pytest.mark.parametrize("d,n,k,seeds", [(2, 1024, 32, range(5)), (3, 1000, 10, [4])],
@@ -389,6 +394,35 @@ def test_bottleneck_on_identical_grids_is_zero():
     distance, assignment = bottleneck_distance(grid, grid)
     assert distance == 0.0
     assert np.array_equal(assignment, np.arange(25))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["assignment", "lp"])
+def test_distances_below_1e_14_are_not_rounded_to_zero(stacked):
+    # every point moves by about 3e-15 sqrt(2) = 4.24e-15, and no other
+    # pairing comes close; stacking y on x sends the TL^2 solve to the LP
+    x = np.random.default_rng(0).random((50, 2))
+    y = x + 3e-15
+    moves = np.linalg.norm(x - y, axis=1)
+    assert_allclose(bottleneck_distance(x, y)[0], moves.max(), rtol=1e-12)
+    target = np.vstack([y, x]) if stacked else y
+    values = np.zeros(len(target))
+    # half of the stacked mass stays on x at no cost
+    mean_square = np.mean(moves ** 2) / (2 if stacked else 1)
+    distance = tlp_distance(x, np.zeros(50), target, values, p=2)
+    assert distance > 0
+    assert_allclose(distance, np.sqrt(mean_square), rtol=1e-6)
+    if stacked:
+        assert tlp_distance(x, np.zeros(50), np.vstack([x, x]), values, p=2) == 0.0
+
+
+def test_point_arrays_must_be_two_dimensional():
+    # a 1-d array of n points is not one point in n dimensions
+    for call in (lambda: bottleneck_distance([0.0, 1.0], [1.0, 0.0]),
+                 lambda: connection_distance([0.0, 1.0, 3.0]),
+                 lambda: tlp_distance([0.0, 1.0], [0.0, 0.0], [[0.0], [1.0]], [0.0, 0.0]),
+                 lambda: connection_distance(np.zeros((2, 2, 2)))):
+        with pytest.raises(ValueError, match=r"expected an \(n, d\) array of points"):
+            call()
 
 
 def test_bottleneck_requires_uniform_equal_counts():
