@@ -44,7 +44,7 @@ import numpy as np
 
 from . import kernels
 from .errors import UnsupportedConfigurationError
-from .geometry import MAX_GRID_POINTS, ConvexPolygon, Density, Domain, _gauss_cells
+from .geometry import MAX_GRID_POINTS, ConvexPolygon, Density, Domain, _as_points, _gauss_cells
 
 RADIAL_NODES = 5  # Gauss-Legendre nodes on each radial piece, exact to degree 9
 ANGULAR_NODES = 24  # Gauss-Legendre nodes on a quarter turn
@@ -61,7 +61,7 @@ class AffineFunction:
     offset: float = 0.0
 
     def __call__(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = _as_points(points)
         return np.asarray(points @ self.coeffs + self.offset, dtype=float)
 
 

@@ -5,13 +5,15 @@ the checked config with the domain, density, kernel, eps rule, function,
 surface tension and nonlocal rules already built.  Each sweep task is a
 top-level function of the plan, of constants computed once per run and of
 one sweep item, so it pickles; the runner maps it over the worker pool and
-reduces the rows to a summary.  The output goes into one directory:
-``records.csv`` with one self-describing row per run (a row's keys, in
-order, are its CSV columns), ``summary.json`` with the
-resolved config, package version, and aggregate statistics, and (where
-a picture makes sense) small SVG figures.  Reruns with the same config
-produce byte-identical CSV, and a run that fails leaves none of these
-files.
+reduces the rows to a summary.  The matching and bisection tasks hold
+the interpreter lock, so their workers are forked processes; the other
+tasks run in compiled code that releases it, on threads.  The output
+goes into one directory: ``records.csv`` with one self-describing row
+per run (a row's keys, in order, are its CSV columns), ``summary.json``
+with the resolved config, package version, and aggregate statistics,
+and (where a picture makes sense) small SVG figures.  Reruns with the
+same config produce byte-identical CSV, and a run that fails leaves none
+of these files.
 """
 
 from __future__ import annotations
@@ -72,6 +74,43 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
+_pool = None  # the process pool of the running _forked_map
+
+
+def _in_worker(task, item):
+    return _pool.apply(task, (item,))
+
+
+def _forked_map(task, items):
+    """_parallel_map of task, with each call run in a forked worker process.
+
+    For tasks that hold the interpreter lock.  The thread pool of
+    _parallel_map still makes every call, so whatever wraps the callable
+    it receives sees each call and result in this process; each thread
+    hands its task and item, pickled, to a worker and waits.  The workers
+    are forked before any thread of the map exists, so the caller must
+    run no other threads, and one map at a time.  They ignore SIGINT, so
+    an interrupt stops the map as it stops _parallel_map: the tasks
+    running finish.  With one worker the tasks run here.
+    """
+    global _pool
+    items = list(items)
+    workers = min(worker_count(), len(items))
+    if workers <= 1:
+        return _parallel_map(task, items)
+    import multiprocessing  # a slow import, needed only here
+    import signal
+
+    _pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    try:
+        return _parallel_map(partial(_in_worker, task), items)
+    finally:
+        _pool.close()
+        _pool.join()
+        _pool = None
+
+
 def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
@@ -107,9 +146,9 @@ def kernel_from_config(spec: dict):
     return build(KERNELS, "name", spec)
 
 
-def _sweep(cfg: dict, task):
-    """Run task((n, seed)) over the schedule, n-major, in the worker pool."""
-    return _parallel_map(task, [(n, s) for n in cfg["n"] for s in cfg["seeds"]])
+def _sweep(cfg: dict):
+    """The (n, seed) items of the schedule, n-major."""
+    return [(n, s) for n in cfg["n"] for s in cfg["seeds"]]
 
 
 def _per_n(rows, *keys, extra=None):
@@ -183,7 +222,7 @@ def _run_graph_tv(plan: Plan, fig_dir: str):
         limit = weighted_tv_smooth(u, density, domain)
         title, constants, extra = "graph TV", {}, {"weighted_tv": limit}
     reference = plan.sigma * limit
-    results = _sweep(cfg, partial(_graph_tv_task, plan, u, constants, reference))
+    results = _parallel_map(partial(_graph_tv_task, plan, u, constants, reference), _sweep(cfg))
     rows = [row for row, _ in results]
     edgeless = {}
     for row, empty in results:
@@ -256,7 +295,8 @@ def _tl_distance_task(plan: Plan, ref_points, ref_values, item):
 def _run_tl_distance(plan: Plan, fig_dir: str):
     cfg = plan.config
     ref_points = grid_points(cfg["grid"], plan.domain.dimension)
-    rows = _sweep(cfg, partial(_tl_distance_task, plan, ref_points, plan.function(ref_points)))
+    rows = _parallel_map(partial(_tl_distance_task, plan, ref_points, plan.function(ref_points)),
+                         _sweep(cfg))
     per_n = _per_n(rows, "distance")
     medians = [entry["median_distance"] for entry in per_n]
     summary = {
@@ -289,7 +329,7 @@ def _run_matching(plan: Plan, fig_dir: str):
     cfg = plan.config
     d = cfg["dimension"]
     grids = {n: grid_points(round(n ** (1.0 / d)), d) for n in cfg["n"]}
-    rows = _sweep(cfg, partial(_matching_task, plan, grids))
+    rows = _forked_map(partial(_matching_task, plan, grids), _sweep(cfg))
     if len({row["n"] for row in rows}) >= 2:
         from scipy.stats import kendalltau  # a slow import, needed only here
 
@@ -368,7 +408,7 @@ def _run_bisect(plan: Plan, fig_dir: str):
     cfg, domain, density = plan.config, plan.domain, plan.density
     reference = sweep_reference(domain, density, cfg["reference_size"])
     rows = []
-    for run in _sweep(cfg, partial(_bisect_task, plan, reference)):
+    for run in _forked_map(partial(_bisect_task, plan, reference), _sweep(cfg)):
         rec = run.record
         rows.append({"n": rec.n, "eps": rec.eps, "seed": rec.seed,
                      "kernel": plan.profile.name, "domain": plan.label, **asdict(rec)})

@@ -32,6 +32,14 @@ MAX_GRID_POINTS = 256 ** 3  # the most nodes a quadrature rule may hold
 MIN_ACCEPTANCE = 1e-4  # sample_iid gives up below this acceptance rate
 
 
+def _as_points(points) -> np.ndarray:
+    """points as a float (n, d) array; any other shape is refused."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"expected an (n, d) array of points, got shape {points.shape}")
+    return points
+
+
 class BoxUnion:
     """Union of axis aligned boxes forming a connected open set.
 
@@ -93,7 +101,7 @@ class BoxUnion:
         return float(sum(np.prod(hi - lo) for lo, hi in self.cells))
 
     def contains(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = _as_points(points)
         inside = np.zeros(points.shape[0], dtype=bool)
         for lo, hi in self.boxes:
             inside |= np.all((points >= lo) & (points <= hi), axis=1)
@@ -194,7 +202,7 @@ class ConvexPolygon:
         return 0.5 * _shoelace(self.vertices)
 
     def contains(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = _as_points(points)
         a = self.vertices
         b = np.roll(a, -1, axis=0)
         inside = np.ones(points.shape[0], dtype=bool)
@@ -283,7 +291,7 @@ class Density:
             raise ValueError("need a positive upper bound")
 
     def __call__(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = _as_points(points)
         return (1.0 + self.slope * points[:, self.axis]) / self.z
 
 

@@ -65,7 +65,7 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .geometry import PointCloud
+from .geometry import PointCloud, _as_points
 
 WEIGHT_FLOOR = 1e-15
 BLOCK = 1 << 16  # edges per block: a float64 temporary takes 512 KB
@@ -130,14 +130,6 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
         ww[kept:end] = weights[keep]
         kept = end
     return WeightedGraph(n=n, eps=eps, ii=ii[:kept], jj=jj[:kept], ww=ww[:kept])
-
-
-def _as_points(points) -> np.ndarray:
-    """points as a float (n, d) array; any other shape is refused."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"expected an (n, d) array of points, got shape {points.shape}")
-    return points
 
 
 def _pair_distances(x: np.ndarray, ii: np.ndarray, y: np.ndarray,

@@ -79,7 +79,8 @@ class Gaussian(KernelProfile):
         under T and no radius is kept.  x is formed from logarithms, as
         width^2 underflows at tiny widths.  At huge ones x is not a normal
         float, so w = W_-1(x) solves w + log(-w) = log(-x) instead, by
-        Newton steps from its asymptote log(-x) - log(-log(-x)).
+        Newton steps from its asymptote log(-x) - log(-log(-x)).  A cut
+        radius past the largest float, at widths near it, is refused.
         """
         log_x = (math.log(2.0 / d) + (2.0 / d) * math.log(TRUNCATION_THRESHOLD)
                  - 2.0 * math.log(self.width))
@@ -91,7 +92,10 @@ class Gaussian(KernelProfile):
             w = log_x - math.log(-log_x)
             for _ in range(4):
                 w -= (w + math.log(-w) - log_x) / (1.0 + 1.0 / w)
-        return self.width * math.sqrt(-(d / 2.0) * w)
+        radius = self.width * math.sqrt(-(d / 2.0) * w)
+        if not math.isfinite(radius):
+            raise ValueError(f"{self.name!r} cut radius exceeds the float range")
+        return radius
 
 
 @dataclass(frozen=True)

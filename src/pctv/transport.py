@@ -36,7 +36,8 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import UnsupportedConfigurationError
-from .graph import _as_points, _radii, _within
+from .geometry import _as_points
+from .graph import _radii, _within
 
 MAX_DENSE_COSTS = 20_000_000
 
@@ -65,9 +66,11 @@ def _transport_lp(cost: np.ndarray) -> float:
     (rows of zeros left out), an exact scaling that the objective
     undoes.  The row and column duals u, v certify the optimum: every
     reduced cost c - u_i - v_j is at least -1e-9 times the objective,
-    and the dual objective meets the primal within 1e-9 of it.  A failed
-    solve or certificate, or a cost that is not finite once scaled,
-    raises UnsupportedConfigurationError.
+    and the dual objective meets the primal within 1e-9 of it.  The
+    solve's dual feasibility tolerance is 1e-10: at HiGHS's default,
+    1e-7, the simplex stopped at reduced costs of -5e-8, which the
+    check refused.  A failed solve or certificate, or a cost that is not
+    finite once scaled, raises UnsupportedConfigurationError.
     """
     ns, nt = cost.shape
     smallest = np.where(cost > 0, cost, np.inf).min(axis=1)
@@ -84,7 +87,7 @@ def _transport_lp(cost: np.ndarray) -> float:
                                                np.tile(var, 2))), shape=(ns + nt, ns * nt))
     b_eq = np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, 1.0 / nt)])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs")
+                  method="highs", options={"dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise UnsupportedConfigurationError(f"transportation solve failed: {res.message}")
     u, v = res.eqlin.marginals[:ns], res.eqlin.marginals[ns:]

@@ -6,9 +6,11 @@ import inspect
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import re
+import signal
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
@@ -23,7 +25,7 @@ import pctv
 from pctv import cli, config, continuum, experiments, kernels
 from pctv.bisection import reference_partitions
 from pctv.config import EXPERIMENTS, SCHEMAS, build, load_config, plan, validate_config
-from pctv.errors import ConfigError
+from pctv.errors import ConfigError, UnsupportedConfigurationError
 from pctv.experiments import run_experiment, worker_count, write_records_csv
 from pctv.geometry import (
     DENSITIES,
@@ -499,6 +501,9 @@ BAD_CONFIGS = [
     ("gtv-convergence", dict(GTV_CFG, kernel={"name": "step-sum", "radii": [1.0],
                                               "heights": [1e305]},
                              eps_rule={"kind": "fixed", "value": 0.05}, n=[2000]), "/eps_rule"),
+    # a width this near the float range has a cut radius past it
+    ("connectivity", {"kernel": {"name": "gaussian", "width": 1.7e308}, "n": 100,
+                      "factors": [1.0], "seeds": [0]}, "/kernel"),
 ]
 
 
@@ -684,6 +689,47 @@ def test_every_task_pickles(tmp_path, monkeypatch, name):
     run_experiment(name, RUNS[name][0], str(tmp_path))
     tables = [(tmp_path / artifact).read_bytes() for artifact in ("records.csv", "summary.json")]
     assert tuple(hashlib.sha256(table).hexdigest() for table in tables) == PINNED[name]
+
+
+def _pid(item):
+    return os.getpid()
+
+
+def _ignores_interrupts(item):
+    return signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+
+
+def _refused_matching(plan, grids, item):
+    raise UnsupportedConfigurationError("matching refused")
+
+
+def test_forked_maps_run_tasks_in_workers_that_end_with_the_map(tmp_path, monkeypatch):
+    items = list(range(4))
+    monkeypatch.setenv("PCTV_THREADS", "1")
+    assert experiments._forked_map(_pid, items) == [os.getpid()] * 4
+    monkeypatch.setenv("PCTV_THREADS", "2")
+    assert os.getpid() not in experiments._forked_map(_pid, items)
+    # an interrupt stops the map, not a worker, which would leave its
+    # thread waiting for the result forever
+    assert experiments._forked_map(_ignores_interrupts, items) == [True] * 4
+    for name in ("matching-scaling", "bisect"):
+        run_experiment(name, RUNS[name][0], str(tmp_path / name))
+        assert multiprocessing.active_children() == []
+
+
+def test_a_failed_task_is_one_error_line_at_any_worker_count(tmp_path, capsys, monkeypatch):
+    # forked after the patch, the workers run the refusing task too
+    monkeypatch.setattr(experiments, "_matching_task", _refused_matching)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(RUNS["matching-scaling"][0]))
+    for workers in ("1", "2"):
+        monkeypatch.setenv("PCTV_THREADS", workers)
+        out = tmp_path / f"out{workers}"
+        code = cli.main(["matching-scaling", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: matching refused\n"
+        assert os.listdir(out) == []
+        assert multiprocessing.active_children() == []
 
 
 def _count_calls(monkeypatch, function):
@@ -1174,6 +1220,14 @@ def test_small_tl_distance_configs_run_or_raise_config_errors(cfg):
                      n=st.lists(st.integers(1, 50).map(lambda k: 2 * k), min_size=1, max_size=3),
                      seeds=_SMALL_SEEDS, restarts=st.integers(1, 4),
                      reference_size=st.integers(10, 100)))
+# HiGHS stopped these TL1 solves within its default dual tolerance, short
+# of the certificate
+@example({"domain": {"shape": "dumbbell", "length": 1.0, "width": 0.875},
+          "kernel": {"name": "indicator"}, "n": [64], "eps_rule": {"kind": "admissible"},
+          "seeds": [2], "restarts": 2, "reference_size": 69})
+@example({"domain": {"shape": "unit-box"}, "kernel": {"name": "gaussian"}, "n": [62],
+          "eps_rule": {"kind": "sub-connectivity"}, "seeds": [0], "restarts": 1,
+          "reference_size": 88})
 def test_small_bisect_configs_run_or_raise_config_errors(cfg):
     _run_or_config_error("bisect", cfg)
 

@@ -34,6 +34,8 @@ def test_affine_function_values_and_gradient():
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
     assert_allclose(fn(pts), [0.5, 1.5])
     assert_allclose(fn.coeffs, [2.0, -1.0])
+    with pytest.raises(ValueError, match=r"expected an \(n, d\) array"):
+        fn([0.0, 1.0])
 
 
 def test_weighted_tv_of_coordinate_is_one():

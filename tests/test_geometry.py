@@ -47,6 +47,14 @@ def test_box_contains_is_closed():
     assert not box.contains(outside).any()
 
 
+def test_point_readers_refuse_anything_but_an_n_by_d_array():
+    # a flat list was read as one point, its first coordinates the point
+    square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    for read in (affine_density(unit_box(1), 0, 0.5), unit_box(1).contains, square.contains):
+        with pytest.raises(ValueError, match=r"expected an \(n, d\) array"):
+            read([0.1, 0.2, 3.0])
+
+
 def test_degenerate_box_is_rejected():
     with pytest.raises(ValueError):
         Box([0.0, 0.0], [1.0, 0.0])

@@ -44,14 +44,23 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_the_cli_does_not_import_scipy_stats():
-    # scipy.stats takes about half a second to import; only a
-    # matching-scaling run over several n needs it.
-    probe = "import sys, pctv.cli; print('scipy.stats' in sys.modules)"
+def _imported_by_the_cli(module: str) -> bool:
+    probe = f"import sys, pctv.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_the_cli_does_not_import_scipy_stats():
+    # scipy.stats takes about half a second to import; only a
+    # matching-scaling run over several n needs it.
+    assert not _imported_by_the_cli("scipy.stats")
+
+
+def test_the_cli_does_not_import_multiprocessing():
+    # 7-13 ms of every run's set-up; only a forked map needs it
+    assert not _imported_by_the_cli("multiprocessing")
 
 
 def test_every_benchmark_layer_resolves():

@@ -110,6 +110,12 @@ def test_huge_gaussian_widths_have_a_cut_radius(d):
         assert abs(residual - math.log(kernels.TRUNCATION_THRESHOLD)) < 1e-11
 
 
+def test_a_cut_radius_past_the_float_range_is_refused():
+    # the root is finite as a multiple of the width, but not once scaled
+    with pytest.raises(ValueError, match="cut radius exceeds the float range"):
+        kernels.gaussian(1.7e308).cutoff(2)
+
+
 def test_tiny_gaussian_width_warns_of_no_overflow():
     # (r / width)^2 overflows to inf here; exp(-inf) = 0 is the right value.
     profile = kernels.gaussian(1e-200)
