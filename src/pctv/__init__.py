@@ -44,6 +44,7 @@ from .geometry import (
 from .graph import (
     WeightedGraph,
     build_graph,
+    cloud_total_variation,
     component_labels,
     graph_total_variation,
     is_connected,
@@ -79,6 +80,7 @@ __all__ = [
     "bisection_energy",
     "bottleneck_distance",
     "build_graph",
+    "cloud_total_variation",
     "component_labels",
     "dumbbell",
     "effective_support",

@@ -39,7 +39,7 @@ from .geometry import (
     uniform_density,
     unit_box,
 )
-from .graph import EPS_RULES, EpsRule, connectivity_scale
+from .graph import EPS_RULES, EpsRule, candidate_pair_bound, connectivity_scale
 from .kernels import (
     KERNELS,
     KernelProfile,
@@ -48,6 +48,13 @@ from .kernels import (
     surface_tension,
 )
 from .transport import check_dense_costs
+
+
+# A graph holds about 24 bytes per candidate pair at its peak (21-25
+# measured at n = 32000): the pair search returns two int64 per pair, and
+# the sorted key adds 4.  So 2^24 pairs, 2.5 times those of the largest
+# shipped graph, take about 400 MB in each task.
+MAX_PAIRS = 1 << 24
 
 
 def _schema(properties: dict, required: list | None = None) -> dict:
@@ -345,13 +352,19 @@ def _preflight(experiment: str, cfg: dict) -> Plan:
             lo, hi = domain.bounding_box()
             spread = sum(abs(a) * (h - l) for a, l, h
                          in zip(built["function"].coeffs.tolist(), lo.tolist(), hi.tolist()))
-        for n in cfg["n"]:
-            peak = float(_built("/eps_rule", scaled_from_distance, profile, rule(n), 0.0, d))
+        for i, n in enumerate(cfg["n"]):
+            eps = rule(n)
+            peak = float(_built("/eps_rule", scaled_from_distance, profile, eps, 0.0, d))
             # a product of Python floats overflows to inf, with no warning
             if not math.isfinite(float(n) * float(n) * peak * spread):
                 raise ConfigError(f"/eps_rule: at n = {n} the graph TV sum can reach n^2 x "
                                   f"{peak:.3g} (peak weight) x {spread:.3g} (range of values), "
                                   "which overflows")
+            pairs = candidate_pair_bound(n, d, profile, eps, density.upper)
+            if pairs > MAX_PAIRS:
+                raise ConfigError(f"/n/{i}: at eps = {eps:.3g} the graph of {n} points can "
+                                  f"hold about {pairs:.3g} candidate pairs, over the limit "
+                                  f"of {MAX_PAIRS} per graph")
     if experiment == "bisect":
         for i, n in enumerate(cfg["n"]):
             if n % 2:

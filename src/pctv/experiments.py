@@ -36,13 +36,7 @@ from .config import Plan, build, plan
 from .continuum import nonlocal_tv, weighted_perimeter, weighted_tv_smooth
 from .errors import ConfigError
 from .geometry import grid_points, sample_iid
-from .graph import (
-    build_graph,
-    connected_at,
-    connection_distance,
-    connectivity_scale,
-    graph_total_variation,
-)
+from .graph import cloud_total_variation, connected_at, connection_distance, connectivity_scale
 from .kernels import KERNELS
 from .transport import bottleneck_distance, scaling_ratio, tlp_distance
 
@@ -188,8 +182,7 @@ def _graph_tv_task(plan: Plan, u, constants: dict, reference: float, item):
     n, seed = item
     eps = float(plan.eps(n))
     cloud = sample_iid(plan.domain, plan.density, n, seed=seed)
-    graph = build_graph(cloud, plan.profile, eps)
-    value = graph_total_variation(graph, u(cloud.points))
+    value, edges = cloud_total_variation(cloud, plan.profile, eps, u(cloud.points))
     row = {
         "n": n,
         "eps": eps,
@@ -201,7 +194,7 @@ def _graph_tv_task(plan: Plan, u, constants: dict, reference: float, item):
         "reference": reference,
         "rel_error": abs(value - reference) / (abs(reference) if reference else 1.0),
     }
-    return row, graph.edge_count == 0
+    return row, edges == 0
 
 
 def _run_graph_tv(plan: Plan, fig_dir: str):

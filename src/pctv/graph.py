@@ -29,14 +29,25 @@ one coordinate at a time in axis order, ((0 + dx^2) + dy^2) + dz^2, and
 that order fixes its bits, so the pairs kept at the radius and every
 weight are reproducible to the last bit.
 
-The candidate pairs are sorted once, as the int64 keys i*n + j, and then
-handled in blocks of BLOCK consecutive keys: each block is split into
-(i, j), its distances, weights and keep mask are computed, and its kept
-edges are written at a running offset.  A block's float64 temporaries
-take 512 KB and stay in cache, so only the keys and the three outputs
-span all edges.  Every step is elementwise, so the edges and their bits
-do not depend on BLOCK; graph_total_variation fills its terms the same
-way and sums them in one call, in numpy's pairwise order.
+One pipeline, _edge_blocks, yields every eps-graph's edges.  The
+candidate pairs are sorted once, as the keys i*n + j in the narrowest
+unsigned type that holds n^2 - 1 (uint32 up to n = 65536), and the
+start of each row i in the sorted keys is found by one binary search.
+The keys are then handled in blocks of BLOCK consecutive keys: a block
+takes i from the row starts and j = key - i*n, computes its distances,
+weights and keep mask, and yields its kept edges, with no copy when it
+keeps them all.  A block's float64 temporaries take 512 KB and stay in
+cache, so only the keys span all candidates.  Two consumers take the
+blocks: build_graph writes them into the graph's arrays, and
+cloud_total_variation writes only the terms W_ij |u_i - u_j|, never
+holding the graph.  graph_total_variation fills the same terms from a
+built graph, and both sum them in one call, in numpy's pairwise order.
+Every step is elementwise, so the edges and the sum's bits do not depend
+on BLOCK or on which consumer ran.  When eps^-d eta(0) is below
+WEIGHT_FLOOR no pair can be kept, as the profile never increases
+(kernel condition K2), and no pair is searched.  candidate_pair_bound
+bounds the pairs a graph searches, so that a config can be refused
+before its run builds one.
 
 Connectivity at any eps is decided by one number per cloud, without
 building the graph: the connection distance b, the smallest distance t
@@ -95,41 +106,111 @@ def build_graph(cloud: PointCloud, profile: kernels.KernelProfile,
     lexicographic in (i, j), which fixes the reduction order of every
     downstream sum.
     """
+    size, blocks = _edge_blocks(cloud, profile, eps)
+    ii = np.empty(size, dtype=np.int32)
+    jj = np.empty(size, dtype=np.int32)
+    ww = np.empty(size)
+    kept = 0
+    for bi, bj, bw in blocks:
+        end = kept + bi.size
+        ii[kept:end] = bi
+        jj[kept:end] = bj
+        ww[kept:end] = bw
+        kept = end
+    return WeightedGraph(n=cloud.n, eps=float(eps), ii=ii[:kept], jj=jj[:kept],
+                         ww=ww[:kept])
+
+
+def _key_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds every key i*n + j < n^2."""
+    return np.min_scalar_type(max(n * n - 1, 0))
+
+
+def _edge_blocks(cloud: PointCloud, profile: kernels.KernelProfile, eps: float):
+    """The edges of the eps-graph as (i, j, w) blocks, in (i, j) order.
+
+    Returns the number of candidate pairs, which bounds the edge count,
+    and an iterator over blocks of at most BLOCK edges: their endpoints
+    as intp arrays and their weights.  Raises ValueError as
+    _search_radius does, whether or not the cloud has candidate pairs.
+    """
     points = np.asarray(cloud.points, dtype=float)
     n, d = points.shape
     eps = float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    radius = eps * kernels.effective_support(profile, d)
+    radius = _search_radius(profile, eps, d)
+    if radius is None:
+        return 0, iter(())
 
     # The slack only widens the candidate set; the distance test below
     # decides every pair, including those on the boundary.
     pairs = cKDTree(points).query_pairs(radius * (1 + 1e-12),
                                         output_type="ndarray")
     # The pairs are dropped once keyed: dense graphs hold millions of them.
-    key = pairs[:, 0] * np.int64(n)
-    key += pairs[:, 1]
+    key_type = _key_dtype(n)
+    key = np.multiply(pairs[:, 0], n, dtype=key_type, casting="unsafe")
+    np.add(key, pairs[:, 1], out=key, dtype=key_type, casting="unsafe")
     del pairs
     key.sort()
-    ii = np.empty(key.size, dtype=np.int32)
-    jj = np.empty(key.size, dtype=np.int32)
-    ww = np.empty(key.size)
-    kept = 0
+    # starts[i] is the position of row i's first key.  The last row
+    # holds no key (j > i), so starts[n - 1] = key.size ends the others.
+    # Needles of the keys' own type keep searchsorted from converting them.
+    starts = np.searchsorted(key, np.arange(n, dtype=key_type) * key_type.type(n))
     # Column-major, so that no block copies a coordinate column.
     columns = np.asfortranarray(points)
-    # At least one block, so that an eps the kernel cannot scale raises
-    # even when the graph has no candidate pairs.
-    for start in range(0, max(key.size, 1), BLOCK):
-        bi, bj = np.divmod(key[start:start + BLOCK], n)
-        dist = _pair_distances(columns, bi, columns, bj)
-        weights = kernels.scaled_from_distance(profile, eps, dist, d)
-        keep = _kept(dist, weights, radius)
-        end = kept + int(np.count_nonzero(keep))
-        ii[kept:end] = bi[keep]
-        jj[kept:end] = bj[keep]
-        ww[kept:end] = weights[keep]
-        kept = end
-    return WeightedGraph(n=n, eps=eps, ii=ii[:kept], jj=jj[:kept], ww=ww[:kept])
+
+    def blocks():
+        for start in range(0, key.size, BLOCK):
+            stop = min(start + BLOCK, key.size)
+            # Rows first .. last - 1 meet the block, and their starts,
+            # clipped to it, count each one's keys in it.
+            first = int(np.searchsorted(starts, start, side="right")) - 1
+            last = int(np.searchsorted(starts, stop, side="left"))
+            counts = np.diff(np.clip(starts[first:last + 1], start, stop))
+            bi = np.repeat(np.arange(first, last), counts)
+            bj = key[start:stop].astype(np.intp)
+            bj -= bi * n
+            dist = _pair_distances(columns, bi, columns, bj)
+            weights = kernels.scaled_from_distance(profile, eps, dist, d)
+            keep = _kept(dist, weights, radius)
+            if not keep.all():
+                bi, bj, weights = bi[keep], bj[keep], weights[keep]
+            yield bi, bj, weights
+
+    return key.size, blocks()
+
+
+def _search_radius(profile: kernels.KernelProfile, eps: float, d: int) -> float | None:
+    """Radius of the eps-graph's candidate search, or None when no pair can be kept.
+
+    Raises ValueError when eps is not positive or eps^-d times eta(0)
+    overflows.  The profile never increases (K2), so when even a pair at
+    distance 0 falls below WEIGHT_FLOOR, every pair does.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    radius = eps * kernels.effective_support(profile, d)
+    peak = kernels.scaled_from_distance(profile, eps, 0.0, d)
+    return radius if _kept(0.0, peak, radius) else None
+
+
+def candidate_pair_bound(n: int, d: int, profile: kernels.KernelProfile, eps: float,
+                         upper: float) -> float:
+    """Bound on the expected candidate pairs of the eps-graph of n points
+    drawn from a density of at most upper; 0 when no pair can be kept.
+
+    A point has on average at most n |B_d| r^d upper others within the
+    search radius r, so the pairs are at most n^2/2 |B_d| r^d upper, and
+    never more than n^2/2.  Raises ValueError as _search_radius does.
+    """
+    radius = _search_radius(profile, float(eps), d)
+    if radius is None:
+        return 0.0
+    ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    try:
+        share = min(1.0, ball * upper * radius ** d)
+    except OverflowError:  # a float's ** raises where * gives inf
+        share = 1.0
+    return n * n / 2 * share
 
 
 def _pair_distances(x: np.ndarray, ii: np.ndarray, y: np.ndarray,
@@ -274,19 +355,49 @@ def connected_at(profile: kernels.KernelProfile, eps: float, distance: float,
     return bool(_kept(dist, weight, eps * kernels.effective_support(profile, d))[0])
 
 
+def _vertex_values(u, n: int) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,):
+        raise ValueError(f"expected {n} vertex values, got shape {u.shape}")
+    return u
+
+
+def _total_variation(u: np.ndarray, eps: float, size: int, blocks):
+    """Scaled graph total variation of u over the (i, j, w) edge blocks,
+    at most size edges in all, and the number of edges.
+
+    The terms W_ij |u_i - u_j| fill one array, block by block, which is
+    summed in one call, so the sum's bits do not depend on the blocks.
+    """
+    terms = np.empty(size)
+    filled = 0
+    for bi, bj, bw in blocks:
+        out = terms[filled:filled + bi.size]
+        np.subtract(u.take(bi), u.take(bj), out=out)
+        np.abs(out, out=out)
+        out *= bw
+        filled += bi.size
+    return 2.0 * float(terms[:filled].sum()) / (eps * u.size ** 2), filled
+
+
 def graph_total_variation(graph: WeightedGraph, u) -> float:
     """Scaled graph total variation of vertex values u."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (graph.n,):
-        raise ValueError(f"expected {graph.n} vertex values, got shape {u.shape}")
-    terms = np.empty(graph.edge_count)
-    for start in range(0, terms.size, BLOCK):
-        block = slice(start, start + BLOCK)
-        out = terms[block]
-        np.subtract(u.take(graph.ii[block]), u.take(graph.jj[block]), out=out)
-        np.abs(out, out=out)
-        out *= graph.ww[block]
-    return 2.0 * float(terms.sum()) / (graph.eps * graph.n ** 2)
+    u = _vertex_values(u, graph.n)
+    blocks = ((graph.ii[start:start + BLOCK], graph.jj[start:start + BLOCK],
+               graph.ww[start:start + BLOCK]) for start in range(0, graph.edge_count, BLOCK))
+    return _total_variation(u, graph.eps, graph.edge_count, blocks)[0]
+
+
+def cloud_total_variation(cloud: PointCloud, profile: kernels.KernelProfile,
+                          eps: float, u) -> tuple[float, int]:
+    """Scaled graph total variation of vertex values u on the eps-graph of
+    the cloud, and the graph's edge count, without building the graph.
+
+    Equal, bit for bit, to graph_total_variation of build_graph's graph.
+    """
+    u = _vertex_values(u, cloud.n)
+    size, blocks = _edge_blocks(cloud, profile, eps)
+    return _total_variation(u, float(eps), size, blocks)
 
 
 def component_labels(graph: WeightedGraph) -> np.ndarray:

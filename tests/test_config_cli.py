@@ -504,6 +504,12 @@ BAD_CONFIGS = [
     # a width this near the float range has a cut radius past it
     ("connectivity", {"kernel": {"name": "gaussian", "width": 1.7e308}, "n": 100,
                       "factors": [1.0], "seeds": [0]}, "/kernel"),
+    # about 84M candidate pairs, 5 times the limit of one graph; at n = 10^7
+    # the run failed with MemoryError after the output directory was made
+    ("gtv-convergence", dict(GTV_CFG, eps_rule={"kind": "borderline", "c": 2.0}, n=[300000]),
+     "/n/0"),
+    ("gtv-convergence", dict(GTV_CFG, eps_rule={"kind": "borderline", "c": 2.0}, n=[10**7]),
+     "/n/0"),
 ]
 
 

@@ -6,16 +6,26 @@ from functools import partial
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
 from pctv import graph, kernels
-from pctv.geometry import PointCloud, grid_points, sample_iid, uniform_density, unit_box
+from pctv.geometry import (
+    PointCloud,
+    dumbbell,
+    grid_points,
+    sample_iid,
+    uniform_density,
+    unit_box,
+)
 from pctv.graph import (
     WeightedGraph,
     build_graph,
+    cloud_total_variation,
     component_labels,
     connected_at,
     connection_distance,
+    critical_rate,
     graph_total_variation,
     is_connected,
 )
@@ -93,12 +103,16 @@ def _assert_exact_edges(points, profile, eps):
     return built
 
 
-def _assert_gtv_bits(built, seed):
+def _assert_gtv_bits(points, profile, built, seed):
+    """Both GTV entry points against the whole-array sum over the edges
+    that _assert_exact_edges matched with the oracle's."""
     if built.n == 0:  # GTV scales by 1 / n^2
         return
     u = np.random.default_rng(seed).normal(size=built.n)
-    assert graph_total_variation(built, u) == gtv_whole_array(
-        built.ii, built.jj, built.ww, u, built.n, built.eps)
+    expected = gtv_whole_array(built.ii, built.jj, built.ww, u, built.n, built.eps)
+    assert graph_total_variation(built, u) == expected
+    streamed = cloud_total_variation(PointCloud(points=points), profile, built.eps, u)
+    assert streamed == (expected, built.edge_count)
 
 
 @pytest.mark.parametrize("kernel", list(PROFILES))
@@ -115,14 +129,15 @@ def test_edge_blocks_keep_every_edge_and_gtv_bit(case, points, eps, kernel, bloc
     # Small blocks put block boundaries inside every graph, so each
     # running offset is exercised.
     monkeypatch.setattr(graph, "BLOCK", block)
-    _assert_gtv_bits(_assert_exact_edges(points, PROFILES[kernel], eps), block)
+    profile = PROFILES[kernel]
+    _assert_gtv_bits(points, profile, _assert_exact_edges(points, profile, eps), block)
 
 
 def test_a_graph_of_several_default_blocks_matches_the_oracle():
-    built = _assert_exact_edges(_random_cloud(2500, 2, seed=25).points,
-                                kernels.indicator(), 0.12)
+    points = _random_cloud(2500, 2, seed=25).points
+    built = _assert_exact_edges(points, kernels.indicator(), 0.12)
     assert built.edge_count > graph.BLOCK
-    _assert_gtv_bits(built, 25)
+    _assert_gtv_bits(points, kernels.indicator(), built, 25)
 
 
 def test_edges_are_ordered_and_simple():
@@ -165,16 +180,98 @@ def test_degenerate_clouds_give_empty_graphs(n):
 
 
 def test_tiny_weights_fall_below_the_floor(monkeypatch):
-    cloud = PointCloud(points=np.array([[0.0, 0.0], [0.3, 0.0], [0.7, 0.0]]))
-    profile = kernels.step_sum([0.5, 1.0], [1.0, 1e-16])
-    # The pairs come as (0, 1), (0, 2), (1, 2); blocks of 1 and 2 drop
-    # (0, 2) at a block's end, and the next block writes after the drop.
-    for block in (graph.BLOCK, 1, 2, 3, 64):
-        monkeypatch.setattr(graph, "BLOCK", block)
-        built = build_graph(cloud, profile, 1.0)
+    cases = [
         # the pair at distance 0.7 carries weight 1e-16 < the 1e-15 floor
-        assert list(zip(built.ii.tolist(), built.jj.tolist())) == [(0, 1), (1, 2)]
-        assert built.ww.tolist() == [1.0, 1.0]
+        (kernels.step_sum([0.5, 1.0], [1.0, 1e-16]), [[0.0, 0.0], [0.3, 0.0], [0.7, 0.0]]),
+        # exp(-(610/100)^2) = 6e-17 is under the floor, inside the cut radius 637
+        (kernels.gaussian(100.0), [[0.0, 0.0], [300.0, 0.0], [610.0, 0.0]]),
+    ]
+    for profile, points in cases:
+        points = np.array(points)
+        # the far pair is within the radius, so the floor is what drops it
+        assert points[2, 0] <= kernels.effective_support(profile, 2)
+        # The pairs come as (0, 1), (0, 2), (1, 2); blocks of 1 and 2 drop
+        # (0, 2) at a block's end, and the next block writes after the drop.
+        for block in (graph.BLOCK, 1, 2, 3, 64):
+            monkeypatch.setattr(graph, "BLOCK", block)
+            built = _assert_exact_edges(points, profile, 1.0)
+            assert list(zip(built.ii.tolist(), built.jj.tolist())) == [(0, 1), (1, 2)]
+            _assert_gtv_bits(points, profile, built, block)
+
+
+@pytest.mark.parametrize("kernel", list(PROFILES))
+def test_graphs_with_no_weight_above_the_floor_search_no_pairs(monkeypatch, kernel):
+    profile = PROFILES[kernel]
+    cloud = _random_cloud(400, 2, seed=19)
+    u = np.random.default_rng(19).normal(size=cloud.n)
+
+    def no_search(points):
+        raise AssertionError("searched the pairs of an edgeless graph")
+
+    monkeypatch.setattr(graph, "cKDTree", no_search)
+    # eps^-2 eta(0) is at most 2e-16, under the floor, so by K2 every weight is
+    built = build_graph(cloud, profile, 1e8)
+    assert built.edge_count == 0 and built.n == cloud.n
+    assert graph_total_variation(built, u) == 0.0
+    assert cloud_total_variation(cloud, profile, 1e8, u) == (0.0, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_an_overflowing_peak_weight_raises_without_candidate_pairs(n):
+    cloud = PointCloud(points=np.zeros((n, 2)))
+    profile = kernels.step_sum([1.0], [1e307])
+    # 0.05^-2 times 1e307 overflows, though these clouds have no pair
+    for build in (lambda: build_graph(cloud, profile, 0.05),
+                  lambda: cloud_total_variation(cloud, profile, 0.05, np.zeros(n))):
+        with pytest.raises(ValueError, match=r"eps\^-2 times eta\(0\) overflows"):
+            build()
+
+
+def test_the_candidate_pair_bound_holds_the_edges_of_shipped_graphs():
+    # the graphs of the shipped gtv-convergence and bisect configs
+    for domain, n, eps in ((unit_box(2), 2000, 2 * critical_rate(2000, 2)),
+                           (unit_box(2), 8000, 2 * critical_rate(8000, 2)),
+                           (dumbbell(), 500, 0.18)):
+        density = uniform_density(domain)
+        bound = graph.candidate_pair_bound(n, 2, kernels.indicator(), eps, density.upper)
+        cloud = sample_iid(domain, density, n, seed=n)
+        edges = build_graph(cloud, kernels.indicator(), eps).edge_count
+        assert edges <= bound <= 1.3 * edges
+    # no more than every pair, even where r^d overflows
+    assert graph.candidate_pair_bound(100, 2, kernels.step_sum([1.0], [1e306]), 1e160,
+                                      1.0) == 5000.0
+    # no pair at all where no weight reaches the floor
+    assert graph.candidate_pair_bound(100, 2, kernels.indicator(), 1e8, 1.0) == 0.0
+
+
+# Keys i*n + j move to a wider integer type past n = 16, 256 and 65536.
+KEY_WIDTHS = [(16, np.uint8), (17, np.uint16), (256, np.uint16), (257, np.uint32),
+              (65536, np.uint32), (65537, np.uint64)]
+
+
+@pytest.mark.parametrize("n,key_type", KEY_WIDTHS, ids=[str(n) for n, _ in KEY_WIDTHS])
+def test_narrow_keys_keep_every_edge_at_each_width(n, key_type):
+    assert graph._key_dtype(n) == key_type
+    points = _random_cloud(n, 2, seed=n).points
+    # n^2 / 2 * pi eps^2 = 300 edges, or nearly every pair of 16 or 17 points
+    eps = float(np.sqrt(600.0 / (np.pi * n * n)))
+    profile = kernels.indicator()
+    radius = eps * kernels.effective_support(profile, 2)
+    if n <= 257:
+        built = _assert_exact_edges(points, profile, eps)
+    else:
+        # the O(n^2) oracle is too slow here: sort the kd-tree pairs within
+        # a wider radius, kept by the same distance rule
+        built = build_graph(PointCloud(points=points), profile, eps)
+        pairs = cKDTree(points).query_pairs(2 * radius, output_type="ndarray")
+        diff = points[pairs[:, 0]] - points[pairs[:, 1]]
+        pairs = pairs[np.sqrt(np.sum(diff * diff, axis=1)) <= radius]
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        assert np.array_equal(built.ii, pairs[:, 0])
+        assert np.array_equal(built.jj, pairs[:, 1])
+        assert np.array_equal(built.ww, np.full(len(pairs), eps ** -2))
+    assert 100 < built.edge_count < 600
+    _assert_gtv_bits(points, profile, built, n)
 
 
 def test_gtv_two_point_value():
