@@ -28,6 +28,8 @@ from .graph import (
 from .transport import tlp_distance
 
 GAIN_TOL = 1e-12
+# A descent makes at most SWAPS_PER_VERTEX * n swaps from each start.
+SWAPS_PER_VERTEX = 10
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,15 @@ def _zero_energy_start(graph: WeightedGraph) -> np.ndarray | None:
     return chosen[comps]
 
 
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the given CSR rows' entries, row after row, and for
+    each entry the position in ``rows`` of the row that holds it."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    owner = np.arange(rows.size).repeat(counts)
+    return (starts - counts.cumsum() + counts)[owner] + np.arange(owner.size), owner
+
+
 def _swap_descent(
     weights: csr_matrix, labels: np.ndarray, cuts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -111,27 +122,35 @@ def _swap_descent(
     gain block.  Weights are non-negative, so no other vertex can be part
     of a best pair.  The candidate sets are ragged: each start forms
     gains over its own candidate pairs only.
+
+    The weights meet the labels once.  G = 2 W L^T - degree, which is D
+    on side B and -D on side A, is formed at the start and then kept by
+    the swaps: swapping a into B and b into A adds 2 (W[b] - W[a]) to
+    that start's row of G.  So a step costs O(starts * n) for the
+    candidate scan, plus the degrees of the swapped vertices and the gain
+    block, where recomputing W @ labels cost O(edges) per start.  A start
+    still improving after SWAPS_PER_VERTEX * n swaps is refused.
     """
     labels = labels.copy()
     cuts = np.array(cuts, dtype=float)
     n = labels.shape[1]
+    cap = SWAPS_PER_VERTEX * n
     indptr, indices, data = weights.indptr, weights.indices, weights.data
     degrees = np.asarray(weights.sum(axis=1)).ravel()
     # Implicit zeros count, so this is each row's largest weight or 0.
     heaviest = weights.max(axis=1).toarray().ravel()
     # Candidate b -> its position among its start's candidates, flat over (start, vertex).
     column = np.full(labels.size, -1)
-    # pen_a is 0 on A and -inf on B, pen_b the reverse: adding one to D
-    # masks the other side.  D is never -0.0, so adding +0.0 keeps its bits.
-    pen_a = np.where(labels, 0.0, -np.inf)
-    pen_b = np.where(labels, -np.inf, 0.0)
+    # G split by side: diff_a holds -G = D on A and -inf on B, diff_b
+    # holds G = D on B and -inf on A, so each masks the other side.
+    signed = np.ascontiguousarray(2.0 * (weights @ labels.T.astype(float)).T) - degrees
+    diff_a = np.where(labels, -signed, -np.inf)
+    diff_b = np.where(labels, -np.inf, signed)
+    del signed
+    # Row r of diff_a and diff_b descends start active[r].
     active = np.arange(labels.shape[0])
-    for _ in range(10 * n):
-        if active.size == 0:
-            break
-        twice = np.ascontiguousarray(2.0 * (weights @ labels[active].T.astype(float)).T)
-        diff_a = (degrees - twice) + pen_a[active]
-        diff_b = (twice - degrees) + pen_b[active]
+    swaps = 0
+    while active.size:
         a0 = diff_a.argmax(axis=1)
         top_a = diff_a[np.arange(active.size), a0]
         top_b = diff_b.max(axis=1)
@@ -157,10 +176,7 @@ def _swap_descent(
         pair_b += np.arange(pair_b.size)
         gains = diff_a.take(near_a).repeat(width) + diff_b.take(near_b)[pair_b]
         # W[a, b] comes from the raw CSR arrays: scipy indexing per step costs more than the step.
-        starts = indptr[idx_a]
-        counts = indptr[idx_a + 1] - starts
-        rows = np.arange(near_a.size).repeat(counts)
-        entries = (starts - counts.cumsum() + counts).repeat(counts) + np.arange(rows.size)
+        entries, rows = _row_entries(indptr, idx_a)
         column[near_b] = np.arange(near_b.size) - first_b[row_b]
         cols = column[row_a[rows] * n + indices[entries]]
         column[near_b] = -1
@@ -174,14 +190,33 @@ def _swap_descent(
         pick = hits[hits.searchsorted(offsets)]
         better = best > tol[live]
         pick = pick[better]
-        active = active[live][better]
+        keep = live.nonzero()[0][better]
+        if keep.size and swaps == cap:
+            raise UnsupportedConfigurationError(
+                f"the swap descent still lowers a cut after {cap} swaps "
+                f"({SWAPS_PER_VERTEX} per vertex)")
+        swaps += 1
         a = idx_a[first_pair.searchsorted(pick, "right") - 1]
         b = idx_b[pair_b[pick]]
-        labels[active, a] = False
-        labels[active, b] = True
-        pen_a[active, a] = pen_b[active, b] = -np.inf
-        pen_a[active, b] = pen_b[active, a] = 0.0
-        cuts[active] -= best[better]
+        labels[active[keep], a] = False
+        labels[active[keep], b] = True
+        cuts[active[keep]] -= best[better]
+        # a left A, so its weights leave G = diff_b, and b joined A, so its
+        # weights enter; the mirrored updates keep diff_a exactly -G.  -inf
+        # absorbs the updates on the other side.
+        entries, owner = _row_entries(indptr, np.concatenate([a, b]))
+        flat = np.concatenate([keep, keep])[owner] * n + indices[entries]
+        step = np.where(owner < keep.size, -2.0, 2.0) * data[entries]
+        flat_a, flat_b = diff_a.reshape(-1), diff_b.reshape(-1)
+        np.add.at(flat_b, flat, step)
+        np.subtract.at(flat_a, flat, step)
+        # The swapped pair changes sides.
+        at_a, at_b = keep * n + a, keep * n + b
+        flat_b[at_a] = -flat_a[at_a]
+        flat_a[at_b] = -flat_b[at_b]
+        flat_a[at_a] = flat_b[at_b] = -np.inf
+        if keep.size < active.size:
+            active, diff_a, diff_b = active[keep], diff_a[keep], diff_b[keep]
     return labels, cuts
 
 
@@ -197,7 +232,10 @@ def local_search_bisection(graph: WeightedGraph, seed: int, restarts: int = 32) 
     lowest cut low counts as a tie, whatever the order of the starts,
     and ties go to the lexicographically smallest canonical label
     vector.  Memory grows with the edge count plus n times the number of
-    starts, so any even n is accepted.
+    starts, so any even n is accepted.  The descent forms W @ labels once
+    and updates the gains from the swapped vertices' edges, so a swap
+    step costs O(n) per start plus the swapped vertices' degrees and the
+    gain block, not O(edges) per start.
     """
     n = graph.n
     if n % 2 or n == 0:
@@ -303,14 +341,25 @@ def _tl1_lower_bounds(points, labels, ref_points, ref_partitions):
     the mean column minimum of the cost |x - y| + |f - g| bounds TL1
     from below.  Returns (bound, partition, values) triples, one per
     reference partition and label identification, by increasing bound.
+
+    The cost never needs forming: rounding is monotone, so the least
+    distance plus one is the least of the distances plus one, and each
+    row or column minimum is the nearest distance to the same class or
+    one more than the nearest to the other class, whichever is smaller.
     """
     dist = cdist(points, ref_points)
+    # nearest cloud point of class A, and of class B, to each reference point
+    near = [dist[side].min(axis=0, initial=np.inf) for side in (labels, ~labels)]
     bounds = []
     for part in ref_partitions:
+        inside = dist[:, part].min(axis=1, initial=np.inf)
+        outside = dist[:, ~part].min(axis=1, initial=np.inf)
         # negating the labels swaps which cloud class carries value 1
-        for values in (labels, ~labels):
-            cost = dist + (values[:, None] != part[None, :])
-            bounds.append((max(cost.min(axis=1).mean(), cost.min(axis=0).mean()), part, values))
+        for values, (same, other) in ((labels, near), (~labels, near[::-1])):
+            rows = np.where(values, np.minimum(inside, outside + 1),
+                            np.minimum(outside, inside + 1))
+            cols = np.where(part, np.minimum(same, other + 1), np.minimum(other, same + 1))
+            bounds.append((max(rows.mean(), cols.mean()), part, values))
     return sorted(bounds, key=lambda bound: bound[0])
 
 

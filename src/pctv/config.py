@@ -56,6 +56,13 @@ from .transport import check_dense_costs
 # shipped graph, take about 400 MB in each task.
 MAX_PAIRS = 1 << 24
 
+# A bisection holds one label cell per vertex and start: the descent's
+# peak grows by about 48 bytes per cell (tracemalloc at n = 1000 and 4000,
+# 8 to 64 starts), and by up to about 240 at n = 2, where each start's
+# seed sequence, generator and row outweigh its vertices.  So 2^21 cells
+# take about 100 MB in each task, and 500 MB at the smallest n.
+MAX_LABEL_CELLS = 1 << 21
+
 
 def _schema(properties: dict, required: list | None = None) -> dict:
     """Schema of an object of these properties and no other; by default the
@@ -372,6 +379,10 @@ def _preflight(experiment: str, cfg: dict) -> Plan:
             # TL1 scoring holds an n x reference_size cost matrix
             _built(f"/n/{i}", check_dense_costs, n, cfg["reference_size"])
         _built("/domain", reference_partitions, domain, np.empty((0, d)))
+        cells = max(cfg["n"]) * (cfg["restarts"] + 1)  # the restarts and one packed start
+        if cells > MAX_LABEL_CELLS:
+            raise ConfigError(f"/restarts: {cfg['restarts']} restarts at n = {max(cfg['n'])} "
+                              f"hold {cells} label cells, over the limit of {MAX_LABEL_CELLS}")
     return Plan(**built)
 
 

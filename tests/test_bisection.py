@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.sparse import csr_matrix
+from scipy.spatial.distance import cdist
 
 import pctv.bisection
 from pctv.bisection import (
@@ -175,8 +176,12 @@ def _oracle_steps(dense, start, cut, final):
     return steps
 
 
-def _check_lockstep(dense, starts):
-    """Descend all starts in one call; each must match the dense oracle alone."""
+def _check_lockstep(dense, starts, count_steps=True):
+    """Descend all starts in one call; each must match the dense oracle alone.
+
+    Returns the descended labels and, with count_steps, the oracle's step
+    count of each start.
+    """
     cuts = np.array([_cut(dense, start) for start in starts])
     found, found_cuts = _swap_descent(csr_matrix(dense), np.array(starts), cuts)
     steps = []
@@ -184,8 +189,10 @@ def _check_lockstep(dense, starts):
         expected, expected_cut = dense_swap_descent(dense, start, cut, 10 * start.size)
         assert labels.tolist() == expected.tolist()
         assert_allclose(found_cut, expected_cut, rtol=1e-12)
-        steps.append(_oracle_steps(dense, start, cut, expected))
-    return steps
+        assert_allclose(found_cut, _cut(dense, labels), rtol=1e-12)
+        if count_steps:
+            steps.append(_oracle_steps(dense, start, cut, expected))
+    return found, steps
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29, 54])
@@ -203,7 +210,7 @@ def test_sparse_descent_matches_the_dense_oracle(seed, weights):
         starts = [_random_start(rng, n) for _ in range(5)]
         # The oracle's end point is a local optimum, so that start stops at step 0.
         starts[-1] = dense_swap_descent(dense, starts[-1], _cut(dense, starts[-1]), 10 * n)[0]
-        steps = _check_lockstep(dense, starts)
+        steps = _check_lockstep(dense, starts)[1]
         assert steps[-1] == 0
         staggered += len(set(steps[:-1])) > 1
     assert staggered >= 10  # most batches lose their starts at different steps
@@ -220,9 +227,66 @@ def test_lockstep_descent_keeps_the_zero_energy_packing():
     dense[graph.ii, graph.jj] = graph.ww
     dense[graph.jj, graph.ii] = graph.ww
     rng = np.random.default_rng(1)
-    steps = _check_lockstep(dense, [packed] + [_random_start(rng, graph.n) for _ in range(4)])
+    steps = _check_lockstep(dense, [packed] + [_random_start(rng, graph.n) for _ in range(4)])[1]
     assert steps[0] == 0
     assert min(steps[1:]) > 0
+
+
+def _dumbbell_weights(n, eps, seed):
+    """Dense weights of a dumbbell cloud's eps-graph, each edge redrawn
+    from its own uniform weight so that no two gains tie."""
+    domain = dumbbell()
+    cloud = sample_iid(domain, uniform_density(domain), n, seed=seed)
+    graph = build_graph(cloud, indicator(), eps)
+    dense = np.zeros((n, n))
+    dense[graph.ii, graph.jj] = np.random.default_rng(seed).uniform(0.1, 2.0, graph.ii.size)
+    return dense + dense.T
+
+
+def test_long_descents_match_the_dense_oracle():
+    # Six hundred vertices: each descent makes over a hundred swaps, and the
+    # gains kept by swaps must stay within rounding of the recomputed ones.
+    rng = np.random.default_rng(5)
+    dense = _dumbbell_weights(600, 0.15, seed=3)
+    starts = [_random_start(rng, 600) for _ in range(3)]
+    found = _check_lockstep(dense, starts, count_steps=False)[0]
+    # A swap changes two labels, so a start needs at least half its changed labels in swaps.
+    assert min(int((start != labels).sum()) // 2 for start, labels in zip(starts, found)) >= 120
+
+
+class _CountingCsr(csr_matrix):
+    """A CSR matrix that counts its products with other matrices."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+def test_the_weights_meet_the_labels_once_per_descent():
+    rng = np.random.default_rng(7)
+    dense = _dumbbell_weights(200, 0.25, seed=1)
+    random_starts = [_random_start(rng, 200) for _ in range(3)]
+    local_optimum = dense_swap_descent(dense, random_starts[0], _cut(dense, random_starts[0]),
+                                       2000)[0]
+    for starts in ([local_optimum], random_starts):
+        cuts = np.array([_cut(dense, start) for start in starts])
+        weights = _CountingCsr(dense)
+        weights.products = 0
+        found = _swap_descent(weights, np.array(starts), cuts)[0]
+        assert weights.products == 1
+    # the random starts made at least 60 swaps between them, the local optimum none
+    assert (found != np.array(random_starts)).sum() >= 2 * 60
+
+
+def test_a_descent_still_improving_at_its_swap_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(pctv.bisection, "SWAPS_PER_VERTEX", 0)
+    # two heavy pairs joined by a light edge
+    weights = csr_matrix(np.array([[0.0, 10, 0, 0], [10, 0, 1, 0], [0, 1, 0, 10], [0, 0, 10, 0]]))
+    # a start at its optimum makes no swap, so a cap of 0 swaps holds it
+    done = np.array([[True, True, False, False]])
+    assert _swap_descent(weights, done, np.array([1.0]))[0].tolist() == done.tolist()
+    with pytest.raises(UnsupportedConfigurationError, match="still lowers a cut after 0 swaps"):
+        _swap_descent(weights, np.array([[True, False, True, False]]), np.array([21.0]))
 
 
 def test_large_dumbbell_is_bisected_without_a_size_cap():
@@ -361,5 +425,8 @@ def test_tl1_lower_bounds_come_from_the_cost_they_bound(n, m):
                     + np.abs(f[:, None] - g[None, :]))
             assert bound == pytest.approx(
                 max(cost.min(axis=1).mean(), cost.min(axis=0).mean()), rel=1e-12)
+            # on the same distances the bound is the formed cost's, to the bit
+            cost = cdist(points, ref_points) + (values[:, None] != part[None, :])
+            assert bound == max(cost.min(axis=1).mean(), cost.min(axis=0).mean())
             assert bound <= tlp_distance(points, f, ref_points, g, p=1) * (1 + 1e-9)
         assert not expected

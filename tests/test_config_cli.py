@@ -24,7 +24,15 @@ from hypothesis import strategies as st
 import pctv
 from pctv import cli, config, continuum, experiments, kernels
 from pctv.bisection import reference_partitions
-from pctv.config import EXPERIMENTS, SCHEMAS, build, load_config, plan, validate_config
+from pctv.config import (
+    EXPERIMENTS,
+    MAX_LABEL_CELLS,
+    SCHEMAS,
+    build,
+    load_config,
+    plan,
+    validate_config,
+)
 from pctv.errors import ConfigError, UnsupportedConfigurationError
 from pctv.experiments import run_experiment, worker_count, write_records_csv
 from pctv.geometry import (
@@ -510,7 +518,18 @@ BAD_CONFIGS = [
      "/n/0"),
     ("gtv-convergence", dict(GTV_CFG, eps_rule={"kind": "borderline", "c": 2.0}, n=[10**7]),
      "/n/0"),
+    # this validated, and the run would have spawned 10^9 seed sequences
+    # before allocating (10^9 + 1) x 60 labels
+    ("bisect", dict(BISECT_CFG, restarts=10**9), "/restarts"),
 ]
+
+
+def test_restarts_are_refused_just_past_the_label_budget():
+    # each start, the restarts and one packed start, holds n = 60 labels
+    most = MAX_LABEL_CELLS // 60 - 1
+    validate_config("bisect", dict(BISECT_CFG, restarts=most))
+    with pytest.raises(ConfigError, match=f"^/restarts: {most + 1} restarts at n = 60 hold "):
+        validate_config("bisect", dict(BISECT_CFG, restarts=most + 1))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
